@@ -16,7 +16,7 @@ import json
 import secrets
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from pathlib import Path
 from typing import Callable, Iterable

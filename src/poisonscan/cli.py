@@ -625,8 +625,8 @@ def _add_scan_arguments(sub, history: bool = True) -> None:
     sub.add_argument(
         "--workers",
         type=int,
-        default=os.cpu_count() or 1,
-        help="worker processes (default: logical cores)",
+        default=1,
+        help="recorded in the manifest; scanning runs in one process (default: 1)",
     )
 
 

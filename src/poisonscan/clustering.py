@@ -29,7 +29,6 @@ import hashlib
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from math import comb
-from pathlib import Path
 
 from .core import (
     ChainConfig,

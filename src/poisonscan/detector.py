@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from decimal import Decimal
+from functools import cache
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -39,7 +40,6 @@ from .similarity import (
     birthday_collision_prob,
     osa_distance,
     positional_matches,
-    score,
 )
 
 __all__ = [
@@ -53,17 +53,6 @@ __all__ = [
     "scan",
     "sensitivity_run",
 ]
-
-_RANK = {
-    Label.BENIGN: 0,
-    Label.INTENDED: 1,
-    Label.TINY: 2,
-    Label.ZERO: 2,
-    Label.COUNTERFEIT: 2,
-    Label.PAYOFF_UNCONFIRMED: 3,
-    Label.PAYOFF_CONFIRMED: 3,
-    Label.ACCIDENTAL: 3,
-}
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,43 +98,6 @@ class EventDetail:
     def order(self) -> tuple[int, int]:
         return (self.block_number, self.log_index)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "key": self.key,
-            "block_number": self.block_number,
-            "timestamp": self.timestamp,
-            "log_index": self.log_index,
-            "tx_hash": self.tx_hash,
-            "token": self.token,
-            "from": self.from_addr,
-            "to": self.to_addr,
-            "value": str(self.value),
-            "usd": str(self.usd) if self.usd is not None else None,
-            "initiator": self.initiator,
-            "target": self.target,
-            "gas_used": self.gas_used,
-            "gas_price": self.gas_price,
-        }
-
-    @classmethod
-    def from_json_dict(cls, raw: Mapping) -> "EventDetail":
-        return cls(
-            key=raw["key"],
-            block_number=raw["block_number"],
-            timestamp=raw["timestamp"],
-            log_index=raw["log_index"],
-            tx_hash=raw["tx_hash"],
-            token=raw["token"],
-            from_addr=raw["from"],
-            to_addr=raw["to"],
-            value=int(raw["value"]),
-            usd=Decimal(raw["usd"]) if raw["usd"] is not None else None,
-            initiator=raw["initiator"],
-            target=raw["target"],
-            gas_used=raw["gas_used"],
-            gas_price=raw["gas_price"],
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class AttackContext:
@@ -161,35 +113,6 @@ class AttackContext:
     anchor_log_index: int
     via_sibling: bool
     evidence: tuple[str, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "victim": self.victim,
-            "intended": self.intended,
-            "lookalike": self.lookalike,
-            "a": self.a,
-            "b": self.b,
-            "anchor_key": self.anchor_key,
-            "anchor_block": self.anchor_block,
-            "anchor_log_index": self.anchor_log_index,
-            "via_sibling": self.via_sibling,
-            "evidence": list(self.evidence),
-        }
-
-    @classmethod
-    def from_json_dict(cls, raw: Mapping) -> "AttackContext":
-        return cls(
-            victim=raw["victim"],
-            intended=raw["intended"],
-            lookalike=raw["lookalike"],
-            a=raw["a"],
-            b=raw["b"],
-            anchor_key=raw["anchor_key"],
-            anchor_block=raw["anchor_block"],
-            anchor_log_index=raw["anchor_log_index"],
-            via_sibling=raw["via_sibling"],
-            evidence=tuple(raw["evidence"]),
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,46 +136,45 @@ class PayoffRecord:
     evidence: tuple[str, ...]
     edit_distance: int | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "key": self.key,
-            "victim": self.victim,
-            "lookalike": self.lookalike,
-            "intended": self.intended,
-            "anchor_key": self.anchor_key,
-            "anchor_block": self.anchor_block,
-            "anchor_log_index": self.anchor_log_index,
-            "block_number": self.block_number,
-            "log_index": self.log_index,
-            "token": self.token,
-            "value": str(self.value),
-            "usd": str(self.usd) if self.usd is not None else None,
-            "confirmed": self.confirmed,
-            "via_history": self.via_history,
-            "evidence": list(self.evidence),
-            "edit_distance": self.edit_distance,
-        }
 
-    @classmethod
-    def from_json_dict(cls, raw: Mapping) -> "PayoffRecord":
-        return cls(
-            key=raw["key"],
-            victim=raw["victim"],
-            lookalike=raw["lookalike"],
-            intended=raw["intended"],
-            anchor_key=raw["anchor_key"],
-            anchor_block=raw["anchor_block"],
-            anchor_log_index=raw["anchor_log_index"],
-            block_number=raw["block_number"],
-            log_index=raw["log_index"],
-            token=raw["token"],
-            value=int(raw["value"]),
-            usd=Decimal(raw["usd"]) if raw["usd"] is not None else None,
-            confirmed=raw["confirmed"],
-            via_history=raw["via_history"],
-            evidence=tuple(raw["evidence"]),
-            edit_distance=raw["edit_distance"],
-        )
+# ---------------------------------------------------------------------------
+# report record codec: one JSON object per record, keyed by field name except
+# for the transfer endpoints; token amounts travel as decimal strings
+
+_JSON_NAMES = {"from_addr": "from", "to_addr": "to"}
+
+
+def _optional_decimal(raw: str | None) -> Decimal | None:
+    return None if raw is None else Decimal(raw)
+
+
+_DECODERS = {"value": int, "usd": _optional_decimal, "evidence": tuple}
+
+
+@cache
+def _json_names(cls: type) -> tuple[tuple[str, str], ...]:
+    return tuple((f.name, _JSON_NAMES.get(f.name, f.name)) for f in fields(cls))
+
+
+def _record_to_json(record) -> dict:
+    out = {}
+    for name, key in _json_names(type(record)):
+        value = getattr(record, name)
+        if name == "value" or isinstance(value, Decimal):
+            value = str(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        out[key] = value
+    return out
+
+
+def _record_from_json(cls: type, raw: Mapping):
+    kwargs = {}
+    for name, key in _json_names(cls):
+        value = raw[key]
+        decode = _DECODERS.get(name)
+        kwargs[name] = value if decode is None else decode(value)
+    return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -316,20 +238,16 @@ class DetectionReport:
         return {
             "chain_id": self.chain_id,
             "config": self.config.to_dict(),
-            "labels": {k: self.labels[k] for k in sorted(self.labels)},
-            "events": {k: self.events[k].to_json_dict() for k in sorted(self.events)},
-            "contexts": [c.to_json_dict() for c in self.contexts],
-            "payoffs": [p.to_json_dict() for p in self.payoffs],
-            "victim_recipients": {
-                k: self.victim_recipients[k] for k in sorted(self.victim_recipients)
-            },
-            "excluded_victims": {
-                k: self.excluded_victims[k] for k in sorted(self.excluded_victims)
-            },
+            "labels": dict(self.labels),
+            "events": {k: _record_to_json(v) for k, v in self.events.items()},
+            "contexts": [_record_to_json(c) for c in self.contexts],
+            "payoffs": [_record_to_json(p) for p in self.payoffs],
+            "victim_recipients": dict(self.victim_recipients),
+            "excluded_victims": dict(self.excluded_victims),
             "accidental": sorted(self.accidental),
             "unpriced": list(self.unpriced),
             "authentic_tokens": sorted(self.authentic_tokens),
-            "counters": {k: self.counters[k] for k in sorted(self.counters)},
+            "counters": dict(self.counters),
         }
 
     @classmethod
@@ -338,9 +256,9 @@ class DetectionReport:
             chain_id=raw["chain_id"],
             config=ChainConfig.from_dict(raw["config"]),
             labels=dict(raw["labels"]),
-            events={k: EventDetail.from_json_dict(v) for k, v in raw["events"].items()},
-            contexts=tuple(AttackContext.from_json_dict(c) for c in raw["contexts"]),
-            payoffs=tuple(PayoffRecord.from_json_dict(p) for p in raw["payoffs"]),
+            events={k: _record_from_json(EventDetail, v) for k, v in raw["events"].items()},
+            contexts=tuple(_record_from_json(AttackContext, c) for c in raw["contexts"]),
+            payoffs=tuple(_record_from_json(PayoffRecord, p) for p in raw["payoffs"]),
             victim_recipients=dict(raw["victim_recipients"]),
             excluded_victims=dict(raw["excluded_victims"]),
             accidental=frozenset(raw["accidental"]),
@@ -392,7 +310,8 @@ def scan(
     # windowed trigger state; anchors keep the first trigger per pair forever
     anchors: dict[str, dict[str, TransferEvent]] = {}
     active: dict[str, dict[str, tuple[int, int]]] = {}
-    recent: deque[tuple[int, str, str]] = deque()
+    # (block, [active dict, recipient, ...]) for each block's trigger updates
+    recent: deque[tuple[int, list]] = deque()
     watch: dict[str, set[str]] = {}
 
     poison_of: dict[str, str] = {}
@@ -478,8 +397,16 @@ def scan(
         collected directly (used for shared-transaction eligibility)."""
         nonlocal n_probes, n_near
         n_probes += 1
-        sc = score(look, ref)
-        a, b = sc.a, sc.b
+        # score(look, ref) without its checks: both are canonical
+        # addresses and look != ref, so each walk stops inside the digits
+        a = 2
+        while look[a] == ref[a]:
+            a += 1
+        a -= 2
+        b = 41
+        while look[b] == ref[b]:
+            b -= 1
+        b = 41 - b
         if a < a_min or b < b_min:
             if a + b >= d_min:
                 n_near += 1
@@ -502,52 +429,53 @@ def scan(
         add_candidate(ev, victim, look, ref, route1=True)
         return False
 
-    tx_buf: list[TransferEvent] = []
-    tx_direct = False
-
-    def expand_tx() -> None:
-        if len(tx_buf) > 1:
-            for ev in tx_buf:
-                blk = ev.block_number
-                frm = ev.from_addr
-                to = ev.to_addr
-                full = anchors.get(frm)
+    def expand_tx(tx_events: list[TransferEvent]) -> None:
+        for ev in tx_events:
+            blk = ev.block_number
+            frm = ev.from_addr
+            to = ev.to_addr
+            full = anchors.get(frm)
+            if full:
+                l2, l41 = to[2], to[41]
+                for ref, anchor in full.items():
+                    if (
+                        (ref[2] == l2 or ref[41] == l41)
+                        and ref != to
+                        and anchor.block_number < blk
+                    ):
+                        consider(ev, frm, to, ref, incoming=False, sibling=True)
+            if ev.token in stable_set and ev.value > 0:
+                full = anchors.get(to)
                 if full:
-                    l2, l41 = to[2], to[41]
+                    l2, l41 = frm[2], frm[41]
                     for ref, anchor in full.items():
                         if (
                             (ref[2] == l2 or ref[41] == l41)
-                            and ref != to
+                            and ref != frm
                             and anchor.block_number < blk
                         ):
-                            consider(ev, frm, to, ref, incoming=False, sibling=True)
-                if ev.token in stable_set and ev.value > 0:
-                    full = anchors.get(to)
-                    if full:
-                        l2, l41 = frm[2], frm[41]
-                        for ref, anchor in full.items():
-                            if (
-                                (ref[2] == l2 or ref[41] == l41)
-                                and ref != frm
-                                and anchor.block_number < blk
-                            ):
-                                consider(ev, to, frm, ref, incoming=True, sibling=True)
-                if ev.token in auth_set and ev.value > 0:
-                    marks = watch.get(frm)
-                    if marks is not None and to in marks:
-                        pair = pair_ev.get((frm, to))
-                        if pair and any(o < ev.order for o, _ in pair):
-                            add_candidate(ev, frm, to, None, route1=False)
+                            consider(ev, to, frm, ref, incoming=True, sibling=True)
+            if ev.token in auth_set and ev.value > 0:
+                marks = watch.get(frm)
+                if marks is not None and to in marks:
+                    pair = pair_ev.get((frm, to))
+                    if pair and any(o < ev.order for o, _ in pair):
+                        add_candidate(ev, frm, to, None, route1=False)
+
+    # the open transaction is tx_head plus tx_more; it is re-walked by
+    # expand_tx only when it has a direct poisoning and more than one log
+    tx_head: TransferEvent | None = None
+    tx_more: list[TransferEvent] = []
+    tx_direct = False
 
     last_block = -1
     last_li = -1
     cur_tx: str | None = None
-    seen_tx: set[str] = set()
+    seen_tx: set[str] = set()  # every transaction opened so far
     bound0 = 0
+    bucket: list = []
+    first_lbs = (-1, -1)
     active_get = active.get
-    anchors_get = anchors.get
-    buf_append = tx_buf.append
-    buf_clear = tx_buf.clear
     recent_append = recent.append
     recent_pop = recent.popleft
 
@@ -567,38 +495,46 @@ def scan(
             if txh != cur_tx:
                 if txh in seen_tx:
                     raise OrderingError(f"transaction {txh} is not contiguous")
-                if tx_direct:
-                    expand_tx()
-                    tx_direct = False
-                buf_clear()
-                if cur_tx is not None:
-                    seen_tx.add(cur_tx)
+                seen_tx.add(txh)
+                if tx_more:
+                    if tx_direct:
+                        expand_tx([tx_head, *tx_more])
+                    tx_more = []
+                tx_direct = False
+                tx_head = ev
                 cur_tx = txh
+            else:
+                tx_more.append(ev)
         else:
             if blk < last_block:
                 raise OrderingError(
                     f"block {blk} after block {last_block} in scan input"
                 )
-            if tx_direct:
-                expand_tx()
-                tx_direct = False
-            buf_clear()
-            if cur_tx is not None:
-                seen_tx.add(cur_tx)
             if txh in seen_tx:
                 raise OrderingError(f"transaction {txh} is not contiguous")
+            seen_tx.add(txh)
+            if tx_more:
+                if tx_direct:
+                    expand_tx([tx_head, *tx_more])
+                tx_more = []
+            tx_direct = False
+            tx_head = ev
             cur_tx = txh
             bound = blk - m - 1
             while recent and recent[0][0] < bound:
-                nb, av, r = recent_pop()
-                cur = av.get(r)
-                if cur is not None:
-                    if cur[0] == nb:
-                        del av[r]
-                    elif cur[1] == nb:
-                        av[r] = (cur[0], -1)
+                nb, expired = recent_pop()
+                for av, r in zip(expired[::2], expired[1::2]):
+                    cur = av.get(r)
+                    if cur is not None:
+                        if cur[0] == nb:
+                            del av[r]
+                        elif cur[1] == nb:
+                            av[r] = (cur[0], -1)
             bound0 = bound if bound > 0 else 0
             last_block = blk
+            bucket = []
+            recent_append((blk, bucket))
+            first_lbs = (blk, -1)  # shared by the block's new pairs
         last_li = li
         n_events += 1
 
@@ -633,26 +569,26 @@ def scan(
                                 if consider(ev, to, frm, ref, incoming=True, sibling=False):
                                     tx_direct = True
                 n_triggers += 1
-                full = anchors_get(frm)
-                if full is None:
-                    anchors[frm] = full = {}
-                if to not in full:
-                    full[to] = ev
+                # anchors and active gain their per-sender dicts together
                 if av_frm is None:
-                    active[frm] = av_frm = {}
-                cur = av_frm.get(to)
-                if cur is None:
-                    av_frm[to] = (blk, -1)
-                    recent_append((blk, av_frm, to))
-                elif cur[0] != blk:
-                    av_frm[to] = (blk, cur[0])
-                    recent_append((blk, av_frm, to))
+                    anchors[frm] = {to: ev}
+                    active[frm] = av_frm = {to: first_lbs}
+                    bucket.append(av_frm)
+                    bucket.append(to)
+                elif to not in av_frm:
+                    anchors[frm].setdefault(to, ev)
+                    av_frm[to] = first_lbs
+                    bucket.append(av_frm)
+                    bucket.append(to)
+                else:
+                    lb1 = av_frm[to][0]
+                    if lb1 != blk:
+                        av_frm[to] = (blk, lb1)
+                        bucket.append(av_frm)
+                        bucket.append(to)
 
-        buf_append(ev)
-
-    if tx_direct:
-        expand_tx()
-    tx_buf.clear()
+    if tx_direct and tx_more:
+        expand_tx([tx_head, *tx_more])
 
     # ------------------------------------------------------------------
     # finalize

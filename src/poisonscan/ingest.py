@@ -1,9 +1,9 @@
 """Reading and writing transfer event files.
 
 Events live in JSON Lines files, one transfer per line, ordered by
-``(block_number, log_index)``.  Reading validates that order along with
-event-key uniqueness, so every downstream consumer can rely on a clean,
-strictly ordered stream without re-checking.
+``(block_number, log_index)``.  Reading validates that order and that
+each transaction's logs form one uninterrupted run, so every downstream
+consumer can rely on a clean, strictly ordered stream without re-checking.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from pathlib import Path
 
 from .core import (
@@ -23,10 +22,8 @@ from .core import (
 )
 
 __all__ = [
-    "EventBatch",
     "EventStore",
     "iter_events",
-    "read_events",
     "validate_stream",
     "write_events",
     "load_account_history",
@@ -34,21 +31,6 @@ __all__ = [
 ]
 
 _MAX_VALUE = 2**256 - 1
-
-
-@dataclass(frozen=True, slots=True)
-class EventBatch:
-    """A contiguous run of ordered events covering ``chunk_blocks`` blocks."""
-
-    events: tuple[TransferEvent, ...]
-    first_block: int
-    last_block: int
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    def __iter__(self) -> Iterator[TransferEvent]:
-        return iter(self.events)
 
 
 def _parse_int(obj: dict, field: str, path: str, line: int, *, minimum: int = 0, maximum: int | None = None) -> int:
@@ -131,10 +113,11 @@ class _OrderChecker:
     """Enforces stream ordering invariants while events are consumed.
 
     Blocks must be non-decreasing, log indices strictly increasing within
-    a block, ``(tx_hash, log_index)`` pairs unique, and all events of one
-    transaction contiguous inside their block.  The last rule matters
-    because per-transaction grouping downstream assumes a transaction's
-    logs arrive as one uninterrupted run.
+    a block, and all events of one transaction one uninterrupted run: a
+    transaction closes when another one starts or its block ends, and a
+    closed transaction never reappears.  Per-transaction grouping
+    downstream relies on the last rule, and it also makes every
+    ``(tx_hash, log_index)`` pair unique.
     """
 
     def __init__(self, path: str) -> None:
@@ -143,7 +126,6 @@ class _OrderChecker:
         self.prev_log = -1
         self.current_tx: str | None = None
         self.closed_txs: set[str] = set()
-        self.seen_keys: set[str] = set()
 
     def check(self, event: TransferEvent, line: int) -> None:
         if event.block_number < self.prev_block:
@@ -153,8 +135,9 @@ class _OrderChecker:
         if event.block_number != self.prev_block:
             self.prev_block = event.block_number
             self.prev_log = -1
-            self.current_tx = None
-            self.closed_txs.clear()
+            if self.current_tx is not None:
+                self.closed_txs.add(self.current_tx)
+                self.current_tx = None
         elif event.log_index <= self.prev_log:
             raise OrderingError(
                 f"{self.path}:{line}: log index {event.log_index} after {self.prev_log} "
@@ -164,15 +147,12 @@ class _OrderChecker:
         if event.tx_hash != self.current_tx:
             if event.tx_hash in self.closed_txs:
                 raise OrderingError(
-                    f"{self.path}:{line}: transaction {event.tx_hash} interleaved "
-                    f"in block {event.block_number}"
+                    f"{self.path}:{line}: transaction {event.tx_hash} is not contiguous "
+                    f"(block {event.block_number})"
                 )
             if self.current_tx is not None:
                 self.closed_txs.add(self.current_tx)
             self.current_tx = event.tx_hash
-        if event.key in self.seen_keys:
-            raise OrderingError(f"{self.path}:{line}: duplicate event key {event.key}")
-        self.seen_keys.add(event.key)
 
 
 def iter_events(path: str | Path) -> Iterator[TransferEvent]:
@@ -207,27 +187,6 @@ def validate_stream(events: Iterable[TransferEvent], name: str = "<stream>") -> 
         checker.check(event, position)
         count += 1
     return count
-
-
-def read_events(path: str | Path, chunk_blocks: int = 2048) -> Iterator[EventBatch]:
-    """Yield events grouped into batches spanning at most ``chunk_blocks`` blocks.
-
-    Batch boundaries never split a block, so a batch always holds every
-    event of the blocks it covers.
-    """
-    if chunk_blocks < 1:
-        raise ValueError(f"chunk_blocks must be positive, got {chunk_blocks}")
-    pending: list[TransferEvent] = []
-    first_block = -1
-    for event in iter_events(path):
-        if pending and event.block_number - first_block >= chunk_blocks:
-            yield EventBatch(tuple(pending), first_block, first_block + chunk_blocks - 1)
-            pending = []
-        if not pending:
-            first_block = event.block_number
-        pending.append(event)
-    if pending:
-        yield EventBatch(tuple(pending), first_block, first_block + chunk_blocks - 1)
 
 
 def _event_to_json(event: TransferEvent) -> dict:

@@ -8,12 +8,15 @@ resolved once per distinct block.
 
 from __future__ import annotations
 
+import http.client
 import itertools
+import json
 import time
+import urllib.error
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from collections.abc import Sequence
-
-import requests
+from dataclasses import replace
 
 from .core import RpcError, TRANSFER_TOPIC, TransferEvent, parse_address
 
@@ -23,7 +26,6 @@ _id_counter = itertools.count(1)
 
 
 def _rpc_call(
-    session: requests.Session,
     endpoint: str,
     method: str,
     params: list,
@@ -37,20 +39,28 @@ def _rpc_call(
     for attempt in range(max_attempts):
         if attempt > 0 and backoff_base > 0:
             time.sleep(backoff_base * 2 ** (attempt - 1))
+        body = json.dumps(
+            {"jsonrpc": "2.0", "id": next(_id_counter), "method": method, "params": params}
+        ).encode()
+        request = urllib.request.Request(
+            endpoint, data=body, headers={"Content-Type": "application/json"}
+        )
         try:
-            response = session.post(
-                endpoint,
-                json={"jsonrpc": "2.0", "id": next(_id_counter), "method": method, "params": params},
-                timeout=timeout,
-            )
-        except requests.RequestException as exc:
+            with urllib.request.urlopen(request, timeout=timeout) as response:
+                status = response.status
+                raw = response.read()
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            last_error = f"{method}: HTTP {exc.code}"
+            continue
+        except (OSError, http.client.HTTPException) as exc:
             last_error = f"{method}: {exc}"
             continue
-        if response.status_code != 200:
-            last_error = f"{method}: HTTP {response.status_code}"
+        if status != 200:
+            last_error = f"{method}: HTTP {status}"
             continue
         try:
-            payload = response.json()
+            payload = json.loads(raw)
         except ValueError:
             last_error = f"{method}: invalid JSON response"
             continue
@@ -116,7 +126,6 @@ def fetch_logs(
     max_attempts: int = 5,
     backoff_base: float = 0.5,
     timeout: float = 30.0,
-    session: requests.Session | None = None,
 ) -> list[TransferEvent]:
     """Fetch token transfer events for ``[from_block, to_block]``.
 
@@ -131,82 +140,60 @@ def fetch_logs(
     if parallel < 1:
         raise ValueError(f"parallel must be positive, got {parallel}")
     address_filter = sorted(parse_address(t) for t in tokens) if tokens else None
-    own_session = session is None
-    if own_session:
-        session = requests.Session()
-    try:
-        ranges = _split_range(from_block, to_block, parallel)
+    ranges = _split_range(from_block, to_block, parallel)
 
-        def fetch_range(blocks: tuple[int, int]) -> list[dict]:
-            params: dict = {
-                "fromBlock": hex(blocks[0]),
-                "toBlock": hex(blocks[1]),
-                "topics": [TRANSFER_TOPIC],
-            }
-            if address_filter is not None:
-                params["address"] = address_filter
-            result = _rpc_call(
-                session,
-                endpoint,
-                "eth_getLogs",
-                [params],
-                max_attempts=max_attempts,
-                backoff_base=backoff_base,
-                timeout=timeout,
-                range_hint=blocks,
-            )
-            return result or []
+    def fetch_range(blocks: tuple[int, int]) -> list[dict]:
+        params: dict = {
+            "fromBlock": hex(blocks[0]),
+            "toBlock": hex(blocks[1]),
+            "topics": [TRANSFER_TOPIC],
+        }
+        if address_filter is not None:
+            params["address"] = address_filter
+        result = _rpc_call(
+            endpoint,
+            "eth_getLogs",
+            [params],
+            max_attempts=max_attempts,
+            backoff_base=backoff_base,
+            timeout=timeout,
+            range_hint=blocks,
+        )
+        return result or []
 
-        if len(ranges) == 1:
-            raw_chunks = [fetch_range(ranges[0])]
-        else:
-            with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-                raw_chunks = list(pool.map(fetch_range, ranges))
+    if len(ranges) == 1:
+        raw_chunks = [fetch_range(ranges[0])]
+    else:
+        with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
+            raw_chunks = list(pool.map(fetch_range, ranges))
 
-        events = []
-        for chunk in raw_chunks:
-            for log in chunk:
-                event = _decode_log(log, chain_id)
-                if event is not None:
-                    events.append(event)
-        events.sort(key=lambda e: e.order)
+    events = []
+    for chunk in raw_chunks:
+        for log in chunk:
+            event = _decode_log(log, chain_id)
+            if event is not None:
+                events.append(event)
+    events.sort(key=lambda e: e.order)
 
-        blocks_needed = sorted({e.block_number for e in events})
-        timestamps: dict[int, int] = {}
+    blocks_needed = sorted({e.block_number for e in events})
+    timestamps: dict[int, int] = {}
 
-        def fetch_timestamp(block: int) -> None:
-            header = _rpc_call(
-                session,
-                endpoint,
-                "eth_getBlockByNumber",
-                [hex(block), False],
-                max_attempts=max_attempts,
-                backoff_base=backoff_base,
-                timeout=timeout,
-                range_hint=(block, block),
-            )
-            if not header or "timestamp" not in header:
-                raise RpcError(f"no header for block {block}", from_block=block, to_block=block)
-            timestamps[block] = int(header["timestamp"], 16)
+    def fetch_timestamp(block: int) -> None:
+        header = _rpc_call(
+            endpoint,
+            "eth_getBlockByNumber",
+            [hex(block), False],
+            max_attempts=max_attempts,
+            backoff_base=backoff_base,
+            timeout=timeout,
+            range_hint=(block, block),
+        )
+        if not header or "timestamp" not in header:
+            raise RpcError(f"no header for block {block}", from_block=block, to_block=block)
+        timestamps[block] = int(header["timestamp"], 16)
 
-        if blocks_needed:
-            with ThreadPoolExecutor(max_workers=min(parallel, len(blocks_needed))) as pool:
-                list(pool.map(fetch_timestamp, blocks_needed))
+    if blocks_needed:
+        with ThreadPoolExecutor(max_workers=min(parallel, len(blocks_needed))) as pool:
+            list(pool.map(fetch_timestamp, blocks_needed))
 
-        return [
-            TransferEvent(
-                chain_id=e.chain_id,
-                block_number=e.block_number,
-                timestamp=timestamps[e.block_number],
-                tx_hash=e.tx_hash,
-                log_index=e.log_index,
-                token=e.token,
-                from_addr=e.from_addr,
-                to_addr=e.to_addr,
-                value=e.value,
-            )
-            for e in events
-        ]
-    finally:
-        if own_session:
-            session.close()
+    return [replace(e, timestamp=timestamps[e.block_number]) for e in events]

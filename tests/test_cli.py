@@ -204,6 +204,23 @@ def test_manifest_does_not_embed_output_path(scan_dir):
     assert str(scan_dir) not in text
 
 
+def test_manifest_does_not_depend_on_core_count(workdir, sim_dir, scan_dir, monkeypatch):
+    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 64)
+    out = workdir / "scan_64_cores"
+    code = run(
+        [
+            "scan",
+            "--events", str(sim_dir / "events.jsonl"),
+            "--config", str(sim_dir / "config.json"),
+            "--registry", str(sim_dir / "registry.jsonl"),
+            "--prices", str(sim_dir / "prices.csv"),
+            "--out", str(out),
+        ]
+    )
+    assert code == 0
+    assert (out / "manifest.json").read_bytes() == (scan_dir / "manifest.json").read_bytes()
+
+
 def test_scan_flag_overrides_win_over_config(workdir, sim_dir):
     out = workdir / "scan_override"
     code = run(
@@ -465,3 +482,21 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "poisonscan" in proc.stdout
+
+
+def test_import_loads_only_the_standard_library():
+    probe = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import poisonscan\n"
+        "print(*sorted({n.split('.')[0] for n in set(sys.modules) - before}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=False
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "poisonscan" in loaded
+    # multiprocessing registers __main__ a second time as __mp_main__
+    outside = loaded - set(sys.stdlib_module_names) - {"poisonscan", "__mp_main__"}
+    assert not outside

@@ -4,8 +4,10 @@ brute-force reference detector."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
+from dataclasses import replace
 from datetime import date, timedelta
 from decimal import Decimal
 
@@ -25,6 +27,7 @@ from poisonscan.core import (
 )
 from poisonscan.detector import (
     DetectionReport,
+    PayoffRecord,
     birthday_filter,
     confirm_payoffs,
     detect_accidental,
@@ -138,6 +141,17 @@ def test_window_boundaries(offset, collected):
     sb.add(1000 + offset, V1, look, STABLE, 0)
     report = run_scan(sb)
     assert (sb.events()[1].key in report.labels) is collected
+
+
+@pytest.mark.parametrize("offset,collected", [(101, True), (102, False)])
+def test_window_runs_from_the_latest_trigger(offset, collected):
+    look = lookalike(R1, 3, 4)
+    sb = StreamBuilder()
+    sb.add(1000, V1, R1, STABLE, 50_000_000)
+    sb.add(1050, V1, R1, STABLE, 5_000_000)
+    sb.add(1050 + offset, V1, look, STABLE, 0)
+    report = run_scan(sb)
+    assert (sb.events()[2].key in report.labels) is collected
 
 
 def test_repeat_payment_to_intended_is_benign():
@@ -340,8 +354,40 @@ def test_generator_input_equals_list_input():
 
 def test_report_json_roundtrip(tmp_path):
     report = run_scan(sibling_stream(shared_tx=True))
+    big = 2**256 - 1
+    key, detail = min(report.events.items())
+    edge = PayoffRecord(
+        key=key,
+        victim=V1,
+        lookalike=lookalike(R1, 3, 4),
+        intended=None,
+        anchor_key=None,
+        anchor_block=None,
+        anchor_log_index=None,
+        block_number=detail.block_number,
+        log_index=detail.log_index,
+        token=detail.token,
+        value=big,
+        usd=None,
+        confirmed=False,
+        via_history=False,
+        evidence=(),
+        edit_distance=2,
+    )
+    priced = replace(edge, intended=R1, usd=Decimal("1234.500001"), edit_distance=None)
+    report = replace(
+        report,
+        events={**report.events, key: replace(detail, value=big, usd=None)},
+        payoffs=report.payoffs + (edge, priced),
+    )
     path = tmp_path / "report.json"
     report.write_json(path)
+    raw = json.loads(path.read_text(encoding="utf-8"))
+    assert raw["events"][key]["value"] == str(big)
+    assert raw["events"][key]["from"] == detail.from_addr
+    assert raw["events"][key]["to"] == detail.to_addr
+    assert raw["payoffs"][-2]["usd"] is None and raw["payoffs"][-2]["evidence"] == []
+    assert raw["payoffs"][-1]["usd"] == "1234.500001"
     back = DetectionReport.read_json(path)
     assert back == report
     report.write_json(tmp_path / "again.json")
@@ -563,6 +609,38 @@ def test_scan_matches_reference_and_truth(seed):
     assert report.accidental == ref.accidental
     card = score_labels(report.labels, bundle.truth, 1)
     assert card.precision == 1.0 and card.recall == 1.0
+
+
+@pytest.mark.parametrize("window", [1, 4, 20])
+def test_scan_matches_reference_with_short_windows(window):
+    # short windows make triggers expire mid-scenario, which exercises the
+    # pruning of scan's window state and the same-block second trigger
+    bundle = generate(rich_spec(7))
+    events = list(bundle.events())
+    config = bundle.configs[1].with_overrides(window_blocks=window)
+    report = full_pipeline(events, config, bundle.registry, bundle.prices)
+    ref = reference_detect(events, config, bundle.registry, bundle.prices)
+    assert report.labels == ref.labels
+    got_contexts = {
+        (c.victim, c.intended, c.lookalike): frozenset(c.evidence) for c in report.contexts
+    }
+    assert got_contexts == ref.contexts
+    assert {p.key for p in report.payoffs if p.confirmed} == ref.confirmed
+
+
+# sha256 of report.json for rich_spec(7) after the full pipeline; any change
+# to the report record format shows up here
+REPORT_JSON_SHA256 = "f05ee6cca164df0aa29f3ed29a8618d797227ba2bbadd7213f56069856cb2845"
+
+
+def test_report_json_bytes_pinned(tmp_path):
+    bundle = generate(rich_spec(7))
+    events = list(bundle.events())
+    config = bundle.configs[1]
+    report = full_pipeline(events, config, bundle.registry, bundle.prices)
+    path = tmp_path / "report.json"
+    birthday_filter(report, config).write_json(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORT_JSON_SHA256
 
 
 def test_window_monotonicity_on_generated_scenario():

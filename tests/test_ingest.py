@@ -1,4 +1,4 @@
-"""Event file ingestion tests: parsing, validation, chunking, round-trips."""
+"""Event file ingestion tests: parsing, validation, round-trips."""
 
 from __future__ import annotations
 
@@ -8,11 +8,9 @@ import pytest
 
 from poisonscan.core import OrderingError, ParseError, TransactionRecord, TransferEvent
 from poisonscan.ingest import (
-    EventBatch,
     EventStore,
     iter_events,
     load_account_history,
-    read_events,
     write_account_history,
     write_events,
 )
@@ -77,20 +75,6 @@ def test_value_serialized_as_decimal_string(tmp_path):
     assert raw["from"] == ALICE and raw["to"] == BOB
 
 
-def test_read_events_batches_by_block_chunk(tmp_path):
-    path = tmp_path / "events.jsonl"
-    rows = []
-    for block in range(10, 35):
-        rows.append(row(block, 0, tx_suffix=f"{block:02x}"))
-    write_raw(path, rows)
-    batches = list(read_events(path, chunk_blocks=10))
-    assert all(isinstance(b, EventBatch) for b in batches)
-    assert [len(b.events) for b in batches] == [10, 10, 5]
-    assert batches[0].first_block == 10 and batches[0].last_block == 19
-    flat = [e for b in batches for e in b.events]
-    assert [e.block_number for e in flat] == list(range(10, 35))
-
-
 def test_malformed_json_carries_line_number(tmp_path):
     path = tmp_path / "events.jsonl"
     path.write_text(json.dumps(row(1, 0)) + "\n" + "{not json\n")
@@ -139,10 +123,16 @@ def test_non_increasing_log_index_rejected(tmp_path):
 
 def test_duplicate_tx_log_pair_rejected(tmp_path):
     path = tmp_path / "events.jsonl"
-    # same tx hash reappears in a later block with the same log index
-    write_raw(path, [row(5, 0), row(6, 0)])
-    with pytest.raises(OrderingError):
-        list(iter_events(path))
+    cases = [
+        # same tx hash reappears in a later block with the same log index
+        [row(5, 0), row(6, 0)],
+        # a transaction's logs spill over into the next block
+        [row(5, 0), row(6, 1)],
+    ]
+    for rows in cases:
+        write_raw(path, rows)
+        with pytest.raises(OrderingError, match="not contiguous"):
+            list(iter_events(path))
 
 
 def test_interleaved_transaction_rejected(tmp_path):
