@@ -13,7 +13,7 @@ from poisonscan.analytics import (
     win_loss_matrix,
 )
 from poisonscan.clustering import attack_ratio, build_transfer_sets, cluster
-from poisonscan.detector import detect_accidental, scan
+from poisonscan.detector import scan
 from poisonscan.scenario import GroupSpec, ScenarioSpec, generate
 
 
@@ -39,7 +39,6 @@ def main() -> None:
     bundle = generate(spec)
     events = list(bundle.events())
     report = scan(events, bundle.configs[1], bundle.registry, bundle.prices)
-    report = detect_accidental(report, events)
     sets = build_transfer_sets(report)
     groups = cluster(sets, 0.5, ratios=attack_ratio(sets, bundle.accounts[1]))
 

@@ -5,7 +5,7 @@ and accidental typos, runs the full detection pipeline, and checks the
 findings against the planted ground truth.
 """
 
-from poisonscan.detector import confirm_payoffs, detect_accidental, scan
+from poisonscan.detector import scan
 from poisonscan.ingest import EventStore
 from poisonscan.scenario import GroupSpec, ScenarioSpec, generate, score_labels
 
@@ -30,11 +30,7 @@ def main() -> None:
     bundle = generate(spec)
     events = list(bundle.events())
     config = bundle.configs[1]
-    report = scan(events, config, bundle.registry, bundle.prices)
-    report = confirm_payoffs(
-        report, EventStore(events), registry=bundle.registry, prices=bundle.prices
-    )
-    report = detect_accidental(report, events)
+    report = scan(events, config, bundle.registry, bundle.prices, history=EventStore(events))
 
     print(f"stream: {len(events):,} transfer events over {spec.n_blocks} blocks")
     print("findings:")

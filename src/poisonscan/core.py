@@ -36,13 +36,11 @@ __all__ = [
     "PriceTable",
     "RegistryEntry",
     "RegistryError",
-    "RpcError",
     "ScenarioError",
     "TokenRef",
     "TokenRegistry",
     "TransactionRecord",
     "TransferEvent",
-    "TRANSFER_TOPIC",
     "USD_QUANTUM",
     "default_config",
     "event_date",
@@ -51,9 +49,6 @@ __all__ = [
     "to_usd",
     "usd_amount",
 ]
-
-# Canonical ERC-20 Transfer(address,address,uint256) topic hash.
-TRANSFER_TOPIC = "0xddf252ad1be2c89b69c2b068fc378daa952ba7f163c4a11628f55a4df523b3ef"
 
 USD_QUANTUM = Decimal("0.000001")
 
@@ -101,15 +96,6 @@ class ConfigError(PoisonscanError):
 
 class OrderingError(PoisonscanError):
     pass
-
-
-class RpcError(PoisonscanError):
-    def __init__(self, message: str, from_block: int | None = None, to_block: int | None = None):
-        self.from_block = from_block
-        self.to_block = to_block
-        if from_block is not None:
-            message = f"{message} [blocks {from_block}..{to_block}]"
-        super().__init__(message)
 
 
 class ScenarioError(PoisonscanError):

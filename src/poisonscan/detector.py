@@ -9,9 +9,13 @@ transfers re-evaluated against the full trigger history; payoffs confirm
 when a poisoning binding the same victim and lookalike sits strictly
 between the intended transfer and the payoff.
 
-scan() is a single pass whose candidate state is pruned to the window; the
-first intended transfer per (victim, recipient) pair is retained for the
-whole run because it anchors confirmation and the shared-transaction path.
+scan() is the whole stream layer, one pass whose candidate state is pruned
+to the window; the first intended transfer per (victim, recipient) pair is
+retained for the whole run because it anchors confirmation and the
+shared-transaction path. Its finalize step builds the payoff rows, upgrades
+unconfirmed ones from a full-history store when given one, and flags typo
+payments to addresses that never spent an authentic token in the stream.
+birthday_filter() then runs on the finished report.
 """
 
 from __future__ import annotations
@@ -48,8 +52,6 @@ __all__ = [
     "EventDetail",
     "PayoffRecord",
     "birthday_filter",
-    "confirm_payoffs",
-    "detect_accidental",
     "scan",
     "sensitivity_run",
 ]
@@ -292,8 +294,20 @@ def scan(
     config: ChainConfig,
     registry: TokenRegistry,
     prices: PriceTable,
+    *,
+    history: EventStore | Sequence[TransferEvent] | None = None,
 ) -> DetectionReport:
-    """Single-pass detection over one chain's ordered transfer stream."""
+    """Single-pass detection over one chain's ordered transfer stream.
+
+    With ``history``, each unconfirmed payoff is re-checked against the
+    victim's entire history: any authentic-token tiny transfer (not just
+    stablecoins), zero-value transfer, or counterfeit transfer binding
+    (victim, lookalike) strictly between the intended transfer and the
+    payoff confirms it. A payoff still unconfirmed is flagged accidental
+    when its destination shares more than the configured positional bound
+    with the intended address and never sent an authentic positive-value
+    transfer in ``events``.
+    """
     chain = config.chain_id
     m = config.window_blocks
     a_min = config.a_min
@@ -321,6 +335,9 @@ def scan(
     pair_ev: dict[tuple[str, str], list[tuple[tuple[int, int], str]]] = {}
     pair_seen: set[tuple[str, str, str]] = set()
     cands: dict[str, dict] = {}
+    # senders of authentic positive-value transfers; stablecoin senders are
+    # the keys of anchors, so only the other tokens need this set
+    spenders: set[str] = set()
     unpriced: list[str] = []
     unpriced_seen: set[str] = set()
 
@@ -478,6 +495,7 @@ def scan(
     active_get = active.get
     recent_append = recent.append
     recent_pop = recent.popleft
+    spenders_add = spenders.add
 
     for ev in events:
         blk = ev.block_number
@@ -586,6 +604,8 @@ def scan(
                         av_frm[to] = (blk, lb1)
                         bucket.append(av_frm)
                         bucket.append(to)
+            else:
+                spenders_add(frm)
 
     if tx_direct and tx_more:
         expand_tx([tx_head, *tx_more])
@@ -694,6 +714,54 @@ def scan(
                 usd = priced(ev)
         details[key] = EventDetail.from_event(ev, usd)
 
+    # unconfirmed payoffs: the full-history upgrade, then the typo rule;
+    # one walk in row order keeps unpriced in the order history meets them
+    store = history if history is None or isinstance(history, EventStore) else EventStore(history)
+    typo_bound = config.typo_match_bound
+    accidental: set[str] = set()
+    for i, row in enumerate(payoff_rows):
+        if row.confirmed:
+            continue
+        victim, look = row.victim, row.lookalike
+        if store is not None and row.anchor_key is not None:
+            lo = (row.anchor_block, row.anchor_log_index)
+            hi = (row.block_number, row.log_index)
+            hits: list[TransferEvent] = []
+            for h in store.involving(look):
+                if not lo < h.order < hi:
+                    continue
+                if h.from_addr == look and h.to_addr == victim:
+                    if h.token in auth_set and h.value > 0:
+                        usd = priced(h)
+                        if usd is None:
+                            mark_unpriced(h.key)
+                        elif 0 < usd < tiny_cut:
+                            hits.append(h)
+                            details.setdefault(h.key, EventDetail.from_event(h, usd))
+                elif h.from_addr == victim and h.to_addr == look:
+                    if h.token not in auth_set:
+                        hits.append(h)
+                        details.setdefault(h.key, EventDetail.from_event(h, None))
+                    elif h.value == 0:
+                        hits.append(h)
+                        details.setdefault(h.key, EventDetail.from_event(h, Decimal("0.000000")))
+            if hits:
+                hits.sort(key=lambda e: e.order)
+                payoff_rows[i] = replace(
+                    row, confirmed=True, via_history=True, evidence=tuple(e.key for e in hits)
+                )
+                labels[row.key] = Label.PAYOFF_CONFIRMED
+                continue
+        if (
+            row.intended is not None
+            and look not in anchors
+            and look not in spenders
+            and positional_matches(look, row.intended) > typo_bound
+        ):
+            payoff_rows[i] = replace(row, edit_distance=osa_distance(look, row.intended))
+            accidental.add(row.key)
+            labels[row.key] = Label.ACCIDENTAL
+
     label_counts: dict[str, int] = {}
     for lab in labels.values():
         label_counts[lab] = label_counts.get(lab, 0) + 1
@@ -716,7 +784,7 @@ def scan(
         "intended": label_counts.get(Label.INTENDED, 0),
         "payoffs_confirmed": label_counts.get(Label.PAYOFF_CONFIRMED, 0),
         "payoffs_unconfirmed": label_counts.get(Label.PAYOFF_UNCONFIRMED, 0),
-        "accidental": 0,
+        "accidental": len(accidental),
         "unpriced": len(unpriced),
         "excluded_victims": 0,
     }
@@ -730,145 +798,11 @@ def scan(
         payoffs=tuple(payoff_rows),
         victim_recipients=victim_recipients,
         excluded_victims={},
-        accidental=frozenset(),
+        accidental=frozenset(accidental),
         unpriced=tuple(unpriced),
         authentic_tokens=auth_set,
         counters=counters,
     )
-
-
-def _recount_payoffs(report: DetectionReport) -> dict[str, int]:
-    counters = dict(report.counters)
-    counters["payoffs_confirmed"] = sum(
-        1 for v in report.labels.values() if v == Label.PAYOFF_CONFIRMED
-    )
-    counters["payoffs_unconfirmed"] = sum(
-        1 for v in report.labels.values() if v == Label.PAYOFF_UNCONFIRMED
-    )
-    counters["accidental"] = len(report.accidental)
-    return counters
-
-
-def confirm_payoffs(
-    report: DetectionReport,
-    full_history: EventStore | Sequence[TransferEvent] | None = None,
-    *,
-    registry: TokenRegistry | None = None,
-    prices: PriceTable | None = None,
-) -> DetectionReport:
-    """Re-check unconfirmed payoffs against the victim's entire history.
-
-    Without a history store this is the identity: scan already confirms
-    payoffs from windowed evidence. With one, any authentic-token tiny
-    transfer (not just stablecoins), zero-value transfer, or counterfeit
-    transfer binding (victim, lookalike) strictly between the intended
-    transfer and the payoff upgrades the payoff to confirmed.
-    """
-    if full_history is None:
-        return report
-    if registry is None or prices is None:
-        raise ValueError("full-history confirmation needs registry and prices")
-    store = (
-        full_history
-        if isinstance(full_history, EventStore)
-        else EventStore(full_history)
-    )
-    chain = report.chain_id
-    auth_set = report.authentic_tokens
-    tiny_cut = report.config.tiny_threshold_usd
-
-    labels = dict(report.labels)
-    details = dict(report.events)
-    unpriced = list(report.unpriced)
-    unpriced_seen = set(unpriced)
-    rows: list[PayoffRecord] = []
-    for row in report.payoffs:
-        if row.confirmed or row.anchor_key is None:
-            rows.append(row)
-            continue
-        lo = (row.anchor_block, row.anchor_log_index)
-        hi = (row.block_number, row.log_index)
-        victim, look = row.victim, row.lookalike
-        hits: list[TransferEvent] = []
-        for h in store.involving(look):
-            if not lo < h.order < hi:
-                continue
-            if h.from_addr == look and h.to_addr == victim:
-                if h.token in auth_set and h.value > 0:
-                    ref = registry.token(chain, h.token)
-                    price = prices.get_or_none(h.token, event_date(h.timestamp))
-                    if ref is None or price is None:
-                        if h.key not in unpriced_seen:
-                            unpriced_seen.add(h.key)
-                            unpriced.append(h.key)
-                        continue
-                    usd = usd_amount(h.value, ref.decimals, price)
-                    if 0 < usd < tiny_cut:
-                        hits.append(h)
-                        details.setdefault(h.key, EventDetail.from_event(h, usd))
-            elif h.from_addr == victim and h.to_addr == look:
-                if h.token not in auth_set:
-                    hits.append(h)
-                    details.setdefault(h.key, EventDetail.from_event(h, None))
-                elif h.value == 0:
-                    hits.append(h)
-                    details.setdefault(h.key, EventDetail.from_event(h, Decimal("0.000000")))
-        if hits:
-            hits.sort(key=lambda e: e.order)
-            row = replace(
-                row,
-                confirmed=True,
-                via_history=True,
-                evidence=tuple(e.key for e in hits),
-            )
-            labels[row.key] = Label.PAYOFF_CONFIRMED
-        rows.append(row)
-
-    out = replace(
-        report,
-        labels=labels,
-        events=details,
-        payoffs=tuple(rows),
-        unpriced=tuple(unpriced),
-    )
-    counters = _recount_payoffs(out)
-    counters["unpriced"] = len(out.unpriced)
-    return replace(out, counters=counters)
-
-
-def detect_accidental(
-    report: DetectionReport, events: Iterable[TransferEvent]
-) -> DetectionReport:
-    """Flag unconfirmed payoffs that look like typos: the destination shares
-    more than the configured positional bound with the intended address and
-    never initiated an authentic positive-value transfer itself."""
-    auth_set = report.authentic_tokens
-    spenders: set[str] = set()
-    for ev in events:
-        if ev.value > 0 and ev.token in auth_set:
-            spenders.add(ev.from_addr)
-    bound = report.config.typo_match_bound
-    labels = dict(report.labels)
-    flagged: set[str] = set()
-    rows: list[PayoffRecord] = []
-    for row in report.payoffs:
-        if (
-            not row.confirmed
-            and row.intended is not None
-            and row.lookalike not in spenders
-            and positional_matches(row.lookalike, row.intended) > bound
-        ):
-            row = replace(row, edit_distance=osa_distance(row.lookalike, row.intended))
-            flagged.add(row.key)
-            labels[row.key] = Label.ACCIDENTAL
-        rows.append(row)
-    out = replace(
-        report,
-        labels=labels,
-        payoffs=tuple(rows),
-        accidental=frozenset(flagged),
-    )
-    return replace(out, counters=_recount_payoffs(out))
 
 
 def birthday_filter(report: DetectionReport, config: ChainConfig) -> DetectionReport:

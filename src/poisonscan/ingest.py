@@ -14,6 +14,7 @@ from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from .core import (
+    MAX_VALUE,
     OrderingError,
     ParseError,
     TransactionRecord,
@@ -29,8 +30,6 @@ __all__ = [
     "load_account_history",
     "write_account_history",
 ]
-
-_MAX_VALUE = 2**256 - 1
 
 
 def _parse_int(obj: dict, field: str, path: str, line: int, *, minimum: int = 0, maximum: int | None = None) -> int:
@@ -68,7 +67,7 @@ def _parse_value(obj: dict, path: str, line: int) -> int:
         value = int(raw)
     else:
         raise ParseError(f"field 'value' must be a decimal string, got {raw!r}", path=path, line=line)
-    if not 0 <= value <= _MAX_VALUE:
+    if not 0 <= value <= MAX_VALUE:
         raise ParseError(f"field 'value' out of range: {value}", path=path, line=line)
     return value
 

@@ -1,6 +1,7 @@
 """Shared fixtures for the test suites: canned addresses, a registry and
 price table over two authentic tokens, lookalike construction with exact
-prefix/suffix match counts, and a small ordered-stream builder."""
+prefix/suffix match counts, a small ordered-stream builder, and an
+attack-rich scenario spec."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from poisonscan.core import (
     TokenRegistry,
     TransferEvent,
 )
+from poisonscan.scenario import GroupSpec, ScenarioSpec
 
 GENESIS = 1_704_067_200
 STABLE = "0x" + "5" * 40
@@ -88,3 +90,40 @@ class StreamBuilder:
                 )
             )
         return out
+
+
+def rich_spec(seed: int) -> ScenarioSpec:
+    return ScenarioSpec(
+        seed=seed,
+        n_blocks=900,
+        benign_per_block=2,
+        n_benign_users=30,
+        groups=(
+            GroupSpec(
+                n_attacks=6,
+                strategies=("tiny", "zero", "counterfeit"),
+                scores=((3, 4), (4, 5)),
+                bundle_size=2,
+                sibling_bundles=1,
+                payoff_rate=1.0,
+                payoff_delay=(2, 120),
+                history_upgrades=1,
+            ),
+            GroupSpec(
+                n_attacks=4,
+                strategies=("zero",),
+                scores=((5, 6),),
+                offsets=(30, 80),
+                payoff_rate=0.5,
+            ),
+        ),
+        typos=2,
+        decoy_payoffs=1,
+        contested_payoffs=2,
+        contested_winners=(0, 1),
+    )
+
+
+# sha256 of report.json for rich_spec(7) after scan with the full history
+# and birthday_filter; any change to the report record format shows up here
+REPORT_JSON_SHA256 = "f05ee6cca164df0aa29f3ed29a8618d797227ba2bbadd7213f56069856cb2845"

@@ -22,7 +22,7 @@ from poisonscan.analytics import (
 )
 from poisonscan.cli import run
 from poisonscan.clustering import attack_ratio, build_transfer_sets, cluster
-from poisonscan.detector import confirm_payoffs, detect_accidental, scan, sensitivity_run
+from poisonscan.detector import scan, sensitivity_run
 from poisonscan.ingest import EventStore
 from poisonscan.scenario import (
     BotSpec,
@@ -122,11 +122,7 @@ def test_c4_detector_oracle_equivalence():
         events = list(bundle.events())
         assert len(events) <= 10_000
         config = bundle.configs[1]
-        report = scan(events, config, bundle.registry, bundle.prices)
-        report = confirm_payoffs(
-            report, EventStore(events), registry=bundle.registry, prices=bundle.prices
-        )
-        report = detect_accidental(report, events)
+        report = scan(events, config, bundle.registry, bundle.prices, history=EventStore(events))
         ref = reference_detect(events, config, bundle.registry, bundle.prices)
         assert report.labels == ref.labels
         contexts = {
@@ -290,11 +286,9 @@ def test_c8_economics_identities():
     for spec in (detector_scenario(0), contested_scenario()):
         bundle = generate(spec)
         events = list(bundle.events())
-        report = scan(events, bundle.configs[1], bundle.registry, bundle.prices)
-        report = confirm_payoffs(
-            report, EventStore(events), registry=bundle.registry, prices=bundle.prices
+        report = scan(
+            events, bundle.configs[1], bundle.registry, bundle.prices, history=EventStore(events)
         )
-        report = detect_accidental(report, events)
         sets = build_transfer_sets(report)
         groups = cluster(sets, 0.5, ratios=attack_ratio(sets, bundle.accounts[1]))
         for row in group_economics(groups, sets, report, bundle.prices):

@@ -3,6 +3,7 @@ and byte-identical reruns across the whole pipeline."""
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from decimal import Decimal
@@ -13,7 +14,9 @@ import pytest
 import poisonscan.cli as cli_mod
 from poisonscan.cli import run
 from poisonscan.detector import DetectionReport
-from poisonscan.scenario import BotSpec, GroupSpec, ScenarioSpec
+from poisonscan.scenario import BotSpec, GroupSpec, ScenarioSpec, generate
+
+from helpers import REPORT_JSON_SHA256, rich_spec
 
 
 def read_json(path: Path):
@@ -204,8 +207,8 @@ def test_manifest_does_not_embed_output_path(scan_dir):
     assert str(scan_dir) not in text
 
 
-def test_manifest_does_not_depend_on_core_count(workdir, sim_dir, scan_dir, monkeypatch):
-    monkeypatch.setattr(cli_mod.os, "cpu_count", lambda: 64)
+def test_manifest_does_not_depend_on_core_count(workdir, sim_dir, scan_dir, tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     out = workdir / "scan_64_cores"
     code = run(
         [
@@ -219,6 +222,14 @@ def test_manifest_does_not_depend_on_core_count(workdir, sim_dir, scan_dir, monk
     )
     assert code == 0
     assert (out / "manifest.json").read_bytes() == (scan_dir / "manifest.json").read_bytes()
+
+    targets = tmp_path / "targets.txt"
+    targets.write_text("0x" + "ab" * 20 + "\n", encoding="utf-8")
+    # a budget below one batch keeps any pool at a single process
+    gen = ["gen", "--targets", str(targets), "--a-min", "1", "--b-min", "1", "--matches", "0", "--budget", "20"]
+    assert run(gen + ["--out", str(tmp_path / "default.json")]) == 0
+    assert run(gen + ["--workers", "1", "--out", str(tmp_path / "one.json")]) == 0
+    assert (tmp_path / "default.json").read_bytes() == (tmp_path / "one.json").read_bytes()
 
 
 def test_scan_flag_overrides_win_over_config(workdir, sim_dir):
@@ -358,6 +369,32 @@ def test_end_to_end_rerun_is_byte_identical(workdir, spec_path, sim_dir):
         "manifest.json",
     ):
         assert name in digests, name
+
+
+@pytest.mark.parametrize("history", ["events.jsonl", "history.jsonl"])
+def test_report_with_history_bytes_pinned(tmp_path, history):
+    # the events file itself as history is parsed once; a copy is parsed apart
+    sim = tmp_path / "sim"
+    generate(rich_spec(7)).write(sim)
+    (sim / "history.jsonl").write_bytes((sim / "events.jsonl").read_bytes())
+    code = run(
+        [
+            "report",
+            "--events", str(sim / "events.jsonl"),
+            "--config", str(sim / "config.json"),
+            "--registry", str(sim / "registry.jsonl"),
+            "--prices", str(sim / "prices.csv"),
+            "--accounts", str(sim / "accounts.csv"),
+            "--history", str(sim / history),
+            "--out", str(tmp_path / "rep"),
+        ]
+    )
+    assert code == 0
+    digests = tree_digest(tmp_path / "rep")
+    assert digests["report.json"] == REPORT_JSON_SHA256
+    assert digests["summary.json"] == (
+        "9cf6c8b8dcac8c8cf318b950863cc63770d9ec5d979a5667433c61d4a51f795f"
+    )
 
 
 def test_report_summary_consistent_with_parts(workdir, sim_dir):

@@ -29,13 +29,11 @@ from poisonscan.detector import (
     DetectionReport,
     PayoffRecord,
     birthday_filter,
-    confirm_payoffs,
-    detect_accidental,
     scan,
     sensitivity_run,
 )
 from poisonscan.ingest import EventStore
-from poisonscan.scenario import GroupSpec, ScenarioSpec, generate, score_labels
+from poisonscan.scenario import generate, score_labels
 from poisonscan.similarity import positional_matches, score
 
 from reference import reference_detect
@@ -52,6 +50,8 @@ from helpers import (
     lookalike,
     make_prices,
     make_registry,
+    REPORT_JSON_SHA256,
+    rich_spec,
 )
 
 
@@ -409,11 +409,8 @@ def test_full_history_upgrades_non_stablecoin_tiny():
     report = scan(events, config, make_registry(), make_prices())
     (row,) = report.payoffs
     assert not row.confirmed
-    unchanged = confirm_payoffs(report)
-    assert unchanged == report
-    upgraded = confirm_payoffs(
-        report, EventStore(events), registry=make_registry(), prices=make_prices()
-    )
+    assert scan(events, config, make_registry(), make_prices(), history=None) == report
+    upgraded = scan(events, config, make_registry(), make_prices(), history=EventStore(events))
     (row2,) = upgraded.payoffs
     assert row2.confirmed and row2.via_history
     assert row2.evidence == (events[1].key,)
@@ -431,10 +428,7 @@ def test_full_history_respects_ordering_and_threshold():
     sb.add(99, look, V1, AUTH, 10**18)
     events = sb.events()
     config = ChainConfig(chain_id=1)
-    report = scan(events, config, make_registry(), make_prices())
-    upgraded = confirm_payoffs(
-        report, EventStore(events), registry=make_registry(), prices=make_prices()
-    )
+    upgraded = scan(events, config, make_registry(), make_prices(), history=events)
     (row,) = upgraded.payoffs
     assert not row.confirmed
 
@@ -455,8 +449,7 @@ def test_typo_payment_flagged_accidental():
     sb.add(100, V1, R1, STABLE, 50_000_000)
     sb.add(103, V1, typo, STABLE, 300_000_000)
     events = sb.events()
-    report = scan(events, ChainConfig(chain_id=1), make_registry(), make_prices())
-    flagged = detect_accidental(report, events)
+    flagged = scan(events, ChainConfig(chain_id=1), make_registry(), make_prices())
     (row,) = flagged.payoffs
     assert row.key in flagged.accidental
     assert row.edit_distance == 1
@@ -466,15 +459,16 @@ def test_typo_payment_flagged_accidental():
 
 def test_spender_is_not_accidental():
     typo = typo_of(R1)
-    sb = StreamBuilder()
-    sb.add(100, V1, R1, STABLE, 50_000_000)
-    sb.add(103, V1, typo, STABLE, 300_000_000)
-    sb.add(200, typo, V2, STABLE, 100_000_000)
-    events = sb.events()
-    report = scan(events, ChainConfig(chain_id=1), make_registry(), make_prices())
-    flagged = detect_accidental(report, events)
-    assert flagged.accidental == frozenset()
-    assert flagged.labels[events[1].key] == Label.PAYOFF_UNCONFIRMED
+    # a stablecoin spend and a spend of another authentic token both count
+    for token, value in ((STABLE, 100_000_000), (AUTH, 10**18)):
+        sb = StreamBuilder()
+        sb.add(100, V1, R1, STABLE, 50_000_000)
+        sb.add(103, V1, typo, STABLE, 300_000_000)
+        sb.add(200, typo, V2, token, value)
+        events = sb.events()
+        flagged = scan(events, ChainConfig(chain_id=1), make_registry(), make_prices())
+        assert flagged.accidental == frozenset()
+        assert flagged.labels[events[1].key] == Label.PAYOFF_UNCONFIRMED
 
 
 def test_attack_range_similarity_is_not_accidental():
@@ -484,8 +478,7 @@ def test_attack_range_similarity_is_not_accidental():
     sb.add(100, V1, R1, STABLE, 50_000_000)
     sb.add(103, V1, look, STABLE, 300_000_000)
     events = sb.events()
-    report = scan(events, ChainConfig(chain_id=1), make_registry(), make_prices())
-    flagged = detect_accidental(report, events)
+    flagged = scan(events, ChainConfig(chain_id=1), make_registry(), make_prices())
     assert flagged.accidental == frozenset()
 
 
@@ -537,6 +530,7 @@ def test_sensitivity_run_shapes():
     sb.add(1150, V1, lookalike(R1, 4, 6), STABLE, 0)
     sb.add(1000, V2, R2, STABLE, 50_000_000)
     sb.add(1050, V2, lookalike(R2, 3, 3), STABLE, 0)
+    sb.add(1060, V2, typo_of(R2), STABLE, 300_000_000)
     base = ChainConfig(chain_id=1)
     wide = base.with_overrides(window_blocks=200)
     loose = base.with_overrides(b_min=3)
@@ -547,6 +541,8 @@ def test_sensitivity_run_shapes():
     assert by_cfg[(100, 3, 4)]["zero_value"] == 1
     assert by_cfg[(200, 3, 4)]["zero_value"] == 2
     assert by_cfg[(100, 3, 3)]["zero_value"] == 2
+    # the typo payment is accidental, not an unconfirmed payoff
+    assert all(r["payoffs_unconfirmed"] == 0 for r in rows)
     again = sensitivity_run(sb.events(), [base, base], make_registry(), make_prices())
     assert again[0] == again[1]
 
@@ -555,50 +551,12 @@ def test_sensitivity_run_shapes():
 # reference-detector equality on generated scenarios
 
 
-def rich_spec(seed: int) -> ScenarioSpec:
-    return ScenarioSpec(
-        seed=seed,
-        n_blocks=900,
-        benign_per_block=2,
-        n_benign_users=30,
-        groups=(
-            GroupSpec(
-                n_attacks=6,
-                strategies=("tiny", "zero", "counterfeit"),
-                scores=((3, 4), (4, 5)),
-                bundle_size=2,
-                sibling_bundles=1,
-                payoff_rate=1.0,
-                payoff_delay=(2, 120),
-                history_upgrades=1,
-            ),
-            GroupSpec(
-                n_attacks=4,
-                strategies=("zero",),
-                scores=((5, 6),),
-                offsets=(30, 80),
-                payoff_rate=0.5,
-            ),
-        ),
-        typos=2,
-        decoy_payoffs=1,
-        contested_payoffs=2,
-        contested_winners=(0, 1),
-    )
-
-
-def full_pipeline(events, config, registry, prices):
-    report = scan(events, config, registry, prices)
-    report = confirm_payoffs(report, EventStore(events), registry=registry, prices=prices)
-    return detect_accidental(report, events)
-
-
 @pytest.mark.parametrize("seed", [0, 7, 23])
 def test_scan_matches_reference_and_truth(seed):
     bundle = generate(rich_spec(seed))
     events = list(bundle.events())
     config = bundle.configs[1]
-    report = full_pipeline(events, config, bundle.registry, bundle.prices)
+    report = scan(events, config, bundle.registry, bundle.prices, history=EventStore(events))
     ref = reference_detect(events, config, bundle.registry, bundle.prices)
     assert report.labels == ref.labels
     got_contexts = {
@@ -618,7 +576,7 @@ def test_scan_matches_reference_with_short_windows(window):
     bundle = generate(rich_spec(7))
     events = list(bundle.events())
     config = bundle.configs[1].with_overrides(window_blocks=window)
-    report = full_pipeline(events, config, bundle.registry, bundle.prices)
+    report = scan(events, config, bundle.registry, bundle.prices, history=EventStore(events))
     ref = reference_detect(events, config, bundle.registry, bundle.prices)
     assert report.labels == ref.labels
     got_contexts = {
@@ -628,16 +586,11 @@ def test_scan_matches_reference_with_short_windows(window):
     assert {p.key for p in report.payoffs if p.confirmed} == ref.confirmed
 
 
-# sha256 of report.json for rich_spec(7) after the full pipeline; any change
-# to the report record format shows up here
-REPORT_JSON_SHA256 = "f05ee6cca164df0aa29f3ed29a8618d797227ba2bbadd7213f56069856cb2845"
-
-
 def test_report_json_bytes_pinned(tmp_path):
     bundle = generate(rich_spec(7))
     events = list(bundle.events())
     config = bundle.configs[1]
-    report = full_pipeline(events, config, bundle.registry, bundle.prices)
+    report = scan(events, config, bundle.registry, bundle.prices, history=EventStore(events))
     path = tmp_path / "report.json"
     birthday_filter(report, config).write_json(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORT_JSON_SHA256
