@@ -5,8 +5,10 @@ is reproducible; a flag switches to OS cryptographic randomness for real
 key material. Candidates match a target when they share its first a_min and
 last b_min hex digits, the same predicate the detector applies to observed
 attacks. Two derivation strategies exist: "naive" does a generic
-double-and-add per key, "optimized" uses the fixed-base window table. Both
-produce identical addresses; benchmark() measures their throughput gap.
+double-and-add and a one-message Keccak per key; "optimized" derives a batch
+of keys in one call, through the batched fixed-base multiply and the
+many-message Keccak, and then tests them in order. Both produce identical
+addresses; benchmark() measures their throughput gap.
 """
 
 from __future__ import annotations
@@ -15,15 +17,14 @@ import hashlib
 import json
 import secrets
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import count
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .core import AddressError, parse_address
-from .keccak import keccak256
-from .secp256k1 import CURVE_ORDER, GX, GY, scalar_base_mult, scalar_mult
+from .keccak import keccak256, keccak256_many
+from .secp256k1 import CURVE_ORDER, GX, GY, scalar_base_mult_many, scalar_mult
 from .similarity import score
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
     "SearchSpec",
     "benchmark",
     "derive_address",
+    "derive_addresses",
     "read_matches",
     "search",
     "write_matches",
@@ -39,17 +41,21 @@ __all__ = [
 
 _PRF_TAG = b"poisonscan.keygen.v1"
 _BATCH = 512
+_FIRST_BATCH = 8
 _MODES = ("naive", "optimized")
 
 
+def derive_addresses(private_keys: Sequence[int]) -> list[str]:
+    """EVM addresses of many private keys, derived together: the last 20
+    bytes of keccak-256 over each uncompressed 64-byte public point."""
+    points = scalar_base_mult_many(private_keys)
+    digests = keccak256_many([x.to_bytes(32, "big") + y.to_bytes(32, "big") for x, y in points])
+    return ["0x" + digest[12:].hex() for digest in digests]
+
+
 def derive_address(private_key: int) -> str:
-    """EVM address of a private key: last 20 bytes of keccak-256 over the
-    uncompressed 64-byte public point."""
-    if not 1 <= private_key < CURVE_ORDER:
-        raise ValueError(f"private key outside [1, n-1]: {private_key!r}")
-    x, y = scalar_base_mult(private_key)
-    public = x.to_bytes(32, "big") + y.to_bytes(32, "big")
-    return "0x" + keccak256(public)[12:].hex()
+    """EVM address of one private key; the one-key case of derive_addresses."""
+    return derive_addresses([private_key])[0]
 
 
 def _derive_naive(private_key: int) -> str:
@@ -58,11 +64,32 @@ def _derive_naive(private_key: int) -> str:
     return "0x" + keccak256(public)[12:].hex()
 
 
+def _derive(keys: list[int], mode: str) -> Iterable[str]:
+    """Addresses of keys: all at once, or in naive mode one key at a time
+    as the caller consumes them."""
+    return derive_addresses(keys) if mode == "optimized" else map(_derive_naive, keys)
+
+
 def _prf_key(seed: int, counter: int) -> int:
     material = hashlib.sha256(
         _PRF_TAG + seed.to_bytes(8, "big", signed=True) + counter.to_bytes(8, "big")
     ).digest()
     return int.from_bytes(material, "big")
+
+
+def _draw_keys(seed: int, counter: int, want: int, crypto_random: bool) -> tuple[list[int], int]:
+    """The next `want` valid keys from stream position counter, and the
+    position after them. A key outside [1, n-1] is skipped, not a trial."""
+    keys = []
+    while len(keys) < want:
+        if crypto_random:
+            key = int.from_bytes(secrets.token_bytes(32), "big")
+        else:
+            key = _prf_key(seed, counter)
+        counter += 1
+        if 1 <= key < CURVE_ORDER:
+            keys.append(key)
+    return keys, counter
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,35 +170,32 @@ def _scan_range(
 ) -> tuple[int, list[tuple[int, Match]]]:
     """Derive up to n keys from stream offset start; collect threshold hits.
 
-    Returns (keys examined, [(offset, match), ...]). With a quota the scan
-    stops at the key that fills it, so the examined count is exact.
+    Returns (keys examined, [(offset, match), ...]). Keys are drawn and
+    derived in batches, then tested in stream order. With a quota the scan
+    stops at the key that fills it, so the examined count is exact, and the
+    batches start at _FIRST_BATCH keys and double, so that a quota filled
+    after a few keys does not pay for n of them. Naive mode derives one key
+    at a time, only as the test reaches it.
     """
-    derive = derive_address if mode == "optimized" else _derive_naive
     info = _target_info(spec)
     b_min = spec.b_min
     a_min = spec.a_min
     hits: list[tuple[int, Match]] = []
     examined = 0
     counter = start
+    size = n if quota is None else _FIRST_BATCH
     while examined < n:
-        if spec.crypto_random:
-            key = int.from_bytes(secrets.token_bytes(32), "big")
-        else:
-            key = _prf_key(seed, counter)
-        counter += 1
-        if not 1 <= key < CURVE_ORDER:
-            continue  # rejected, not a trial
-        address = derive(key)
-        examined += 1
-        digits = address[2:]
-        for target, tdigits, prefix, suffix in info:
-            if digits[:a_min] == prefix and (not b_min or digits[-b_min:] == suffix):
-                s = score(digits, tdigits)
-                hits.append(
-                    (examined - 1, Match(key, address, target, s.a, s.b))
-                )
-                if quota is not None and len(hits) >= quota:
-                    return examined, hits
+        keys, counter = _draw_keys(seed, counter, min(size, n - examined), spec.crypto_random)
+        for key, address in zip(keys, _derive(keys, mode)):
+            examined += 1
+            digits = address[2:]
+            for target, tdigits, prefix, suffix in info:
+                if digits[:a_min] == prefix and (not b_min or digits[-b_min:] == suffix):
+                    s = score(digits, tdigits)
+                    hits.append((examined - 1, Match(key, address, target, s.a, s.b)))
+                    if quota is not None and len(hits) >= quota:
+                        return examined, hits
+        size *= 2
     return examined, hits
 
 
@@ -228,6 +252,10 @@ def _search_serial(spec, seed, mode, progress):
 def _search_parallel(spec, seed, mode, workers, progress):
     """Batches go to a process pool but are consumed in stream order, so the
     result is identical to the serial scan."""
+    # imported here, not at module level: the process pool machinery adds
+    # about 2.4 MB and 30 ms to every process that imports poisonscan
+    from concurrent.futures import ProcessPoolExecutor
+
     trials = 0
     matches: list[Match] = []
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -283,26 +311,24 @@ def benchmark(
     workers: int = 1,
     keep_addresses: bool = False,
 ) -> GenStats:
-    """Measure derivation throughput (addresses per second) over n_keys."""
+    """Measure derivation throughput (addresses per second) over n_keys,
+    derived as search derives them: in batches of up to _BATCH keys, or one
+    key at a time in naive mode."""
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     if n_keys < 1:
         raise ValueError(f"n_keys must be >= 1, got {n_keys}")
-    derive = derive_address if mode == "optimized" else _derive_naive
-    derive(1)  # pay any one-time table setup outside the timed region
+    list(_derive([1], mode))  # pay any one-time table setup outside the timed region
     addresses: list[str] = []
     started = time.perf_counter()
     counter = 0
     done = 0
     while done < n_keys:
-        key = _prf_key(seed, counter)
-        counter += 1
-        if not 1 <= key < CURVE_ORDER:
-            continue
-        address = derive(key)
-        done += 1
+        keys, counter = _draw_keys(seed, counter, min(_BATCH, n_keys - done), crypto_random=False)
+        derived = list(_derive(keys, mode))
+        done += len(keys)
         if keep_addresses:
-            addresses.append(address)
+            addresses.extend(derived)
     elapsed = time.perf_counter() - started
     return GenStats(
         trials=n_keys,

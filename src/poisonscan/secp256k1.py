@@ -1,12 +1,17 @@
 """secp256k1 scalar multiplication for address derivation.
 
 Two code paths share the field arithmetic: a generic Jacobian double-and-add
-for arbitrary points, and a fixed-base path that spends one-time setup on a
-table of byte-window multiples of G, after which each derivation costs at
-most 32 mixed additions. The table build uses plain affine arithmetic.
+for one scalar and an arbitrary point, and a fixed-base path for many keys at
+once. The fixed-base path spends one-time setup on a table of byte-window
+multiples of G, built on first use. The keys then walk the 32 windows in
+lockstep, and each window adds every key's table point in affine form with
+one modular inversion shared by all of them (Montgomery's trick); the table
+rows are grown the same way. scalar_base_mult is the one-key case.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 __all__ = [
     "CURVE_ORDER",
@@ -15,6 +20,7 @@ __all__ = [
     "GY",
     "is_on_curve",
     "scalar_base_mult",
+    "scalar_base_mult_many",
     "scalar_mult",
 ]
 
@@ -79,23 +85,6 @@ def _to_affine(point):
     return (x * zinv2 % _P, y * zinv2 % _P * zinv % _P)
 
 
-def _affine_add(p, q):
-    if p is None:
-        return q
-    if q is None:
-        return p
-    x1, y1 = p
-    x2, y2 = q
-    if x1 == x2:
-        if (y1 + y2) % _P == 0:
-            return None
-        slope = 3 * x1 * x1 * pow(2 * y1, -1, _P) % _P
-    else:
-        slope = (y2 - y1) * pow(x2 - x1, -1, _P) % _P
-    x3 = (slope * slope - x1 - x2) % _P
-    return (x3, (slope * (x1 - x3) - y1) % _P)
-
-
 def scalar_mult(k: int, point: tuple[int, int]) -> tuple[int, int]:
     """Generic double-and-add. Requires 1 <= k < curve order."""
     if not 1 <= k < CURVE_ORDER:
@@ -112,36 +101,85 @@ def scalar_mult(k: int, point: tuple[int, int]) -> tuple[int, int]:
 _BASE_TABLE: list[list[tuple[int, int]]] | None = None
 
 
+def _add_many(ps: list[tuple[int, int]], qs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """[p + q for p, q in zip(ps, qs)] in affine form, with one shared
+    inversion (Montgomery's trick). The callers never pass a pair with one
+    x-coordinate, so no slope divides by zero."""
+    p = _P
+    prefix = []
+    acc = 1
+    for (x1, _), (x2, _) in zip(ps, qs):
+        prefix.append(acc)
+        acc = acc * (x2 - x1) % p
+    assert acc, "a batched addition met a doubling or a point's negation"
+    # walking back from the last pair j, inv is 1 / (the product of the
+    # x2 - x1 of pairs 0..j), so inv * prefix[j] is pair j's own 1 / (x2 - x1)
+    inv = pow(acc, -1, p)
+    sums = []
+    for (x1, y1), (x2, y2), before in zip(reversed(ps), reversed(qs), reversed(prefix)):
+        slope = (y2 - y1) * (inv * before % p) % p
+        inv = inv * (x2 - x1) % p
+        x3 = (slope * slope - x1 - x2) % p
+        sums.append((x3, (slope * (x1 - x3) - y1) % p))
+    sums.reverse()
+    return sums
+
+
 def _build_base_table() -> list[list[tuple[int, int]]]:
-    """Multiples w * 2^(8i) * G for every byte window i and w in 1..255."""
-    table = []
-    base = (GX, GY)
+    """Multiples w * B_i of B_i = 2^(8i) * G for every byte window i and w
+    in 1..255, as row i.
+
+    2 * B_i is a doubling, done per row; from there the 32 rows grow in
+    lockstep, one shared inversion per step. w * B_i never meets +-B_i for
+    2 <= w <= 254, because B_i has the prime order n > 256.
+    """
+    bases = []
+    point = (GX, GY, 1)
     for _ in range(32):
-        row = []
-        entry = base
-        for _ in range(255):
+        bases.append(_to_affine(point))
+        for _ in range(8):
+            point = _jac_double(point)
+    rows = [[(x, y), _to_affine(_jac_double((x, y, 1)))] for x, y in bases]
+    current = [row[1] for row in rows]
+    for _ in range(3, 256):
+        current = _add_many(current, bases)
+        for row, entry in zip(rows, current):
             row.append(entry)
-            entry = _affine_add(entry, base)
-        table.append(row)
-        base = entry  # 256 * previous base
-    return table
+    return rows
 
 
-def scalar_base_mult(k: int) -> tuple[int, int]:
-    """k * G via the fixed-base window table."""
-    if not 1 <= k < CURVE_ORDER:
-        raise ValueError(f"scalar outside [1, n-1]: {k}")
+def scalar_base_mult_many(keys: Sequence[int]) -> list[tuple[int, int]]:
+    """k * G for every key, via the fixed-base window table.
+
+    The keys walk the 32 byte windows in lockstep: window i adds the table
+    point w * 256^i * G of each key whose byte w there is nonzero, and the
+    additions of one window share one inversion. They are exact. Before
+    window i a key's sum is (k mod 256^i) * G with k mod 256^i < 256^i <=
+    w * 256^i < n, so it never equals the table point; it would equal the
+    point's negation only if k's windows 0..i summed to n, and k < n.
+    """
+    for k in keys:
+        if not 1 <= k < CURVE_ORDER:
+            raise ValueError(f"scalar outside [1, n-1]: {k}")
     global _BASE_TABLE
     if _BASE_TABLE is None:
         _BASE_TABLE = _build_base_table()
-    table = _BASE_TABLE
-    acc = _INFINITY
-    i = 0
-    while k:
-        w = k & 0xFF
-        if w:
-            x2, y2 = table[i][w - 1]
-            acc = _jac_add_affine(acc, x2, y2)
-        k >>= 8
-        i += 1
-    return _to_affine(acc)
+    # column i holds byte window i of every key
+    columns = zip(*[k.to_bytes(32, "little") for k in keys])
+    sums: list = [None] * len(keys)
+    for row, column in zip(_BASE_TABLE, columns):
+        adding = [j for j, w in enumerate(column) if w and sums[j] is not None]
+        if adding:
+            added = _add_many([sums[j] for j in adding], [row[column[j] - 1] for j in adding])
+            for j, point in zip(adding, added):
+                sums[j] = point
+        if None in sums:  # a key whose windows so far were all zero
+            for j, w in enumerate(column):
+                if w and sums[j] is None:
+                    sums[j] = row[w - 1]
+    return sums
+
+
+def scalar_base_mult(k: int) -> tuple[int, int]:
+    """k * G; the one-key case of scalar_base_mult_many."""
+    return scalar_base_mult_many([k])[0]

@@ -1,13 +1,17 @@
 """Address derivation and seeded lookalike search tests.
 
-The library path (fixed-base table, Jacobian coordinates, lane-array keccak)
-is checked bit-exactly against the independent affine/matrix oracle in
-crypto_oracle.py plus frozen public vectors.
+The library path (batched fixed-base multiply over the window table, the
+many-message Keccak whose lanes pack one message per 64 bits, the generic
+Jacobian double-and-add) is checked bit-exactly against the independent
+affine/matrix oracle in crypto_oracle.py plus frozen public vectors. The
+batched search is checked against a per-key reference loop.
 """
 
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -23,14 +27,26 @@ from poisonscan.addrgen import (
     GenStats,
     Match,
     SearchSpec,
+    _prf_key,
     benchmark,
     derive_address,
+    derive_addresses,
     read_matches,
     search,
     write_matches,
 )
-from poisonscan.keccak import keccak256
-from poisonscan.secp256k1 import CURVE_ORDER, GX, GY, is_on_curve, scalar_base_mult, scalar_mult
+from poisonscan.keccak import keccak256, keccak256_many
+from poisonscan.secp256k1 import (
+    CURVE_ORDER,
+    GX,
+    GY,
+    _build_base_table,
+    is_on_curve,
+    scalar_base_mult,
+    scalar_base_mult_many,
+    scalar_mult,
+)
+from poisonscan.similarity import score
 
 # ---------------------------------------------------------------------------
 # keccak-256
@@ -58,6 +74,21 @@ def test_keccak_rate_boundary_lengths():
     for size in (134, 135, 136, 137, 271, 272, 273):
         data = bytes(range(256))[:1] * size
         assert keccak256(data) == keccak256_oracle(data)
+
+
+@pytest.mark.parametrize("batch,length", [(1, 0), (2, 135), (17, 136), (17, 300), (512, 64)])
+def test_keccak_many_matches_single_and_oracle(batch, length):
+    rng = random.Random(batch * 1000 + length)
+    messages = [rng.randbytes(length) for _ in range(batch)]
+    digests = keccak256_many(messages)
+    assert digests == [keccak256(m) for m in messages]
+    assert digests == [keccak256_oracle(m) for m in messages]
+
+
+def test_keccak_many_edge_cases():
+    assert keccak256_many([]) == []
+    with pytest.raises(ValueError):
+        keccak256_many([b"ab", b"abc"])
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +127,59 @@ def test_scalar_base_mult_random_keys_match_oracle():
         assert is_on_curve(*point)
 
 
+EDGE_KEYS = [
+    1,
+    2,
+    255,
+    256,
+    2**248,
+    255 * 2**248,
+    CURVE_ORDER - 1,
+    0xABCD << 64,  # windows 0..7 zero
+    0xABCD,  # windows 2..31 zero
+    2**200 + 0x0100,  # zero windows low, in the middle and high
+    int.from_bytes(bytes(range(1, 17)) + bytes(16), "big"),  # windows 0..15 zero
+]
+
+
+def test_scalar_base_mult_many_edge_keys_match_oracle():
+    want = [scalar_mult_oracle(k) for k in EDGE_KEYS]
+    assert scalar_base_mult_many(EDGE_KEYS) == want
+    # the same keys in another order, mixed with random ones
+    rng = random.Random(9)
+    keys = EDGE_KEYS[::-1] + [rng.randrange(1, CURVE_ORDER) for _ in range(5)]
+    assert scalar_base_mult_many(keys) == [scalar_mult_oracle(k) for k in keys]
+    assert scalar_base_mult_many([]) == []
+
+
+@pytest.mark.parametrize("bad", [0, CURVE_ORDER])
+def test_scalar_base_mult_many_rejects_invalid_keys(bad):
+    with pytest.raises(ValueError):
+        scalar_base_mult_many([5, bad])
+
+
+def test_base_table_entries_match_oracle():
+    table = _build_base_table()
+    assert len(table) == 32
+    assert all(len(row) == 255 for row in table)
+    for i in (0, 1, 31):
+        for w in (1, 2, 3, 255):
+            assert table[i][w - 1] == scalar_mult_oracle(w * 256**i), (i, w)
+
+
+def test_import_leaves_base_table_unbuilt():
+    probe = (
+        "import poisonscan\n"
+        "from poisonscan import secp256k1\n"
+        "print(secp256k1._BASE_TABLE is None)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=False
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
+
+
 # ---------------------------------------------------------------------------
 # address derivation
 
@@ -104,6 +188,12 @@ def test_derive_address_frozen_vectors():
     # the two classic low-key addresses
     assert derive_address(1) == "0x7e5f4552091a69125d5dfcb7b8c2659029395bdf"
     assert derive_address(2) == "0x2b5ad5c4795c026514f8317c7a215e218dccd6cf"
+
+
+def test_derive_addresses_matches_single_and_oracle():
+    addresses = derive_addresses(EDGE_KEYS)
+    assert addresses == [derive_address(k) for k in EDGE_KEYS]
+    assert addresses == [derive_address_oracle(k) for k in EDGE_KEYS]
 
 
 def test_derive_address_matches_oracle_random():
@@ -206,6 +296,79 @@ def test_search_crypto_random_flag_still_matches():
     stats = search(spec, seed=0)
     assert len(stats.matches) == 1
     assert stats.matches[0].address[2] == TARGET[2]
+
+
+SEARCH_TARGETS = (TARGET, "0x" + "7" * 40, "0x7a16ff8270133f063aab6c9977183d9e72835428")
+SEARCH_SEED = 3
+STREAM_KEYS = 560  # more than one 512-key batch
+
+
+@pytest.fixture(scope="module")
+def key_stream():
+    """(key, address) of the first keys of SEARCH_SEED's stream, derived one
+    at a time."""
+    stream = []
+    for counter in range(STREAM_KEYS):
+        key = _prf_key(SEARCH_SEED, counter)
+        assert 1 <= key < CURVE_ORDER
+        stream.append((key, derive_address(key)))
+    return stream
+
+
+def reference_search(spec, stream):
+    """Per-key search: test each key in stream order, stop at the key that
+    fills the match quota or at the trial budget."""
+    trials = 0
+    matches = []
+    for key, address in stream:
+        if spec.max_trials is not None and trials >= spec.max_trials:
+            break
+        trials += 1
+        digits = address[2:]
+        for target in spec.targets:
+            tdigits = target[2:]
+            if digits[: spec.a_min] != tdigits[: spec.a_min]:
+                continue
+            if spec.b_min and digits[-spec.b_min :] != tdigits[-spec.b_min :]:
+                continue
+            s = score(digits, tdigits)
+            matches.append(Match(key, address, target, s.a, s.b))
+            if spec.max_matches is not None and len(matches) >= spec.max_matches:
+                return trials, matches
+    else:
+        assert spec.max_trials is not None and trials >= spec.max_trials, "stream too short"
+    return trials, matches
+
+
+@pytest.mark.parametrize(
+    "a_min,b_min,max_matches,max_trials,mode,workers",
+    [
+        (1, 0, 5, None, "optimized", 1),  # quota only, filled inside a batch
+        (1, 1, None, 530, "optimized", 1),  # budget only, across batches
+        (1, 0, 3, 40, "optimized", 1),  # both, quota first
+        (1, 1, 50, 100, "optimized", 1),  # both, budget first
+        (0, 2, 3, None, "optimized", 1),
+        (2, 0, 2, None, "optimized", 1),
+        (0, 0, 5, None, "optimized", 1),  # every key matches every target
+        (1, 0, 4, None, "naive", 1),
+        (1, 0, 6, None, "optimized", 2),
+        (1, 1, None, 530, "optimized", 2),
+    ],
+)
+def test_search_matches_per_key_reference(
+    key_stream, a_min, b_min, max_matches, max_trials, mode, workers
+):
+    spec = SearchSpec(
+        targets=SEARCH_TARGETS,
+        a_min=a_min,
+        b_min=b_min,
+        max_matches=max_matches,
+        max_trials=max_trials,
+    )
+    stats = search(spec, seed=SEARCH_SEED, mode=mode, workers=workers)
+    trials, matches = reference_search(spec, key_stream)
+    assert stats.trials == trials
+    assert list(stats.matches) == matches
 
 
 def test_matches_jsonl_roundtrip(tmp_path):

@@ -1,6 +1,5 @@
 """Smoke test for the demo scripts: each runs to completion as its own
-process. mining_cost is left out because it takes several seconds and
-shares no code with the detection path the others exercise."""
+process."""
 
 import os
 import subprocess
@@ -15,7 +14,8 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
 
 @pytest.mark.parametrize(
-    "name", ["detect_poisoning", "attack_economics", "cluster_attack_groups", "full_pipeline"]
+    "name",
+    ["detect_poisoning", "attack_economics", "cluster_attack_groups", "full_pipeline", "mining_cost"],
 )
 def test_demo_runs(name):
     package_root = str(Path(poisonscan.__file__).resolve().parents[1])
