@@ -1,4 +1,4 @@
-"""Brute-force lookalike address search and its cost benchmark.
+"""Brute-force lookalike address search.
 
 Private keys come from a counter-mode PRF over a caller seed, so every run
 is reproducible; a flag switches to OS cryptographic randomness for real
@@ -8,19 +8,18 @@ attacks. Two derivation strategies exist: "naive" does a generic
 double-and-add and a one-message Keccak per key; "optimized" derives a batch
 of keys in one call, through the batched fixed-base multiply and the
 many-message Keccak, and then tests them in order. Both produce identical
-addresses; benchmark() measures their throughput gap.
+addresses.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import secrets
 import time
+from collections import deque
 from dataclasses import dataclass
-from itertools import count
-from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import AddressError, parse_address
 from .keccak import keccak256, keccak256_many
@@ -31,12 +30,9 @@ __all__ = [
     "GenStats",
     "Match",
     "SearchSpec",
-    "benchmark",
     "derive_address",
     "derive_addresses",
-    "read_matches",
     "search",
-    "write_matches",
 ]
 
 _PRF_TAG = b"poisonscan.keygen.v1"
@@ -77,9 +73,9 @@ def _prf_key(seed: int, counter: int) -> int:
     return int.from_bytes(material, "big")
 
 
-def _draw_keys(seed: int, counter: int, want: int, crypto_random: bool) -> tuple[list[int], int]:
-    """The next `want` valid keys from stream position counter, and the
-    position after them. A key outside [1, n-1] is skipped, not a trial."""
+def _draw_keys(seed: int, counter: int, want: int, crypto_random: bool) -> list[int]:
+    """The next `want` valid keys from stream position counter. A key
+    outside [1, n-1] is skipped, not a trial."""
     keys = []
     while len(keys) < want:
         if crypto_random:
@@ -89,7 +85,7 @@ def _draw_keys(seed: int, counter: int, want: int, crypto_random: bool) -> tuple
         counter += 1
         if 1 <= key < CURVE_ORDER:
             keys.append(key)
-    return keys, counter
+    return keys
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,7 +134,8 @@ class Match:
 
 @dataclass(frozen=True, slots=True)
 class GenStats:
-    """Outcome of a search or benchmark run."""
+    """Outcome of a search: the keys tried, the matches in stream order, and
+    the throughput in keys per second (aps)."""
 
     trials: int
     matches: tuple[Match, ...]
@@ -147,7 +144,6 @@ class GenStats:
     mode: str
     seed: int | None
     workers: int
-    addresses: tuple[str, ...] = ()
 
 
 def _target_info(spec: SearchSpec) -> list[tuple[str, str, str, str]]:
@@ -160,43 +156,58 @@ def _target_info(spec: SearchSpec) -> list[tuple[str, str, str, str]]:
     return info
 
 
-def _scan_range(
-    spec: SearchSpec,
-    seed: int,
-    start: int,
-    n: int,
-    mode: str,
-    quota: int | None,
-) -> tuple[int, list[tuple[int, Match]]]:
-    """Derive up to n keys from stream offset start; collect threshold hits.
+def _batches(spec: SearchSpec) -> Iterator[tuple[int, int]]:
+    """(offset, size) of each batch of the key stream, in stream order and
+    cut at max_trials. Batches hold _BATCH keys; with a match quota they
+    start at _FIRST_BATCH keys and double up to _BATCH, so that a quota
+    filled after a few keys does not pay for a full batch."""
+    budget = spec.max_trials
+    size = _BATCH if spec.max_matches is None else _FIRST_BATCH
+    offset = 0
+    while budget is None or offset < budget:
+        n = size if budget is None else min(size, budget - offset)
+        yield offset, n
+        offset += n
+        size = min(2 * size, _BATCH)
 
-    Returns (keys examined, [(offset, match), ...]). Keys are drawn and
-    derived in batches, then tested in stream order. With a quota the scan
-    stops at the key that fills it, so the examined count is exact, and the
-    batches start at _FIRST_BATCH keys and double, so that a quota filled
-    after a few keys does not pay for n of them. Naive mode derives one key
-    at a time, only as the test reaches it.
+
+def _scan_range(
+    spec: SearchSpec, seed: int, mode: str, batch: tuple[int, int]
+) -> tuple[int, list[tuple[int, Match]]]:
+    """Test the keys of one batch in stream order and collect threshold hits.
+
+    Returns the stream offset after the last key examined and the hits with
+    their stream offsets. The scan stops at the key where its own hits reach
+    max_matches, so its result does not depend on earlier batches. The batch
+    is derived in one call; naive mode derives one key at a time, only as
+    the test reaches it.
     """
+    offset, size = batch
+    keys = _draw_keys(seed, offset, size, spec.crypto_random)
     info = _target_info(spec)
-    b_min = spec.b_min
-    a_min = spec.a_min
+    a_min, b_min, quota = spec.a_min, spec.b_min, spec.max_matches
     hits: list[tuple[int, Match]] = []
-    examined = 0
-    counter = start
-    size = n if quota is None else _FIRST_BATCH
-    while examined < n:
-        keys, counter = _draw_keys(seed, counter, min(size, n - examined), spec.crypto_random)
-        for key, address in zip(keys, _derive(keys, mode)):
-            examined += 1
-            digits = address[2:]
-            for target, tdigits, prefix, suffix in info:
-                if digits[:a_min] == prefix and (not b_min or digits[-b_min:] == suffix):
-                    s = score(digits, tdigits)
-                    hits.append((examined - 1, Match(key, address, target, s.a, s.b)))
-                    if quota is not None and len(hits) >= quota:
-                        return examined, hits
-        size *= 2
-    return examined, hits
+    for at, (key, address) in enumerate(zip(keys, _derive(keys, mode)), offset):
+        digits = address[2:]
+        for target, tdigits, prefix, suffix in info:
+            if digits[:a_min] == prefix and (not b_min or digits[-b_min:] == suffix):
+                s = score(digits, tdigits)
+                hits.append((at, Match(key, address, target, s.a, s.b)))
+                if len(hits) == quota:
+                    return at + 1, hits
+    return offset + size, hits
+
+
+def _in_order(pool, fn: Callable, items: Iterable, depth: int) -> Iterator:
+    """fn over items on a process pool, yielded in item order, with at most
+    depth calls submitted ahead of the consumer."""
+    pending: deque = deque()
+    for item in items:
+        pending.append(pool.submit(fn, item))
+        if len(pending) >= depth:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
 
 
 def search(
@@ -207,16 +218,43 @@ def search(
     progress: Callable[[int, int], None] | None = None,
 ) -> GenStats:
     """Run the seeded search. Deterministic for a fixed seed and spec at any
-    worker count: workers only change who derives which stream segment."""
+    worker count: batches are consumed in stream order whoever derives them,
+    and a batch stops only after max_matches hits of its own, by which point
+    the quota is filled in that batch or an earlier one."""
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     started = time.perf_counter()
+    scan = partial(_scan_range, spec, seed, mode)
+    pool = None
     if workers == 1:
-        trials, matches = _search_serial(spec, seed, mode, progress)
+        results = map(scan, _batches(spec))
     else:
-        trials, matches = _search_parallel(spec, seed, mode, workers, progress)
+        # imported here, not at module level: the process pool machinery adds
+        # about 2.4 MB and 30 ms to every process that imports poisonscan
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=workers)
+        results = _in_order(pool, scan, _batches(spec), 2 * workers)
+    quota = spec.max_matches
+    trials = 0
+    matches: list[Match] = []
+    try:
+        for end, hits in results:
+            trials = end
+            for at, match in hits:
+                matches.append(match)
+                if len(matches) == quota:
+                    trials = at + 1
+                    break
+            if progress is not None:
+                progress(trials, len(matches))
+            if len(matches) == quota:
+                break
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     elapsed = time.perf_counter() - started
     return GenStats(
         trials=trials,
@@ -227,155 +265,3 @@ def search(
         seed=None if spec.crypto_random else seed,
         workers=workers,
     )
-
-
-def _search_serial(spec, seed, mode, progress):
-    trials = 0
-    matches: list[Match] = []
-    for start in count(0, _BATCH):
-        room = _BATCH
-        if spec.max_trials is not None:
-            room = min(room, spec.max_trials - trials)
-        quota = None if spec.max_matches is None else spec.max_matches - len(matches)
-        examined, hits = _scan_range(spec, seed, start, room, mode, quota)
-        trials += examined
-        matches.extend(m for _, m in hits)
-        if progress is not None:
-            progress(trials, len(matches))
-        if spec.max_matches is not None and len(matches) >= spec.max_matches:
-            break
-        if spec.max_trials is not None and trials >= spec.max_trials:
-            break
-    return trials, matches
-
-
-def _search_parallel(spec, seed, mode, workers, progress):
-    """Batches go to a process pool but are consumed in stream order, so the
-    result is identical to the serial scan."""
-    # imported here, not at module level: the process pool machinery adds
-    # about 2.4 MB and 30 ms to every process that imports poisonscan
-    from concurrent.futures import ProcessPoolExecutor
-
-    trials = 0
-    matches: list[Match] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        pending = {}
-        next_submit = 0
-        next_consume = 0
-
-        def submit_until(limit: int):
-            nonlocal next_submit
-            while len(pending) < limit:
-                start = next_submit * _BATCH
-                if spec.max_trials is not None and start >= spec.max_trials:
-                    break
-                room = _BATCH
-                if spec.max_trials is not None:
-                    room = min(room, spec.max_trials - start)
-                pending[next_submit] = pool.submit(
-                    _scan_range, spec, seed, start, room, mode, None
-                )
-                next_submit += 1
-
-        while True:
-            submit_until(workers * 2)
-            if next_consume not in pending:
-                break
-            future = pending.pop(next_consume)
-            batch_index = next_consume
-            next_consume += 1
-            examined, hits = future.result()
-            base = batch_index * _BATCH
-            done = False
-            for offset, m in hits:
-                matches.append(m)
-                if spec.max_matches is not None and len(matches) >= spec.max_matches:
-                    trials = base + offset + 1
-                    done = True
-                    break
-            if not done:
-                trials = base + examined
-            if progress is not None:
-                progress(trials, len(matches))
-            if done:
-                for f in pending.values():
-                    f.cancel()
-                break
-    return trials, matches
-
-
-def benchmark(
-    n_keys: int = 512,
-    mode: str = "optimized",
-    seed: int = 0,
-    workers: int = 1,
-    keep_addresses: bool = False,
-) -> GenStats:
-    """Measure derivation throughput (addresses per second) over n_keys,
-    derived as search derives them: in batches of up to _BATCH keys, or one
-    key at a time in naive mode."""
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    if n_keys < 1:
-        raise ValueError(f"n_keys must be >= 1, got {n_keys}")
-    list(_derive([1], mode))  # pay any one-time table setup outside the timed region
-    addresses: list[str] = []
-    started = time.perf_counter()
-    counter = 0
-    done = 0
-    while done < n_keys:
-        keys, counter = _draw_keys(seed, counter, min(_BATCH, n_keys - done), crypto_random=False)
-        derived = list(_derive(keys, mode))
-        done += len(keys)
-        if keep_addresses:
-            addresses.extend(derived)
-    elapsed = time.perf_counter() - started
-    return GenStats(
-        trials=n_keys,
-        matches=(),
-        elapsed_seconds=elapsed,
-        aps=n_keys / elapsed if elapsed > 0 else 0.0,
-        mode=mode,
-        seed=seed,
-        workers=workers,
-        addresses=tuple(addresses),
-    )
-
-
-def write_matches(path: str | Path, matches: Iterable[Match]) -> None:
-    """Matches as JSONL rows: key (64-digit hex), address, target, a, b."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for m in matches:
-            handle.write(
-                json.dumps(
-                    {
-                        "key": f"{m.private_key:064x}",
-                        "address": m.address,
-                        "target": m.target,
-                        "a": m.a,
-                        "b": m.b,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-
-
-def read_matches(path: str | Path) -> tuple[Match, ...]:
-    out = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            out.append(
-                Match(
-                    private_key=int(row["key"], 16),
-                    address=row["address"],
-                    target=row["target"],
-                    a=int(row["a"]),
-                    b=int(row["b"]),
-                )
-            )
-    return tuple(out)

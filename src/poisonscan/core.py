@@ -430,9 +430,6 @@ class PriceTable:
             return self._one
         return price
 
-    def assets(self) -> frozenset[str]:
-        return frozenset(asset for asset, _ in self._prices)
-
     def __len__(self) -> int:
         return len(self._prices)
 

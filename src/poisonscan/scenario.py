@@ -34,6 +34,7 @@ from .core import (
     event_date,
     hex_digits,
 )
+from .clustering import rand_index
 from .ingest import validate_stream, write_account_history, write_events
 from .similarity import score
 
@@ -290,16 +291,8 @@ class GroundTruth:
     def __init__(self, rows: Iterable[dict], bots: Iterable[str] = ()):
         self.rows = tuple(sorted(rows, key=lambda r: (r["chain_id"], r["key"])))
         self.bots = frozenset(bots)
-        self._by_key = {(r["chain_id"], r["key"]): r for r in self.rows}
-        if len(self._by_key) != len(self.rows):
+        if len({(r["chain_id"], r["key"]) for r in self.rows}) != len(self.rows):
             raise ScenarioError("duplicate ground-truth keys")
-
-    def label_of(self, chain_id: int, key: str) -> str:
-        row = self._by_key.get((chain_id, key))
-        return row["label"] if row else Label.BENIGN
-
-    def row_of(self, chain_id: int, key: str) -> dict | None:
-        return self._by_key.get((chain_id, key))
 
     def rows_for(self, chain_id: int, labels: Iterable[str] | None = None) -> tuple[dict, ...]:
         wanted = frozenset(labels) if labels is not None else None
@@ -376,20 +369,7 @@ def score_labels(
             for r in truth.rows
             if r["chain_id"] == chain_id and r["label"] in Label.POISONS and r["group"] is not None
         }
-        common = sorted(set(true_groups) & set(predicted_groups))
-        n = len(common)
-        if n < 2:
-            rand = 1.0
-        else:
-            agree = 0
-            total = 0
-            for i in range(n):
-                for j in range(i + 1, n):
-                    total += 1
-                    same_true = true_groups[common[i]] == true_groups[common[j]]
-                    same_pred = predicted_groups[common[i]] == predicted_groups[common[j]]
-                    agree += same_true == same_pred
-            rand = agree / total
+        rand = rand_index(true_groups, predicted_groups)
     return ScoreCard(
         precision=precision,
         recall=recall,

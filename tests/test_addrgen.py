@@ -9,6 +9,7 @@ batched search is checked against a per-key reference loop.
 
 from __future__ import annotations
 
+import itertools
 import random
 import subprocess
 import sys
@@ -23,17 +24,16 @@ from crypto_oracle import (
     keccak256_oracle,
     scalar_mult_oracle,
 )
+from poisonscan import addrgen
 from poisonscan.addrgen import (
-    GenStats,
     Match,
     SearchSpec,
+    _batches,
+    _derive,
     _prf_key,
-    benchmark,
     derive_address,
     derive_addresses,
-    read_matches,
     search,
-    write_matches,
 )
 from poisonscan.keccak import keccak256, keccak256_many
 from poisonscan.secp256k1 import (
@@ -193,6 +193,7 @@ def test_derive_address_frozen_vectors():
 def test_derive_addresses_matches_single_and_oracle():
     addresses = derive_addresses(EDGE_KEYS)
     assert addresses == [derive_address(k) for k in EDGE_KEYS]
+    assert addresses == list(_derive(EDGE_KEYS, "naive"))
     assert addresses == [derive_address_oracle(k) for k in EDGE_KEYS]
 
 
@@ -371,34 +372,38 @@ def test_search_matches_per_key_reference(
     assert list(stats.matches) == matches
 
 
-def test_matches_jsonl_roundtrip(tmp_path):
-    stats = search(spec_first_digit(), seed=5)
-    path = tmp_path / "matches.jsonl"
-    write_matches(path, stats.matches)
-    back = read_matches(path)
-    assert back == stats.matches
-    # exact serialized field set
-    import json
-
-    row = json.loads(path.read_text().splitlines()[0])
-    assert set(row) == {"key", "address", "target", "a", "b"}
-    assert row["key"] == f"{stats.matches[0].private_key:064x}"
-
-
-# ---------------------------------------------------------------------------
-# benchmark
+def test_batches_grow_without_restart_and_stop_at_budget():
+    quota = SearchSpec(targets=(TARGET,), a_min=1, b_min=0, max_matches=2)
+    sizes = [size for _, size in itertools.islice(_batches(quota), 9)]
+    assert sizes == [8, 16, 32, 64, 128, 256, 512, 512, 512]
+    both = SearchSpec(targets=(TARGET,), a_min=1, b_min=0, max_matches=2, max_trials=1100)
+    assert list(_batches(both)) == [
+        (0, 8), (8, 16), (24, 32), (56, 64), (120, 128), (248, 256), (504, 512), (1016, 84)
+    ]
+    budget = SearchSpec(targets=(TARGET,), a_min=1, b_min=0, max_matches=None, max_trials=1300)
+    assert list(_batches(budget)) == [(0, 512), (512, 512), (1024, 276)]
+    short = SearchSpec(targets=(TARGET,), a_min=1, b_min=0, max_matches=1, max_trials=20)
+    assert list(_batches(short)) == [(0, 8), (8, 12)]
 
 
-def test_benchmark_reports_throughput():
-    stats = benchmark(n_keys=64, mode="optimized", seed=0)
-    assert isinstance(stats, GenStats)
-    assert stats.trials == 64
-    assert stats.aps > 0
-    assert stats.mode == "optimized"
+def test_pooled_quota_search_derives_few_keys_past_the_hit(tmp_path, monkeypatch):
+    """The pool's forked workers inherit the counting _derive."""
+    log = tmp_path / "derived.txt"
+    derive = addrgen._derive
 
+    def counting(keys, mode):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{len(keys)}\n")
+        return derive(keys, mode)
 
-def test_benchmark_modes_derive_identical_addresses():
-    fast = benchmark(n_keys=8, mode="optimized", seed=4, keep_addresses=True)
-    slow = benchmark(n_keys=8, mode="naive", seed=4, keep_addresses=True)
-    assert fast.addresses == slow.addresses
-    assert len(fast.addresses) == 8
+    monkeypatch.setattr(addrgen, "_derive", counting)
+    spec = spec_first_digit()
+    workers = 2
+    stats = search(spec, seed=0, workers=workers)
+    assert len(stats.matches) == 1
+    batches = list(itertools.islice(_batches(spec), 16))
+    stop = next(i for i, (offset, size) in enumerate(batches) if stats.trials <= offset + size)
+    # the batches up to the quota key's, plus the 2 x workers - 1 in flight behind it
+    ahead = sum(size for _, size in batches[: stop + 2 * workers])
+    derived = sum(int(line) for line in log.read_text().split())
+    assert stats.trials <= derived <= ahead

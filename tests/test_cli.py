@@ -2,8 +2,10 @@
 and byte-identical reruns across the whole pipeline."""
 
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from decimal import Decimal
@@ -11,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import poisonscan
 import poisonscan.cli as cli_mod
 from poisonscan.cli import run
 from poisonscan.detector import DetectionReport
@@ -537,3 +540,18 @@ def test_import_loads_only_the_standard_library():
     # multiprocessing registers __main__ a second time as __mp_main__
     outside = loaded - set(sys.stdlib_module_names) - {"poisonscan", "__mp_main__"}
     assert not outside
+
+
+def test_every_exported_name_resolves():
+    modules = [poisonscan] + [
+        importlib.import_module(f"poisonscan.{info.name}")
+        for info in pkgutil.iter_modules(poisonscan.__path__)
+    ]
+    stale = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert len(modules) > 10
+    assert not stale
