@@ -121,6 +121,12 @@ def group_economics(
     """
     by_id = {s.transfer_id: s for s in sets}
     native = report.config.native_asset
+    # positions of confirmed payoffs per lookalike; a group sums its own in
+    # report order, so the Decimal totals do not depend on this index
+    paid: dict[str, list[int]] = {}
+    for i, payoff in enumerate(report.payoffs):
+        if payoff.confirmed:
+            paid.setdefault(payoff.lookalike, []).append(i)
     out = []
     for group in groups:
         members = [by_id[tid] for tid in group.members]
@@ -129,9 +135,9 @@ def group_economics(
         cost = Decimal("0")
         n_success = 0
         quarantined = 0
-        for payoff in report.payoffs:
-            if not payoff.confirmed or payoff.lookalike not in looks:
-                continue
+        hits = sorted(i for look in looks for i in paid.get(look, ()))
+        for i in hits:
+            payoff = report.payoffs[i]
             n_success += 1
             if payoff.usd is None:
                 quarantined += 1

@@ -132,9 +132,9 @@ def _ensure_outdir(path: str) -> Path:
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -265,12 +265,17 @@ def _scan_options(args) -> dict:
 # clusters.json round trip
 
 
+def _fields_dict(record) -> dict:
+    """A dataclass's fields by name; unlike dataclasses.asdict, nothing is copied."""
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+
+
 def _write_clusters(path: Path, sets, groups, bot_threshold: float) -> None:
     payload = {
         "schema": SCHEMA_VERSION,
         "bot_threshold": bot_threshold,
-        "sets": [dataclasses.asdict(s) for s in sets],
-        "groups": [dataclasses.asdict(g) for g in groups],
+        "sets": [_fields_dict(s) for s in sets],
+        "groups": [_fields_dict(g) for g in groups],
     }
     _write_json(path, payload)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+from binascii import unhexlify
 from dataclasses import dataclass, field, fields, replace
 from datetime import date, datetime, timezone
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
@@ -152,7 +153,9 @@ def parse_address(text: str) -> Address:
         raise AddressError(f"address must be 40 hex digits, got {len(s)} in {text!r}")
     s = s.lower()
     try:
-        int(s, 16)
+        # strict hex; int(s, 16) would also take "_", a sign, whitespace, a
+        # second "0x" and non-ASCII digits
+        unhexlify(s)
     except ValueError:
         raise AddressError(f"address contains non-hex digits: {text!r}") from None
     return "0x" + s

@@ -179,6 +179,27 @@ def _record_from_json(cls: type, raw: Mapping):
     return cls(**kwargs)
 
 
+def _object_pieces(encode, mapping: Mapping, to_json=None) -> Iterable[str]:
+    """A JSON object in sorted key order, one entry per piece."""
+    yield "{"
+    sep = ""
+    for key in sorted(mapping):
+        value = mapping[key]
+        yield sep + encode(key) + ":" + encode(value if to_json is None else to_json(value))
+        sep = ","
+    yield "}"
+
+
+def _array_pieces(encode, records: Iterable) -> Iterable[str]:
+    """A JSON array of report records, one record per piece."""
+    yield "["
+    sep = ""
+    for record in records:
+        yield sep + encode(_record_to_json(record))
+        sep = ","
+    yield "]"
+
+
 @dataclass(frozen=True)
 class DetectionReport:
     """Everything one scan produced, serializable and order-stable."""
@@ -236,20 +257,26 @@ class DetectionReport:
                 out[label] = out.get(label, 0) + 1
         return out
 
-    def to_json_dict(self) -> dict:
+    def _json_head(self) -> dict:
+        """The top-level keys of report.json that hold no per-event records."""
         return {
             "chain_id": self.chain_id,
             "config": self.config.to_dict(),
-            "labels": dict(self.labels),
-            "events": {k: _record_to_json(v) for k, v in self.events.items()},
-            "contexts": [_record_to_json(c) for c in self.contexts],
-            "payoffs": [_record_to_json(p) for p in self.payoffs],
             "victim_recipients": dict(self.victim_recipients),
             "excluded_victims": dict(self.excluded_victims),
             "accidental": sorted(self.accidental),
             "unpriced": list(self.unpriced),
             "authentic_tokens": sorted(self.authentic_tokens),
             "counters": dict(self.counters),
+        }
+
+    def to_json_dict(self) -> dict:
+        return {
+            **self._json_head(),
+            "labels": dict(self.labels),
+            "events": {k: _record_to_json(v) for k, v in self.events.items()},
+            "contexts": [_record_to_json(c) for c in self.contexts],
+            "payoffs": [_record_to_json(p) for p in self.payoffs],
         }
 
     @classmethod
@@ -270,8 +297,25 @@ class DetectionReport:
         )
 
     def write_json(self, path: str | Path) -> None:
-        text = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-        Path(path).write_text(text + "\n", encoding="utf-8")
+        """Write to_json_dict() as compact sorted-key JSON and a newline.
+
+        The file is streamed: labels and events go out entry by entry,
+        contexts and payoffs record by record, so neither a copy of the
+        records nor the whole text is ever held in memory.
+        """
+        encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+        body = {key: (encode(value),) for key, value in self._json_head().items()}
+        body["labels"] = _object_pieces(encode, self.labels)
+        body["events"] = _object_pieces(encode, self.events, _record_to_json)
+        body["contexts"] = _array_pieces(encode, self.contexts)
+        body["payoffs"] = _array_pieces(encode, self.payoffs)
+        with open(path, "w", encoding="utf-8") as fh:
+            sep = "{"
+            for key in sorted(body):
+                fh.write(sep + encode(key) + ":")
+                fh.writelines(body[key])
+                sep = ","
+            fh.write("}\n")
 
     @classmethod
     def read_json(cls, path: str | Path) -> "DetectionReport":

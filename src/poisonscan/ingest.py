@@ -62,7 +62,8 @@ def _parse_value(obj: dict, path: str, line: int) -> int:
     if isinstance(raw, int) and not isinstance(raw, bool):
         value = raw
     elif isinstance(raw, str):
-        if not raw.isdigit():
+        # isdigit alone admits non-ASCII digits such as "²" or "١"
+        if not (raw.isascii() and raw.isdigit()):
             raise ParseError(f"field 'value' must be a decimal string, got {raw!r}", path=path, line=line)
         value = int(raw)
     else:

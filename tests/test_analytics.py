@@ -8,6 +8,7 @@ most-imitated-recipient table."""
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from datetime import date, timedelta
 from decimal import Decimal
 
@@ -45,6 +46,7 @@ from helpers import (
     lookalike,
     make_prices,
     make_registry,
+    rich_spec,
 )
 
 R3 = "0x7c6d5e4f30219384756647382910aabbccddeeff"
@@ -205,6 +207,28 @@ def test_economics_quarantines_missing_native_price():
     (econ,) = group_economics(groups, sets, report, make_prices())
     assert econ.quarantined == 1
     assert econ.cost_usd == Decimal("0")
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_economics_revenue_matches_payoff_scan(seed):
+    # every group's revenue equals a plain walk over all payoffs in report order
+    bundle = generate(rich_spec(seed))
+    config = bundle.configs[1]
+    report = scan(bundle.events(), config, bundle.registry, bundle.prices)
+    sets = build_transfer_sets(report)
+    groups = cluster(sets, 0.5, ratios=attack_ratio(sets, None))
+    # an unconfirmed and an unpriced payoff to a lookalike that has a group
+    first = next(p for p in report.payoffs if p.confirmed)
+    extra = (replace(first, confirmed=False), replace(first, usd=None))
+    report = replace(report, payoffs=report.payoffs + extra)
+    econ = group_economics(groups, sets, report, bundle.prices)
+    by_id = {s.transfer_id: s for s in sets}
+    assert sum(e.n_success for e in econ) > 0
+    for group, row in zip(groups, econ):
+        looks = {by_id[t].lookalike for t in group.members}
+        paid = [p for p in report.payoffs if p.confirmed and p.lookalike in looks]
+        assert row.n_success == len(paid)
+        assert row.revenue_usd == sum((p.usd for p in paid if p.usd is not None), Decimal("0"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line interface contract: exit codes, bundle layouts, manifests,
 and byte-identical reruns across the whole pipeline."""
 
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -298,6 +299,26 @@ def test_cluster_outputs(cluster_dir):
     ids = {s["transfer_id"] for s in clusters["sets"]}
     for group in clusters["groups"]:
         assert set(group["members"]) <= ids
+
+
+@pytest.mark.parametrize("empty", [False, True], ids=["groups", "empty"])
+def test_clusters_json_matches_asdict_form(cluster_dir, tmp_path, empty):
+    sets, groups = cli_mod._read_clusters(cluster_dir / "clusters.json")
+    assert sets and groups
+    if empty:
+        sets, groups = (), ()
+    path = tmp_path / "clusters.json"
+    cli_mod._write_clusters(path, sets, groups, 0.5)
+    payload = {
+        "schema": cli_mod.SCHEMA_VERSION,
+        "bot_threshold": 0.5,
+        "sets": [dataclasses.asdict(s) for s in sets],
+        "groups": [dataclasses.asdict(g) for g in groups],
+    }
+    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert path.read_text(encoding="utf-8") == expected
+    if not empty:
+        assert path.read_bytes() == (cluster_dir / "clusters.json").read_bytes()
 
 
 def test_cluster_bot_threshold_zero_merges(workdir, sim_dir, scan_dir):

@@ -74,7 +74,12 @@ def test_parse_address_idempotent():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "0x", "0x1234", VALID + "ab", "0x" + "g" * 40, "hello", VALID[2:] + "0x"],
+    [
+        "", "0x", "0x1234", VALID + "ab", "0x" + "g" * 40, "hello", VALID[2:] + "0x",
+        # int(s, 16) takes each of these; none is 40 hex digits
+        "0x" + "1_" * 19 + "11", "0x" + "\u0661" * 40, "0x+" + "1" * 39,
+        "0x " + "1" * 39, "0x0x" + "1" * 38,
+    ],
 )
 def test_parse_address_rejects_malformed(bad):
     with pytest.raises(AddressError):

@@ -7,6 +7,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import tracemalloc
 from dataclasses import replace
 from datetime import date, timedelta
 from decimal import Decimal
@@ -392,6 +393,60 @@ def test_report_json_roundtrip(tmp_path):
     assert back == report
     report.write_json(tmp_path / "again.json")
     assert (tmp_path / "report.json").read_bytes() == (tmp_path / "again.json").read_bytes()
+
+
+def compact_json(report) -> str:
+    return json.dumps(report.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def rich_report(seed: int = 7) -> DetectionReport:
+    """A generated report with float exclusions, None usd and evidence tuples."""
+    bundle = generate(rich_spec(seed))
+    events = list(bundle.events())
+    config = bundle.configs[1]
+    report = scan(events, config, bundle.registry, bundle.prices, history=EventStore(events))
+    report = birthday_filter(report, config.with_overrides(birthday_alpha=5e-9))
+    unpriced = replace(report.payoffs[0], usd=None)
+    return replace(report, payoffs=report.payoffs + (unpriced,))
+
+
+def test_write_json_equals_compact_dumps(tmp_path):
+    report = rich_report()
+    assert report.excluded_victims and all(
+        isinstance(p, float) for p in report.excluded_victims.values()
+    )
+    assert any(p.usd is None for p in report.payoffs)
+    assert any(c.evidence for c in report.contexts) and any(p.evidence for p in report.payoffs)
+    empty = scan([], ChainConfig(chain_id=1), make_registry(), make_prices())
+    assert not (empty.events or empty.labels or empty.contexts or empty.payoffs)
+    for name, rep in (("rich", report), ("empty", empty)):
+        path = tmp_path / f"{name}.json"
+        rep.write_json(path)
+        assert path.read_text(encoding="utf-8") == compact_json(rep)
+
+
+def test_write_json_memory_is_not_the_file_size(tmp_path):
+    # the records are streamed, so the traced peak is a small part of the
+    # file; a writer that builds the JSON text first holds all of it
+    report = rich_report()
+    n = 60
+    report = replace(
+        report,
+        labels={f"{k}/{i}": v for i in range(n) for k, v in report.labels.items()},
+        events={f"{k}/{i}": v for i in range(n) for k, v in report.events.items()},
+        contexts=report.contexts * n,
+        payoffs=report.payoffs * n,
+    )
+    path = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        report.write_json(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 2_000_000
+    assert peak < size / 4, (peak, size)
 
 
 # ---------------------------------------------------------------------------

@@ -92,12 +92,15 @@ def test_missing_field_rejected(tmp_path):
         list(iter_events(path))
 
 
-@pytest.mark.parametrize("value", ["-5", "1.5", "abc", str(2**256), ""])
+# str.isdigit() holds for "²" and Arabic-Indic "١٢": int() rejects the
+# first and reads the second as 12
+@pytest.mark.parametrize("value", ["-5", "1.5", "abc", str(2**256), "", "\u00b2", "\u0661\u0662"])
 def test_bad_values_rejected(tmp_path, value):
     path = tmp_path / "events.jsonl"
     write_raw(path, [row(1, 0, value=value)])
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc:
         list(iter_events(path))
+    assert (exc.value.path, exc.value.line) == (str(path), 1)
 
 
 def test_value_upper_bound_accepts_max(tmp_path):
