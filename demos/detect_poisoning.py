@@ -6,7 +6,6 @@ findings against the planted ground truth.
 """
 
 from poisonscan.detector import scan
-from poisonscan.ingest import EventStore
 from poisonscan.scenario import GroupSpec, ScenarioSpec, generate, score_labels
 
 
@@ -30,7 +29,7 @@ def main() -> None:
     bundle = generate(spec)
     events = list(bundle.events())
     config = bundle.configs[1]
-    report = scan(events, config, bundle.registry, bundle.prices, history=EventStore(events))
+    report = scan(events, config, bundle.registry, bundle.prices, history=events)
 
     print(f"stream: {len(events):,} transfer events over {spec.n_blocks} blocks")
     print("findings:")

@@ -55,7 +55,7 @@ from .core import (
     parse_address,
 )
 from .detector import DetectionReport, birthday_filter, scan
-from .ingest import EventStore, iter_events, load_account_history
+from .ingest import iter_events, load_account_history
 from .scenario import GroundTruth, ScenarioSpec, benign_stream, generate, score_labels
 
 __all__ = ["main", "run", "SCHEMA_VERSION"]
@@ -123,6 +123,16 @@ def _decimal_arg(text: str) -> Decimal:
         return Decimal(text)
     except InvalidOperation:
         raise argparse.ArgumentTypeError(f"not a decimal number: {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _ensure_outdir(path: str) -> Path:
@@ -243,11 +253,15 @@ def _scan_pipeline(args):
     config = _load_config(args)
     registry = _load_registry(args.registry)
     prices = _load_prices(args.prices, config, registry)
-    store = EventStore(iter_events(args.history)) if args.history else None
-    # a history that is the events file itself is parsed once
-    stream = store if args.history == args.events else iter_events(args.events)
+    if args.history == args.events:
+        # a history that is the events file itself is parsed once
+        stream = history = list(iter_events(args.events))
+    else:
+        # scan reads a separate history lazily, after its pass
+        stream = iter_events(args.events)
+        history = iter_events(args.history) if args.history else None
     events = _tracked(stream, _Progress("scan"))
-    return birthday_filter(scan(events, config, registry, prices, history=store), config)
+    return birthday_filter(scan(events, config, registry, prices, history=history), config)
 
 
 def _scan_options(args) -> dict:
@@ -676,13 +690,13 @@ def _build_parser() -> _Parser:
     sub.add_argument("--budget", type=int, help="stop after this many candidate keys")
     sub.add_argument("--seed", type=int, default=0, help="deterministic stream seed")
     sub.add_argument("--mode", choices=("optimized", "naive"), default="optimized")
-    sub.add_argument("--workers", type=int, default=1, help="worker processes (default: 1)")
+    sub.add_argument("--workers", type=_positive_int, default=1, help="worker processes (default: 1)")
     sub.add_argument("--out", help="stats JSON file (default: stdout)")
     sub.set_defaults(func=_cmd_gen)
 
     sub = commands.add_parser("bench", help="measure scan throughput on a synthetic stream")
-    sub.add_argument("--n-events", type=int, default=200_000, help="stream length")
-    sub.add_argument("--repeat", type=int, default=3, help="timing runs")
+    sub.add_argument("--n-events", type=_positive_int, default=200_000, help="stream length")
+    sub.add_argument("--repeat", type=_positive_int, default=3, help="timing runs")
     sub.add_argument("--seed", type=int, default=0, help="stream seed")
     sub.set_defaults(func=_cmd_bench)
 

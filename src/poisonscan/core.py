@@ -30,7 +30,6 @@ __all__ = [
     "ClusteringError",
     "ConfigError",
     "Label",
-    "MissingPriceError",
     "OrderingError",
     "ParseError",
     "PoisonscanError",
@@ -47,7 +46,6 @@ __all__ = [
     "event_date",
     "hex_digits",
     "parse_address",
-    "to_usd",
     "usd_amount",
 ]
 
@@ -80,15 +78,6 @@ class ParseError(PoisonscanError):
 
 class RegistryError(PoisonscanError):
     pass
-
-
-class MissingPriceError(PoisonscanError):
-    """No USD price known for an asset on a given day."""
-
-    def __init__(self, asset: str, day: date):
-        self.asset = asset
-        self.day = day
-        super().__init__(f"no USD price for {asset} on {day.isoformat()}")
 
 
 class ConfigError(PoisonscanError):
@@ -185,6 +174,16 @@ class RegistryEntry:
     stablecoin: bool
 
 
+def _typed(row: dict, name: str, kind: type, path, line: int):
+    """``row[name]``, which must be exactly a JSON integer or boolean:
+    ``bool("false")`` is true, ``int(1.9)`` is 1, and a bool is an int."""
+    value = row[name]
+    if type(value) is not kind:
+        what = "an integer" if kind is int else "a boolean"
+        raise ParseError(f"field {name!r} must be {what}, got {value!r}", path=path, line=line)
+    return value
+
+
 class TokenRegistry:
     """Registry of known token contracts per chain.
 
@@ -228,18 +227,20 @@ class TokenRegistry:
                     row = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise ParseError(f"bad JSON: {exc}", path=path, line=lineno) from None
+                if not isinstance(row, dict):
+                    raise ParseError("each line must be a JSON object", path=path, line=lineno)
                 try:
                     token = TokenRef(
-                        chain_id=int(row["chain_id"]),
+                        chain_id=_typed(row, "chain_id", int, path, lineno),
                         address=parse_address(row["address"]),
                         symbol=str(row["symbol"]),
-                        decimals=int(row["decimals"]),
+                        decimals=_typed(row, "decimals", int, path, lineno),
                     )
                     entries.append(
                         RegistryEntry(
                             token=token,
-                            authentic=bool(row["authentic"]),
-                            stablecoin=bool(row["stablecoin"]),
+                            authentic=_typed(row, "authentic", bool, path, lineno),
+                            stablecoin=_typed(row, "stablecoin", bool, path, lineno),
                         )
                     )
                 except KeyError as exc:
@@ -273,14 +274,6 @@ class TokenRegistry:
     def token(self, chain_id: int, address: Address) -> TokenRef | None:
         entry = self._table.get((chain_id, address))
         return entry.token if entry is not None else None
-
-    def is_authentic(self, chain_id: int, address: Address) -> bool:
-        entry = self._table.get((chain_id, address))
-        return entry is not None and entry.authentic
-
-    def is_stablecoin(self, chain_id: int, address: Address) -> bool:
-        entry = self._table.get((chain_id, address))
-        return entry is not None and entry.stablecoin
 
     def stablecoins(self, chain_id: int) -> frozenset[Address]:
         cached = self._stable.get(chain_id)
@@ -402,6 +395,9 @@ class PriceTable:
                     raise ParseError(f"bad price row: {exc}", path=path, line=lineno) from None
                 if not asset:
                     raise ParseError("empty asset id", path=path, line=lineno)
+                # NaN would make the comparison below raise, and Infinity pass it
+                if not price.is_finite():
+                    raise ParseError(f"price must be finite, got {price}", path=path, line=lineno)
                 if price <= 0:
                     raise ParseError(f"price must be positive, got {price}", path=path, line=lineno)
                 key = (asset, day)
@@ -418,14 +414,6 @@ class PriceTable:
             writer.writerow(["asset", "date", "usd_price"])
             for (asset, day), price in sorted(self._prices.items(), key=lambda kv: (kv[0][0], kv[0][1])):
                 writer.writerow([asset, day.isoformat(), str(price)])
-
-    def get(self, asset: str, day: date) -> Decimal:
-        price = self._prices.get((asset, day))
-        if price is None:
-            if asset in self._parity:
-                return self._one
-            raise MissingPriceError(asset, day)
-        return price
 
     def get_or_none(self, asset: str, day: date) -> Decimal | None:
         price = self._prices.get((asset, day))
@@ -449,11 +437,6 @@ def usd_amount(value: int, decimals: int, price: Decimal) -> Decimal:
         ctx.prec = 120
         amount = Decimal(value).scaleb(-decimals) * price
         return amount.quantize(USD_QUANTUM, rounding=ROUND_HALF_EVEN)
-
-
-def to_usd(value: int, token: TokenRef, day: date, prices: PriceTable) -> Decimal:
-    """USD value of a raw token amount at the transfer-day close price."""
-    return usd_amount(value, token.decimals, prices.get(token.address, day))
 
 
 # ---------------------------------------------------------------------------

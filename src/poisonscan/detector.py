@@ -12,8 +12,9 @@ between the intended transfer and the payoff.
 scan() is the whole stream layer, one pass whose candidate state is pruned
 to the window; the first intended transfer per (victim, recipient) pair is
 retained for the whole run because it anchors confirmation and the
-shared-transaction path. Its finalize step builds the payoff rows, upgrades
-unconfirmed ones from a full-history store when given one, and flags typo
+shared-transaction path. Its finalize step builds the payoff rows, walks a
+full history once when given one to upgrade unconfirmed rows, keeping only
+the history events that touch those rows' lookalikes, and flags typo
 payments to addresses that never spent an authentic token in the stream.
 birthday_filter() then runs on the finished report.
 """
@@ -39,7 +40,6 @@ from .core import (
     event_date,
     usd_amount,
 )
-from .ingest import EventStore
 from .similarity import (
     birthday_collision_prob,
     osa_distance,
@@ -339,7 +339,7 @@ def scan(
     registry: TokenRegistry,
     prices: PriceTable,
     *,
-    history: EventStore | Sequence[TransferEvent] | None = None,
+    history: Iterable[TransferEvent] | None = None,
 ) -> DetectionReport:
     """Single-pass detection over one chain's ordered transfer stream.
 
@@ -347,7 +347,11 @@ def scan(
     victim's entire history: any authentic-token tiny transfer (not just
     stablecoins), zero-value transfer, or counterfeit transfer binding
     (victim, lookalike) strictly between the intended transfer and the
-    payoff confirms it. A payoff still unconfirmed is flagged accidental
+    payoff confirms it. ``history`` is any iterable of events in stream
+    order, a one-shot iterator included (but not the one given as
+    ``events``, which the pass has used up); it is walked once, in full,
+    after the pass, and only the events that touch a lookalike of an
+    unconfirmed row are kept. A payoff still unconfirmed is flagged accidental
     when its destination shares more than the configured positional bound
     with the intended address and never sent an authentic positive-value
     transfer in ``events``.
@@ -758,20 +762,33 @@ def scan(
                 usd = priced(ev)
         details[key] = EventDetail.from_event(ev, usd)
 
+    # the history events that touch a lookalike of an unconfirmed anchored
+    # row, per lookalike in stream order; the walk runs to the end even when
+    # nothing is needed, so that a lazily validated history is checked in full
+    involving: dict[str, list[TransferEvent]] = {}
+    if history is not None:
+        need = {r.lookalike for r in payoff_rows if not r.confirmed and r.anchor_key is not None}
+        for h in history:
+            frm = h.from_addr
+            to = h.to_addr
+            if frm in need:
+                involving.setdefault(frm, []).append(h)
+            if to != frm and to in need:
+                involving.setdefault(to, []).append(h)
+
     # unconfirmed payoffs: the full-history upgrade, then the typo rule;
     # one walk in row order keeps unpriced in the order history meets them
-    store = history if history is None or isinstance(history, EventStore) else EventStore(history)
     typo_bound = config.typo_match_bound
     accidental: set[str] = set()
     for i, row in enumerate(payoff_rows):
         if row.confirmed:
             continue
         victim, look = row.victim, row.lookalike
-        if store is not None and row.anchor_key is not None:
+        if row.anchor_key is not None:
             lo = (row.anchor_block, row.anchor_log_index)
             hi = (row.block_number, row.log_index)
             hits: list[TransferEvent] = []
-            for h in store.involving(look):
+            for h in involving.get(look, ()):
                 if not lo < h.order < hi:
                     continue
                 if h.from_addr == look and h.to_addr == victim:

@@ -1,9 +1,11 @@
 """Reading and writing transfer event files.
 
 Events live in JSON Lines files, one transfer per line, ordered by
-``(block_number, log_index)``.  Reading validates that order and that
-each transaction's logs form one uninterrupted run, so every downstream
-consumer can rely on a clean, strictly ordered stream without re-checking.
+``(block_number, log_index)``.  Reading validates each line as it is
+consumed: its fields, that order, and that each transaction's logs form
+one uninterrupted run, so a bad line surfaces with its ``path:line``.
+``scan`` applies the same ordering rules again, because it also takes
+in-memory streams that never passed through a file.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .core import (
 )
 
 __all__ = [
-    "EventStore",
     "iter_events",
     "validate_stream",
     "write_events",
@@ -241,12 +242,11 @@ def load_account_history(path: str | Path) -> dict[str, int]:
                 account = parse_address(fields[0])
             except Exception as exc:
                 raise ParseError(str(exc), path=str(path), line=line_no) from None
-            try:
-                count = int(fields[1])
-            except ValueError:
-                raise ParseError(f"bad count {fields[1]!r}", path=str(path), line=line_no) from None
-            if count < 0:
-                raise ParseError(f"negative count {count}", path=str(path), line=line_no)
+            raw = fields[1]
+            # as in _parse_value: int() would also take "١٢", "1_0", "+5", " 5" and "-4"
+            if not (raw.isascii() and raw.isdigit()):
+                raise ParseError(f"bad count {raw!r}", path=str(path), line=line_no)
+            count = int(raw)
             if account in history:
                 raise ParseError(f"duplicate account {account}", path=str(path), line=line_no)
             history[account] = count
@@ -259,35 +259,3 @@ def write_account_history(path: str | Path, history: dict[str, int]) -> None:
         writer.writerow(["account", "total_txs"])
         for account in sorted(history):
             writer.writerow([account, history[account]])
-
-
-class EventStore:
-    """In-memory event collection with a participant index.
-
-    Full-history confirmation needs fast access to every transfer an
-    address took part in, in stream order; the index maps each address
-    to the events where it appears as sender or receiver.
-    """
-
-    def __init__(self, events: Iterable[TransferEvent]) -> None:
-        self._events = tuple(events)
-        index: dict[str, list[TransferEvent]] = {}
-        for event in self._events:
-            index.setdefault(event.from_addr, []).append(event)
-            if event.to_addr != event.from_addr:
-                index.setdefault(event.to_addr, []).append(event)
-        self._by_participant = {addr: tuple(evs) for addr, evs in index.items()}
-
-    @property
-    def events(self) -> tuple[TransferEvent, ...]:
-        return self._events
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __iter__(self) -> Iterator[TransferEvent]:
-        return iter(self._events)
-
-    def involving(self, address: str) -> tuple[TransferEvent, ...]:
-        """All events where ``address`` is the sender or the receiver."""
-        return self._by_participant.get(address, ())

@@ -414,7 +414,8 @@ class _GroupState:
     attackers: list[str]
     contract: str
     counterfeit: TokenRef
-    copyable: list[tuple[int, _PlannedEvent, str]] = field(default_factory=list)
+    # (block, event, tx target, binding, label) per copyable poisoning
+    copyable: list[tuple[int, _PlannedEvent, str, dict, str]] = field(default_factory=list)
     replayable: list[dict] = field(default_factory=list)
 
 

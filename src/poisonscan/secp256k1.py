@@ -18,7 +18,6 @@ __all__ = [
     "FIELD_PRIME",
     "GX",
     "GY",
-    "is_on_curve",
     "scalar_base_mult",
     "scalar_base_mult_many",
     "scalar_mult",
@@ -31,10 +30,6 @@ GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
 
 _P = FIELD_PRIME
 _INFINITY = (0, 1, 0)  # Jacobian Z = 0
-
-
-def is_on_curve(x: int, y: int) -> bool:
-    return (y * y - x * x * x - 7) % _P == 0
 
 
 def _jac_double(point):

@@ -97,6 +97,10 @@ GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
 Point = tuple[int, int] | None  # None is the point at infinity
 
 
+def is_on_curve(x: int, y: int) -> bool:
+    return (y * y - x * x * x - 7) % P == 0
+
+
 def point_add(p: Point, q: Point) -> Point:
     if p is None:
         return q

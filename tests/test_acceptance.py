@@ -23,7 +23,6 @@ from poisonscan.analytics import (
 from poisonscan.cli import run
 from poisonscan.clustering import attack_ratio, build_transfer_sets, cluster
 from poisonscan.detector import scan, sensitivity_run
-from poisonscan.ingest import EventStore
 from poisonscan.scenario import (
     BotSpec,
     GroupSpec,
@@ -122,7 +121,7 @@ def test_c4_detector_oracle_equivalence():
         events = list(bundle.events())
         assert len(events) <= 10_000
         config = bundle.configs[1]
-        report = scan(events, config, bundle.registry, bundle.prices, history=EventStore(events))
+        report = scan(events, config, bundle.registry, bundle.prices, history=events)
         ref = reference_detect(events, config, bundle.registry, bundle.prices)
         assert report.labels == ref.labels
         contexts = {
@@ -287,7 +286,7 @@ def test_c8_economics_identities():
         bundle = generate(spec)
         events = list(bundle.events())
         report = scan(
-            events, bundle.configs[1], bundle.registry, bundle.prices, history=EventStore(events)
+            events, bundle.configs[1], bundle.registry, bundle.prices, history=events
         )
         sets = build_transfer_sets(report)
         groups = cluster(sets, 0.5, ratios=attack_ratio(sets, bundle.accounts[1]))

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from crypto_oracle import (
     N as ORACLE_N,
     derive_address_oracle,
+    is_on_curve,
     keccak256_oracle,
     scalar_mult_oracle,
 )
@@ -41,7 +42,6 @@ from poisonscan.secp256k1 import (
     GX,
     GY,
     _build_base_table,
-    is_on_curve,
     scalar_base_mult,
     scalar_base_mult_many,
     scalar_mult,

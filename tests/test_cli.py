@@ -421,6 +421,48 @@ def test_report_with_history_bytes_pinned(tmp_path, history):
     )
 
 
+@pytest.mark.parametrize("tail", ["{not json", "ordering"])
+def test_report_history_error_after_every_needed_event_exits_one(tmp_path, capsys, tail):
+    # scan reads a separate history after its pass; a bad last line must
+    # still fail the run, with its path and line
+    sim = tmp_path / "sim"
+    generate(rich_spec(7)).write(sim)
+    lines = (sim / "events.jsonl").read_text(encoding="utf-8").splitlines()
+    if tail == "ordering":
+        tail = lines[0]
+    history = tmp_path / "history.jsonl"
+    history.write_text("\n".join(lines + [tail]) + "\n", encoding="utf-8")
+    code = run(
+        [
+            "report",
+            "--events", str(sim / "events.jsonl"),
+            "--config", str(sim / "config.json"),
+            "--registry", str(sim / "registry.jsonl"),
+            "--prices", str(sim / "prices.csv"),
+            "--history", str(history),
+            "--out", str(tmp_path / "rep"),
+        ]
+    )
+    assert code == 1
+    assert f"{history}:{len(lines) + 1}" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--targets", "t.txt", "--workers", "0", "--budget", "10"],
+        ["bench", "--repeat", "0"],
+        ["bench", "--repeat", "-1"],
+        ["bench", "--n-events", "-5"],
+    ],
+)
+def test_non_positive_counts_are_usage_errors(capsys, argv):
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "usage" in err.lower() and "must be >= 1" in err
+
+
 def test_report_summary_consistent_with_parts(workdir, sim_dir):
     rep = workdir / "rep1"
     summary = read_json(rep / "summary.json")
@@ -543,6 +585,8 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "poisonscan" in proc.stdout
+    # runpy warns when the package has imported the module it runs
+    assert "RuntimeWarning" not in proc.stderr, proc.stderr
 
 
 def test_import_loads_only_the_standard_library():

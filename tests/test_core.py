@@ -21,7 +21,6 @@ from poisonscan.core import (
     AddressError,
     ChainConfig,
     ConfigError,
-    MissingPriceError,
     ParseError,
     PriceTable,
     RegistryEntry,
@@ -34,7 +33,6 @@ from poisonscan.core import (
     event_date,
     hex_digits,
     parse_address,
-    to_usd,
     usd_amount,
 )
 
@@ -119,12 +117,9 @@ def entries():
 
 def test_registry_lookups():
     reg = TokenRegistry(entries())
-    assert reg.is_stablecoin(1, USDT)
-    assert reg.is_authentic(1, WETH)
-    assert not reg.is_stablecoin(1, WETH)
-    assert not reg.is_authentic(1, FAKE)
-    assert not reg.is_authentic(1, "0x" + "00" * 20)
+    assert reg.authentic_tokens(1) == frozenset({USDT, USDC, WETH})
     assert reg.stablecoins(1) == frozenset({USDT, USDC})
+    assert reg.authentic_tokens(56) == frozenset({USDT})
     assert reg.stablecoins(56) == frozenset({USDT})
     assert reg.stablecoins(137) == frozenset()
 
@@ -165,9 +160,33 @@ def test_registry_jsonl_roundtrip(tmp_path):
 
 def test_registry_jsonl_reports_bad_line(tmp_path):
     path = tmp_path / "registry.jsonl"
-    path.write_text('{"chain_id": 1, "address": "0x123"}\n')
-    with pytest.raises((RegistryError, ParseError)):
+    for line in ('{"chain_id": 1, "address": "0x123"}', "[1, 2]"):
+        path.write_text(line + "\n")
+        with pytest.raises((RegistryError, ParseError)):
+            TokenRegistry.from_jsonl(path)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("authentic", "false"),
+        ("stablecoin", 0),
+        ("chain_id", 1.9),
+        ("chain_id", True),
+        ("decimals", "6"),
+        ("decimals", 6.0),
+    ],
+)
+def test_registry_jsonl_requires_json_types(tmp_path, field, value):
+    good = {"chain_id": 1, "address": USDT, "symbol": "USDT", "decimals": 6,
+            "authentic": True, "stablecoin": True}
+    bad = {**good, "address": USDC, field: value}
+    path = tmp_path / "registry.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    with pytest.raises(ParseError) as exc:
         TokenRegistry.from_jsonl(path)
+    assert (exc.value.path, exc.value.line) == (str(path), 2)
+    assert field in str(exc.value)
 
 
 # ---------------------------------------------------------------------------
@@ -186,23 +205,15 @@ def make_prices():
 
 def test_price_lookup():
     day = date(2023, 5, 1)
-    assert make_prices().get(USDT, day) == Decimal("1.001")
-
-
-def test_missing_price_error_carries_asset_and_date():
-    day = date(2023, 5, 2)
-    with pytest.raises(MissingPriceError) as exc:
-        make_prices().get(USDT, day)
-    assert exc.value.asset == USDT
-    assert exc.value.day == day
+    assert make_prices().get_or_none(USDT, day) == Decimal("1.001")
+    assert make_prices().get_or_none(USDT, date(2023, 5, 2)) is None
 
 
 def test_parity_fallback_is_opt_in():
     day = date(2023, 5, 2)
     table = PriceTable({}, parity_assets=frozenset({USDT}))
-    assert table.get(USDT, day) == Decimal("1")
-    with pytest.raises(MissingPriceError):
-        table.get(USDC, day)
+    assert table.get_or_none(USDT, day) == Decimal("1")
+    assert table.get_or_none(USDC, day) is None
 
 
 def test_price_csv_roundtrip(tmp_path):
@@ -210,8 +221,8 @@ def test_price_csv_roundtrip(tmp_path):
     path = tmp_path / "prices.csv"
     table.write_csv(path)
     back = PriceTable.from_csv(path)
-    assert back.get(USDT, date(2023, 5, 1)) == Decimal("1.001")
-    assert back.get("ETH", date(2023, 5, 1)) == Decimal("1900.52")
+    assert back.get_or_none(USDT, date(2023, 5, 1)) == Decimal("1.001")
+    assert back.get_or_none("ETH", date(2023, 5, 1)) == Decimal("1900.52")
 
 
 def test_price_csv_rejects_duplicates(tmp_path):
@@ -226,6 +237,15 @@ def test_price_csv_rejects_nonpositive(tmp_path):
     path.write_text("asset,date,usd_price\nETH,2023-05-01,0\n")
     with pytest.raises(ParseError):
         PriceTable.from_csv(path)
+
+
+@pytest.mark.parametrize("price", ["NaN", "sNaN", "Infinity", "-Infinity"])
+def test_price_csv_rejects_non_finite(tmp_path, price):
+    path = tmp_path / "prices.csv"
+    path.write_text(f"asset,date,usd_price\nETH,2023-05-01,1900\nETH,2023-05-02,{price}\n")
+    with pytest.raises(ParseError) as exc:
+        PriceTable.from_csv(path)
+    assert (exc.value.path, exc.value.line) == (str(path), 3)
 
 
 def test_usd_amount_plain():
@@ -262,13 +282,6 @@ def test_usd_amount_matches_fraction_oracle(value, decimals, price_milli):
     got = usd_amount(value, decimals, price)
     want = usd_oracle(value, decimals, Fraction(price_milli, 1000))
     assert got == want
-
-
-def test_to_usd_uses_token_decimals_and_price():
-    token = TokenRef(1, USDT, "USDT", 6)
-    day = date(2023, 5, 1)
-    got = to_usd(2_000_000, token, day, make_prices())
-    assert got == Decimal("2.002")
 
 
 # ---------------------------------------------------------------------------

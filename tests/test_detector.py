@@ -19,6 +19,7 @@ from poisonscan.core import (
     ConfigError,
     Label,
     OrderingError,
+    ParseError,
     PriceTable,
     RegistryEntry,
     TokenRef,
@@ -33,8 +34,8 @@ from poisonscan.detector import (
     scan,
     sensitivity_run,
 )
-from poisonscan.ingest import EventStore
-from poisonscan.scenario import generate, score_labels
+from poisonscan.ingest import iter_events, write_events
+from poisonscan.scenario import benign_stream, generate, score_labels
 from poisonscan.similarity import positional_matches, score
 
 from reference import reference_detect
@@ -404,7 +405,7 @@ def rich_report(seed: int = 7) -> DetectionReport:
     bundle = generate(rich_spec(seed))
     events = list(bundle.events())
     config = bundle.configs[1]
-    report = scan(events, config, bundle.registry, bundle.prices, history=EventStore(events))
+    report = scan(events, config, bundle.registry, bundle.prices, history=events)
     report = birthday_filter(report, config.with_overrides(birthday_alpha=5e-9))
     unpriced = replace(report.payoffs[0], usd=None)
     return replace(report, payoffs=report.payoffs + (unpriced,))
@@ -465,7 +466,7 @@ def test_full_history_upgrades_non_stablecoin_tiny():
     (row,) = report.payoffs
     assert not row.confirmed
     assert scan(events, config, make_registry(), make_prices(), history=None) == report
-    upgraded = scan(events, config, make_registry(), make_prices(), history=EventStore(events))
+    upgraded = scan(events, config, make_registry(), make_prices(), history=events)
     (row2,) = upgraded.payoffs
     assert row2.confirmed and row2.via_history
     assert row2.evidence == (events[1].key,)
@@ -486,6 +487,114 @@ def test_full_history_respects_ordering_and_threshold():
     upgraded = scan(events, config, make_registry(), make_prices(), history=events)
     (row,) = upgraded.payoffs
     assert not row.confirmed
+
+
+def test_history_iterator_equals_list():
+    bundle = generate(rich_spec(7))
+    events = list(bundle.events())
+    config = bundle.configs[1]
+    from_list = scan(events, config, bundle.registry, bundle.prices, history=events)
+    from_iter = scan(events, config, bundle.registry, bundle.prices, history=iter(events))
+    assert from_iter == from_list
+    assert any(p.via_history for p in from_list.payoffs)
+    for report in (from_list, from_iter):
+        text = compact_json(birthday_filter(report, config))
+        assert hashlib.sha256(text.encode()).hexdigest() == REPORT_JSON_SHA256
+
+
+def history_upgrade_stream(poison):
+    """V1 pays R1 at 100; ``poison(sb, look)`` adds history-only events at
+    250, after the window closed; V1 pays R1 again at 300, opening a window
+    in which V1 pays the lookalike at 305. Only the history can confirm it."""
+    look = lookalike(R1, 3, 4)
+    sb = StreamBuilder()
+    sb.add(100, V1, R1, STABLE, 50_000_000)
+    poison(sb, look)
+    sb.add(300, V1, R1, STABLE, 50_000_000)
+    sb.add(305, V1, look, STABLE, 200_000_000)
+    return sb.events()
+
+
+@pytest.mark.parametrize(
+    "poison",
+    [
+        pytest.param(lambda sb, look: sb.add(250, look, V1, AUTH, 10**18), id="tiny-authentic"),
+        pytest.param(lambda sb, look: sb.add(250, V1, look, FAKE, 5), id="counterfeit"),
+        pytest.param(lambda sb, look: sb.add(250, V1, look, AUTH, 0), id="zero-value"),
+    ],
+)
+def test_history_confirms_each_binding_kind(poison):
+    events = history_upgrade_stream(poison)
+    config = ChainConfig(chain_id=1)
+    (row,) = scan(events, config, make_registry(), make_prices()).payoffs
+    assert not row.confirmed
+    report = scan(events, config, make_registry(), make_prices(), history=iter(events))
+    (row,) = report.payoffs
+    assert row.confirmed and row.via_history
+    assert row.evidence == (events[1].key,)
+    assert row.anchor_key == events[0].key
+    assert events[1].key in report.events
+
+
+def test_history_self_transfer_is_counted_once():
+    # the victim is itself a lookalike of its recipient, so a tiny transfer
+    # to itself is a look->victim binding; kept twice it would be evidence twice
+    look = lookalike(R1, 4, 4)
+    sb = StreamBuilder()
+    sb.add(100, look, R1, STABLE, 50_000_000)
+    sb.add(250, look, look, AUTH, 10**18)
+    sb.add(300, look, R1, STABLE, 50_000_000)
+    sb.add(305, look, look, STABLE, 200_000_000)
+    events = sb.events()
+    report = scan(events, ChainConfig(chain_id=1), make_registry(), make_prices(), history=events)
+    (row,) = report.payoffs
+    assert (row.victim, row.lookalike) == (look, look)
+    assert row.confirmed and row.via_history
+    assert row.evidence == (events[1].key,)
+
+
+def test_history_is_walked_to_the_end():
+    # a lazily validated history must fail on its last line even when no
+    # payoff needs any of its events
+    def history():
+        yield from history_upgrade_stream(lambda sb, look: None)
+        raise ParseError("bad line", path="history.jsonl", line=5)
+
+    for stream in ([], history_upgrade_stream(lambda sb, look: None)):
+        with pytest.raises(ParseError, match="history.jsonl:5"):
+            scan(stream, ChainConfig(chain_id=1), make_registry(), make_prices(), history=history())
+
+
+def test_history_read_lazily_is_not_retained(tmp_path):
+    # the rich scenario, then unrelated traffic in later blocks: scan keeps
+    # the few history events its payoffs need, not the file
+    bundle = generate(rich_spec(7))
+    events = list(bundle.events())
+    config = bundle.configs[1]
+    filler, _, _, _ = benign_stream(6000, n_users=500, seed=1, n_attacks=0)
+    path = tmp_path / "history.jsonl"
+    write_events(path, events + filler)
+    want = scan(events, config, bundle.registry, bundle.prices, history=events)
+
+    def traced_peak(work):
+        tracemalloc.start()
+        try:
+            result = work()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # a bare lazy read is the floor: iter_events keeps every transaction
+    # hash for its contiguity check, whoever consumes it
+    n, read_peak = traced_peak(lambda: sum(1 for _ in iter_events(path)))
+    assert n == len(events) + len(filler)
+    _, list_peak = traced_peak(lambda: list(iter_events(path)))
+    got, scan_peak = traced_peak(
+        lambda: scan(events, config, bundle.registry, bundle.prices, history=iter_events(path))
+    )
+    assert got == want
+    held = list_peak - read_peak
+    assert scan_peak - read_peak < held / 4, (scan_peak, read_peak, list_peak)
 
 
 # ---------------------------------------------------------------------------
@@ -611,7 +720,7 @@ def test_scan_matches_reference_and_truth(seed):
     bundle = generate(rich_spec(seed))
     events = list(bundle.events())
     config = bundle.configs[1]
-    report = scan(events, config, bundle.registry, bundle.prices, history=EventStore(events))
+    report = scan(events, config, bundle.registry, bundle.prices, history=events)
     ref = reference_detect(events, config, bundle.registry, bundle.prices)
     assert report.labels == ref.labels
     got_contexts = {
@@ -631,7 +740,7 @@ def test_scan_matches_reference_with_short_windows(window):
     bundle = generate(rich_spec(7))
     events = list(bundle.events())
     config = bundle.configs[1].with_overrides(window_blocks=window)
-    report = scan(events, config, bundle.registry, bundle.prices, history=EventStore(events))
+    report = scan(events, config, bundle.registry, bundle.prices, history=events)
     ref = reference_detect(events, config, bundle.registry, bundle.prices)
     assert report.labels == ref.labels
     got_contexts = {
@@ -645,7 +754,7 @@ def test_report_json_bytes_pinned(tmp_path):
     bundle = generate(rich_spec(7))
     events = list(bundle.events())
     config = bundle.configs[1]
-    report = scan(events, config, bundle.registry, bundle.prices, history=EventStore(events))
+    report = scan(events, config, bundle.registry, bundle.prices, history=events)
     path = tmp_path / "report.json"
     birthday_filter(report, config).write_json(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == REPORT_JSON_SHA256

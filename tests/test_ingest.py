@@ -8,7 +8,6 @@ import pytest
 
 from poisonscan.core import OrderingError, ParseError, TransactionRecord, TransferEvent
 from poisonscan.ingest import (
-    EventStore,
     iter_events,
     load_account_history,
     write_account_history,
@@ -190,23 +189,9 @@ def test_account_history_roundtrip(tmp_path):
 
 def test_account_history_rejects_bad_counts(tmp_path):
     path = tmp_path / "accounts.csv"
-    path.write_text(f"account,total_txs\n{ALICE},-4\n")
-    with pytest.raises(ParseError):
-        load_account_history(path)
-
-
-# ---------------------------------------------------------------------------
-# event store
-
-
-def test_event_store_indexes_participants():
-    events = [
-        make_event(1, 0, "00", from_addr=ALICE, to_addr=BOB),
-        make_event(2, 0, "01", from_addr=BOB, to_addr=CAROL),
-        make_event(3, 0, "02", from_addr=CAROL, to_addr=ALICE),
-    ]
-    store = EventStore(events)
-    assert [e.block_number for e in store.involving(BOB)] == [1, 2]
-    assert [e.block_number for e in store.involving(ALICE)] == [1, 3]
-    assert store.involving("0x" + "ff" * 20) == ()
-    assert len(store) == 3
+    # int() parses every one of these but "x"
+    for count in ("-4", "x", "\u0661\u0662", "1_0", "+5", " 5"):
+        path.write_text(f"account,total_txs\n{BOB},3\n{ALICE},{count}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            load_account_history(path)
+        assert (exc.value.path, exc.value.line) == (str(path), 3), count
