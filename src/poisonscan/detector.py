@@ -12,11 +12,37 @@ between the intended transfer and the payoff.
 scan() is the whole stream layer, one pass whose candidate state is pruned
 to the window; the first intended transfer per (victim, recipient) pair is
 retained for the whole run because it anchors confirmation and the
-shared-transaction path. Its finalize step builds the payoff rows, walks a
-full history once when given one to upgrade unconfirmed rows, keeping only
-the history events that touch those rows' lookalikes, and flags typo
-payments to addresses that never spent an authentic token in the stream.
+shared-transaction path. The pass only logs each trigger that brings a pair
+into the window, and folds the log into per-victim anchors when the
+shared-transaction path needs them and at finalize, then only for the
+victims the report names: a dict entry per pair, made per event, would
+be the costliest step of a mostly benign pass. Its finalize step builds the
+payoff rows, walks a full history once when given one to upgrade
+unconfirmed rows, keeping only the history events that touch those rows'
+lookalikes, and flags typo payments to addresses that never spent an
+authentic token in the stream.
 birthday_filter() then runs on the finished report.
+
+Each event probes its victim's active refs (its recent recipients) for a
+lookalike. A victim with fewer than IX_MIN active refs is walked: every ref
+that shares the lookalike's first or last digit is scored. From the block
+start after a walk finds a victim with IX_MIN or more, its refs live in a
+keyed form instead, indexed by their first max(a_min, 1) digits and by
+their last max(b_min, 1) digits, and an event scores only the union of the
+two buckets it keys to.
+That is exact. A hit has a >= a_min and b >= b_min, and a >= 1 or b >= 1
+to be probed at all, so it shares one key. A near miss has a + b >= a_min +
+b_min with a < a_min or b < b_min; with a < a_min it has b > b_min, so it
+shares the tail key, and the other way round. So the union holds every hit
+and every near miss, and the other refs the walk would score do nothing.
+The index holds the refs present at a block's start: those are the refs
+that the walk's same-block rule finds eligible, so a ref gained within a
+block joins at the next start. The counter ``probes`` still counts what
+the walk would score, the eligible refs sharing the first or last digit,
+from one-digit tallies that the keyed form keeps beside its buckets. So
+the report, its counters included, is the same byte for byte, and a traced
+``probes`` per event does not fall with the index: it counts one-digit
+matches, not work done.
 """
 
 from __future__ import annotations
@@ -333,6 +359,117 @@ def _resolve_token_sets(
     return stable, authentic
 
 
+# a victim with this many active refs is probed through a keyed index
+IX_MIN = 32
+
+# a ref's (first digit, last digit) pair as an index into a 256-slot tally
+_HEX = "0123456789abcdef"
+_DIGIT_PAIR = {a + b: 16 * i + j for i, a in enumerate(_HEX) for j, b in enumerate(_HEX)}
+
+
+def _put(buckets: dict, key: str, ref: str) -> None:
+    # a bucket is a bare ref until keys collide, then a list
+    cur = buckets.get(key)
+    if cur is None:
+        buckets[key] = ref
+    elif cur.__class__ is str:
+        buckets[key] = [cur, ref]
+    else:
+        cur.append(ref)
+
+
+def _drop(buckets: dict, key: str, ref: str) -> None:
+    cur = buckets[key]
+    if cur.__class__ is str:
+        del buckets[key]
+    else:
+        cur.remove(ref)
+        if len(cur) == 1:
+            buckets[key] = cur[0]
+
+
+class _KeyedRefs(dict):
+    """A victim's active refs, ``ref -> (lb1, lb2)`` as in the plain form,
+    with its eligible refs indexed by head key and by tail key.
+
+    The window code writes it as it writes a plain dict. A ref new to the
+    victim waits in ``pending`` until ``flush`` at the next block start;
+    a deleted ref (only the pruning at block start deletes) leaves the
+    index at once. So the index always holds exactly the refs present at
+    the block's start, which are the refs the walk finds eligible.
+    """
+
+    __slots__ = (
+        "head_end", "tail_start", "head", "tail", "first", "last", "both", "pending", "dirty"
+    )
+
+    def __init__(self, refs: dict, a_min: int, b_min: int, dirty: list) -> None:
+        super().__init__(refs)
+        self.head_end = 2 + max(a_min, 1)
+        self.tail_start = 42 - max(b_min, 1)
+        self.head: dict[str, str | list[str]] = {}
+        self.tail: dict[str, str | list[str]] = {}
+        # one-digit tallies over the indexed refs, for the walk's probe count
+        self.first: dict[str, int] = {}
+        self.last: dict[str, int] = {}
+        self.both = [0] * 256
+        self.pending: list[str] = []
+        self.dirty = dirty
+        for ref in self:
+            self._index(ref, 1)
+
+    def _index(self, ref: str, step: int) -> None:
+        if step > 0:
+            _put(self.head, ref[2 : self.head_end], ref)
+            _put(self.tail, ref[self.tail_start :], ref)
+        else:
+            _drop(self.head, ref[2 : self.head_end], ref)
+            _drop(self.tail, ref[self.tail_start :], ref)
+        first, last = ref[2], ref[41]
+        self.first[first] = self.first.get(first, 0) + step
+        self.last[last] = self.last.get(last, 0) + step
+        self.both[_DIGIT_PAIR[first + last]] += step
+
+    def __setitem__(self, ref: str, lbs: tuple[int, int]) -> None:
+        if ref not in self:
+            if not self.pending:
+                self.dirty.append(self)
+            self.pending.append(ref)
+        dict.__setitem__(self, ref, lbs)
+
+    def __delitem__(self, ref: str) -> None:
+        dict.__delitem__(self, ref)
+        self._index(ref, -1)
+
+    def flush(self) -> None:
+        for ref in self.pending:
+            self._index(ref, 1)
+        self.pending.clear()
+
+    def probe(self, look: str) -> tuple[list[str], int]:
+        """The indexed refs other than ``look`` that share its head or tail
+        key, and how many share its first or last digit (the walk's probes)."""
+        head_end = self.head_end
+        key = look[2:head_end]
+        first, last = look[2], look[41]
+        n = self.first.get(first, 0) + self.last.get(last, 0) - self.both[_DIGIT_PAIR[first + last]]
+        out = []
+        refs = self.head.get(key)
+        if refs is not None:
+            for ref in (refs,) if refs.__class__ is str else refs:
+                if ref != look:
+                    out.append(ref)
+                else:
+                    n -= 1
+        refs = self.tail.get(look[self.tail_start :])
+        if refs is not None:
+            # look itself, and any ref in both buckets, has the head key
+            for ref in (refs,) if refs.__class__ is str else refs:
+                if ref[2:head_end] != key:
+                    out.append(ref)
+        return out, n
+
+
 def scan(
     events: Iterable[TransferEvent],
     config: ChainConfig,
@@ -369,8 +506,11 @@ def scan(
         ref = registry.token(chain, addr)
         decimals[addr] = ref.decimals if ref is not None else None
 
-    # windowed trigger state; anchors keep the first trigger per pair forever
+    # windowed trigger state; anchors keep the first trigger per pair forever,
+    # folded in from anchor_log, which holds each trigger that brought its
+    # pair into the window since the last fold
     anchors: dict[str, dict[str, TransferEvent]] = {}
+    anchor_log: list[TransferEvent] = []
     active: dict[str, dict[str, tuple[int, int]]] = {}
     # (block, [active dict, recipient, ...]) for each block's trigger updates
     recent: deque[tuple[int, list]] = deque()
@@ -384,7 +524,7 @@ def scan(
     pair_seen: set[tuple[str, str, str]] = set()
     cands: dict[str, dict] = {}
     # senders of authentic positive-value transfers; stablecoin senders are
-    # the keys of anchors, so only the other tokens need this set
+    # the keys of active and keyed, so only the other tokens need this set
     spenders: set[str] = set()
     unpriced: list[str] = []
     unpriced_seen: set[str] = set()
@@ -419,12 +559,11 @@ def scan(
         ckey = (victim, ref, look)
         ctx = ctx_map.get(ckey)
         if ctx is None:
-            anchor = anchors[victim][ref]
-            detail_ev.setdefault(anchor.key, anchor)
+            # the anchor is looked up at finalize
             ctx = ctx_map[ckey] = {
                 "a": a,
                 "b": b,
-                "anchor": anchor,
+                "anchor": None,
                 "evidence": {},
                 "sibling": sibling,
             }
@@ -494,7 +633,22 @@ def scan(
         add_candidate(ev, victim, look, ref, route1=True)
         return False
 
+    def fold_anchors(victims: set[str] | None = None) -> None:
+        # a logged trigger anchors its pair unless an earlier one did; with
+        # victims, the other senders' triggers are dropped
+        for ev in anchor_log:
+            frm = ev.from_addr
+            if victims is None or frm in victims:
+                full = anchors.get(frm)
+                if full is None:
+                    anchors[frm] = {ev.to_addr: ev}
+                else:
+                    full.setdefault(ev.to_addr, ev)
+        anchor_log.clear()
+
     def expand_tx(tx_events: list[TransferEvent]) -> None:
+        if anchor_log:
+            fold_anchors()
         for ev in tx_events:
             blk = ev.block_number
             frm = ev.from_addr
@@ -527,6 +681,24 @@ def scan(
                     if pair and any(o < ev.order for o, _ in pair):
                         add_candidate(ev, frm, to, None, route1=False)
 
+    def promote_victims() -> None:
+        # each promoted victim moves from active to keyed, and its expiry
+        # entries to its keyed form; the emptied plain dict makes its old
+        # entries no-ops
+        entries_of = {b: entries for b, entries in recent}
+        for victim in promote:
+            plain = active.pop(victim, None)
+            if plain is None:
+                continue
+            refs = keyed[victim] = _KeyedRefs(plain, a_min, b_min, dirty)
+            plain.clear()
+            for ref, lbs in refs.items():
+                for b in lbs:
+                    entries = entries_of.get(b)
+                    if entries is not None:
+                        entries += (refs, ref)
+        promote.clear()
+
     # the open transaction is tx_head plus tx_more; it is re-walked by
     # expand_tx only when it has a direct poisoning and more than one log
     tx_head: TransferEvent | None = None
@@ -540,10 +712,22 @@ def scan(
     bound0 = 0
     bucket: list = []
     first_lbs = (-1, -1)
+    # a victim's refs live in active, or in keyed once a walk over it met
+    # ix_min or more; the check runs only on refs that pass the walk's
+    # one-digit test, and a victim not in active is looked up in keyed only
+    # when keyed is not empty, so small victims pay for neither
+    keyed: dict[str, _KeyedRefs] = {}
+    ix_min = IX_MIN
+    # victims to key at the next block start, and keyed victims with refs
+    # pending there
+    promote: list[str] = []
+    dirty: list[_KeyedRefs] = []
     active_get = active.get
+    keyed_get = keyed.get
     recent_append = recent.append
     recent_pop = recent.popleft
     spenders_add = spenders.add
+    anchor_log_append = anchor_log.append
 
     for ev in events:
         blk = ev.block_number
@@ -587,6 +771,10 @@ def scan(
             tx_head = ev
             cur_tx = txh
             bound = blk - m - 1
+            if dirty:
+                for av in dirty:
+                    av.flush()
+                dirty.clear()
             while recent and recent[0][0] < bound:
                 nb, expired = recent_pop()
                 for av, r in zip(expired[::2], expired[1::2]):
@@ -601,6 +789,8 @@ def scan(
             bucket = []
             recent_append((blk, bucket))
             first_lbs = (blk, -1)  # shared by the block's new pairs
+            if promote:
+                promote_victims()
         last_li = li
         n_events += 1
 
@@ -614,12 +804,22 @@ def scan(
             l2, l41 = to[2], to[41]
             for ref, lbs in av_frm.items():
                 if (ref[2] == l2 or ref[41] == l41) and ref != to:
+                    if len(av_frm) >= ix_min:
+                        promote.append(frm)
                     # pruning keeps lb1 inside the window, so only the
                     # same-block case needs the second trigger block
                     lb1 = lbs[0]
                     if lb1 < blk or (lb1 == blk and lbs[1] >= bound0):
                         if consider(ev, frm, to, ref, incoming=False, sibling=False):
                             tx_direct = True
+        elif keyed:
+            av_frm = keyed_get(frm, av_frm)
+            if av_frm:
+                refs, n = av_frm.probe(to)
+                n_probes += n - len(refs)
+                for ref in refs:
+                    if consider(ev, frm, to, ref, incoming=False, sibling=False):
+                        tx_direct = True
 
         if val > 0 and tok in auth_set:
             if frm in watch and to in watch[frm]:
@@ -634,15 +834,22 @@ def scan(
                             if lb1 < blk or (lb1 == blk and lbs[1] >= bound0):
                                 if consider(ev, to, frm, ref, incoming=True, sibling=False):
                                     tx_direct = True
+                elif keyed:
+                    av = keyed_get(to)
+                    if av:
+                        refs, n = av.probe(frm)
+                        n_probes += n - len(refs)
+                        for ref in refs:
+                            if consider(ev, to, frm, ref, incoming=True, sibling=False):
+                                tx_direct = True
                 n_triggers += 1
-                # anchors and active gain their per-sender dicts together
                 if av_frm is None:
-                    anchors[frm] = {to: ev}
+                    anchor_log_append(ev)
                     active[frm] = av_frm = {to: first_lbs}
                     bucket.append(av_frm)
                     bucket.append(to)
                 elif to not in av_frm:
-                    anchors[frm].setdefault(to, ev)
+                    anchor_log_append(ev)
                     av_frm[to] = first_lbs
                     bucket.append(av_frm)
                     bucket.append(to)
@@ -663,12 +870,15 @@ def scan(
 
     labels: dict[str, str] = dict(poison_of)
 
+    fold_anchors({victim for victim, _, _ in ctx_map} | {c["victim"] for c in cands.values()})
+
     pair_refs: dict[tuple[str, str], set[str]] = {}
     for (victim, ref, look) in ctx_map:
         pair_refs.setdefault((victim, look), set()).add(ref)
 
-    for ctx in ctx_map.values():
-        anchor = ctx["anchor"]
+    for (victim, ref, _), ctx in ctx_map.items():
+        anchor = ctx["anchor"] = anchors[victim][ref]
+        detail_ev.setdefault(anchor.key, anchor)
         labels.setdefault(anchor.key, Label.INTENDED)
 
     payoff_rows: list[PayoffRecord] = []
@@ -769,6 +979,10 @@ def scan(
     if history is not None:
         need = {r.lookalike for r in payoff_rows if not r.confirmed and r.anchor_key is not None}
         for h in history:
+            if h.chain_id != chain:
+                raise ConfigError(
+                    f"history event chain_id {h.chain_id} does not match configured chain {chain}"
+                )
             frm = h.from_addr
             to = h.to_addr
             if frm in need:
@@ -815,7 +1029,8 @@ def scan(
                 continue
         if (
             row.intended is not None
-            and look not in anchors
+            and look not in active
+            and look not in keyed
             and look not in spenders
             and positional_matches(look, row.intended) > typo_bound
         ):

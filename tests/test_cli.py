@@ -421,6 +421,32 @@ def test_report_with_history_bytes_pinned(tmp_path, history):
     )
 
 
+def test_report_history_from_another_chain_exits_one(tmp_path, capsys):
+    sim = tmp_path / "sim"
+    generate(rich_spec(7)).write(sim)
+    lines = (sim / "events.jsonl").read_text(encoding="utf-8").splitlines()
+    history = tmp_path / "history.jsonl"
+    with history.open("w", encoding="utf-8") as fh:
+        for line in lines:
+            raw = json.loads(line)
+            raw["chain_id"] = 56
+            fh.write(json.dumps(raw) + "\n")
+    code = run(
+        [
+            "report",
+            "--events", str(sim / "events.jsonl"),
+            "--config", str(sim / "config.json"),
+            "--registry", str(sim / "registry.jsonl"),
+            "--prices", str(sim / "prices.csv"),
+            "--history", str(history),
+            "--out", str(tmp_path / "rep"),
+        ]
+    )
+    assert code == 1
+    assert "history event chain_id 56" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
 @pytest.mark.parametrize("tail", ["{not json", "ordering"])
 def test_report_history_error_after_every_needed_event_exits_one(tmp_path, capsys, tail):
     # scan reads a separate history after its pass; a bad last line must

@@ -502,6 +502,14 @@ def test_history_iterator_equals_list():
         assert hashlib.sha256(text.encode()).hexdigest() == REPORT_JSON_SHA256
 
 
+def test_history_from_another_chain_rejected():
+    bundle = generate(rich_spec(7))
+    events = list(bundle.events())
+    other = [replace(ev, chain_id=56) for ev in events]
+    with pytest.raises(ConfigError, match="history event chain_id 56 does not match configured chain 1"):
+        scan(events, bundle.configs[1], bundle.registry, bundle.prices, history=other)
+
+
 def history_upgrade_stream(poison):
     """V1 pays R1 at 100; ``poison(sb, look)`` adds history-only events at
     250, after the window closed; V1 pays R1 again at 300, opening a window
