@@ -3,8 +3,8 @@
 Subcommands cover the whole workflow: simulate a labeled scenario, scan a
 transfer stream for poisoning, cluster the findings into attack groups,
 compute group economics, score predictions against planted truth, search
-for lookalike addresses, benchmark scan throughput, and run the full
-report pipeline in one shot.
+for lookalike addresses, benchmark scan and parse throughput, and run
+the full report pipeline in one shot.
 
 Every output bundle carries a manifest.json recording the tool version,
 the subcommand, its options, and content hashes of the input files, so a
@@ -23,6 +23,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+import tempfile
 import time
 from decimal import Decimal, InvalidOperation
 from itertools import islice
@@ -55,7 +56,7 @@ from .core import (
     parse_address,
 )
 from .detector import DetectionReport, birthday_filter, scan
-from .ingest import iter_events, load_account_history
+from .ingest import iter_events, load_account_history, write_events
 from .scenario import GroundTruth, ScenarioSpec, benign_stream, generate, score_labels
 
 __all__ = ["main", "run", "SCHEMA_VERSION"]
@@ -544,20 +545,31 @@ def _cmd_gen(args) -> int:
 def _cmd_bench(args) -> int:
     events, registry, prices, config = benign_stream(args.n_events, seed=args.seed)
     runs = []
-    for _ in range(args.repeat):
-        started = time.perf_counter()
-        scan(events, config, registry, prices)
-        elapsed = time.perf_counter() - started
-        runs.append(args.n_events / elapsed)
+    parse_runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "events.jsonl"
+        write_events(path, events)
+        for _ in range(args.repeat):
+            started = time.perf_counter()
+            scan(events, config, registry, prices)
+            elapsed = time.perf_counter() - started
+            runs.append(args.n_events / elapsed)
+            started = time.perf_counter()
+            parsed = sum(1 for _ in iter_events(path))
+            parse_runs.append(parsed / (time.perf_counter() - started))
     payload = {
         "n_events": args.n_events,
         "repeat": args.repeat,
         "seed": args.seed,
         "runs": runs,
         "events_per_second": max(runs),
+        "parse_events_per_second": max(parse_runs),
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
-    _info(f"bench: best {max(runs):,.0f} events/s over {args.repeat} run(s)")
+    _info(
+        f"bench: best {max(runs):,.0f} events/s scanned, {max(parse_runs):,.0f} events/s "
+        f"parsed over {args.repeat} run(s)"
+    )
     return 0
 
 
@@ -694,7 +706,7 @@ def _build_parser() -> _Parser:
     sub.add_argument("--out", help="stats JSON file (default: stdout)")
     sub.set_defaults(func=_cmd_gen)
 
-    sub = commands.add_parser("bench", help="measure scan throughput on a synthetic stream")
+    sub = commands.add_parser("bench", help="measure scan and parse throughput on a synthetic stream")
     sub.add_argument("--n-events", type=_positive_int, default=200_000, help="stream length")
     sub.add_argument("--repeat", type=_positive_int, default=3, help="timing runs")
     sub.add_argument("--seed", type=int, default=0, help="stream seed")

@@ -6,6 +6,24 @@ consumed: its fields, that order, and that each transaction's logs form
 one uninterrupted run, so a bad line surfaces with its ``path:line``.
 ``scan`` applies the same ordering rules again, because it also takes
 in-memory streams that never passed through a file.
+
+``iter_events`` checks every line on one path, built for speed because
+it runs once per event:
+
+- each line goes straight to the C JSON scanner, and is accepted only
+  when the scanner consumes all of it; otherwise ``json.loads`` runs on
+  it to raise the exact ``invalid JSON`` message;
+- each field is tested inline by exact type and range, in a fixed order
+  (``tx_hash``, ``chain_id``, ``block_number``, ``timestamp``,
+  ``log_index``, ``token``, ``from``, ``to``, ``value``, ``tx``); only a
+  failing field calls a helper, which builds its message;
+- addresses go through a per-file intern cache from raw text to
+  canonical form.  Only text that ``parse_address`` accepted enters it,
+  and it is cleared once it holds ``_INTERN_MAX`` entries, so it stays
+  bounded on any stream while every event of one account shares one
+  string;
+- the event is filled in through its slot descriptors, which skips the
+  frozen dataclass ``__init__`` but makes the same object.
 """
 
 from __future__ import annotations
@@ -13,10 +31,12 @@ from __future__ import annotations
 import csv
 import json
 from collections.abc import Iterable, Iterator
+from json.scanner import make_scanner
 from pathlib import Path
 
 from .core import (
     MAX_VALUE,
+    AddressError,
     OrderingError,
     ParseError,
     TransactionRecord,
@@ -32,82 +52,81 @@ __all__ = [
     "write_account_history",
 ]
 
+# entries the address intern cache may hold before it is cleared
+_INTERN_MAX = 1 << 16
 
-def _parse_int(obj: dict, field: str, path: str, line: int, *, minimum: int = 0, maximum: int | None = None) -> int:
-    try:
-        value = obj[field]
-    except KeyError:
-        raise ParseError(f"missing field {field!r}", path=path, line=line) from None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"field {field!r} must be an integer, got {value!r}", path=path, line=line)
-    if value < minimum or (maximum is not None and value > maximum):
-        raise ParseError(f"field {field!r} out of range: {value}", path=path, line=line)
-    return value
+# TransferEvent's slot setters, by name; iter_events fills bare instances
+# through them, skipping the frozen __init__'s object.__setattr__ per field
+_SETTERS = tuple(
+    getattr(TransferEvent, name).__set__
+    for name in (
+        "chain_id", "block_number", "timestamp", "tx_hash", "log_index",
+        "token", "from_addr", "to_addr", "value", "tx",
+    )
+)
 
 
-def _parse_addr(obj: dict, field: str, path: str, line: int) -> str:
+def _loads(raw: str, path: str, line: int):
     try:
-        raw = obj[field]
-    except KeyError:
-        raise ParseError(f"missing field {field!r}", path=path, line=line) from None
+        return json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=line) from None
+
+
+def _int_error(obj: dict, field: str, path: str, line: int) -> ParseError:
+    if field not in obj:
+        return ParseError(f"missing field {field!r}", path=path, line=line)
+    value = obj[field]
+    if type(value) is not int:
+        return ParseError(f"field {field!r} must be an integer, got {value!r}", path=path, line=line)
+    return ParseError(f"field {field!r} out of range: {value}", path=path, line=line)
+
+
+def _value_error(raw, path: str, line: int) -> ParseError:
+    if raw is None:
+        return ParseError("missing field 'value'", path=path, line=line)
+    if type(raw) is str and raw.isascii() and raw.isdigit():
+        raw = int(raw)
+    if type(raw) is not int:
+        return ParseError(f"field 'value' must be a decimal string, got {raw!r}", path=path, line=line)
+    return ParseError(f"field 'value' out of range: {raw}", path=path, line=line)
+
+
+def _intern(obj: dict, field: str, intern: dict[str, str], path: str, line: int) -> str:
+    """The address ``obj[field]`` in canonical form, through the intern cache."""
+    raw = obj.get(field)
+    # the type test keeps a list or dict (unhashable) out of the lookup, so
+    # that it reaches parse_address's "must be a string"
+    address = intern.get(raw) if type(raw) is str else None
+    if address is not None:
+        return address
+    if field not in obj:
+        raise ParseError(f"missing field {field!r}", path=path, line=line)
     try:
-        return parse_address(raw)
-    except Exception as exc:
+        address = parse_address(raw)
+    except AddressError as exc:
         raise ParseError(f"field {field!r}: {exc}", path=path, line=line) from None
+    if address == raw:
+        address = raw  # one string serves as key and value
+    if len(intern) >= _INTERN_MAX:
+        intern.clear()
+    intern[raw] = address
+    return address
 
 
-def _parse_value(obj: dict, path: str, line: int) -> int:
-    raw = obj.get("value")
-    if raw is None:
-        raise ParseError("missing field 'value'", path=path, line=line)
-    if isinstance(raw, int) and not isinstance(raw, bool):
-        value = raw
-    elif isinstance(raw, str):
-        # isdigit alone admits non-ASCII digits such as "²" or "١"
-        if not (raw.isascii() and raw.isdigit()):
-            raise ParseError(f"field 'value' must be a decimal string, got {raw!r}", path=path, line=line)
-        value = int(raw)
-    else:
-        raise ParseError(f"field 'value' must be a decimal string, got {raw!r}", path=path, line=line)
-    if not 0 <= value <= MAX_VALUE:
-        raise ParseError(f"field 'value' out of range: {value}", path=path, line=line)
-    return value
-
-
-def _parse_tx(obj: dict, path: str, line: int) -> TransactionRecord | None:
-    raw = obj.get("tx")
-    if raw is None:
-        return None
-    if not isinstance(raw, dict):
+def _parse_tx(raw, intern: dict[str, str], path: str, line: int) -> TransactionRecord:
+    if type(raw) is not dict:
         raise ParseError(f"field 'tx' must be an object, got {raw!r}", path=path, line=line)
     if "initiator" not in raw:
         raise ParseError("field 'tx' requires 'initiator'", path=path, line=line)
-    initiator = _parse_addr(raw, "initiator", path, line)
-    target = _parse_addr(raw, "target", path, line) if raw.get("target") is not None else None
+    initiator = _intern(raw, "initiator", intern, path, line)
+    target = _intern(raw, "target", intern, path, line) if raw.get("target") is not None else None
     gas_used = raw.get("gas_used")
     gas_price = raw.get("gas_price")
     for name, val in (("gas_used", gas_used), ("gas_price", gas_price)):
-        if val is not None and (isinstance(val, bool) or not isinstance(val, int) or val < 0):
+        if val is not None and (type(val) is not int or val < 0):
             raise ParseError(f"field 'tx.{name}' must be a non-negative integer", path=path, line=line)
     return TransactionRecord(initiator=initiator, target=target, gas_used=gas_used, gas_price=gas_price)
-
-
-def _parse_event(obj: dict, path: str, line: int) -> TransferEvent:
-    tx_hash = obj.get("tx_hash")
-    if not isinstance(tx_hash, str) or not tx_hash.startswith("0x"):
-        raise ParseError(f"field 'tx_hash' must be a 0x-prefixed string, got {tx_hash!r}", path=path, line=line)
-    return TransferEvent(
-        chain_id=_parse_int(obj, "chain_id", path, line, minimum=1),
-        block_number=_parse_int(obj, "block_number", path, line),
-        timestamp=_parse_int(obj, "timestamp", path, line),
-        tx_hash=tx_hash.lower(),
-        log_index=_parse_int(obj, "log_index", path, line),
-        token=_parse_addr(obj, "token", path, line),
-        from_addr=_parse_addr(obj, "from", path, line),
-        to_addr=_parse_addr(obj, "to", path, line),
-        value=_parse_value(obj, path, line),
-        tx=_parse_tx(obj, path, line),
-    )
 
 
 class _OrderChecker:
@@ -159,20 +178,78 @@ class _OrderChecker:
 def iter_events(path: str | Path) -> Iterator[TransferEvent]:
     """Yield validated events from a JSON Lines file in stream order."""
     path = Path(path)
-    checker = _OrderChecker(str(path))
+    name = str(path)
+    check = _OrderChecker(name).check
+    scan_once = make_scanner(json.JSONDecoder())
+    intern: dict[str, str] = {}
+    new = object.__new__
+    set_chain, set_block, set_time, set_hash, set_log, set_token, set_from, set_to, set_value, set_tx = _SETTERS
     with path.open("r", encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
             raw = raw.strip()
             if not raw:
                 continue
+            # StopIteration: no value at offset 0; JSONDecodeError is a ValueError
             try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", path=str(path), line=line_no) from None
-            if not isinstance(obj, dict):
-                raise ParseError("each line must be a JSON object", path=str(path), line=line_no)
-            event = _parse_event(obj, str(path), line_no)
-            checker.check(event, line_no)
+                obj, end = scan_once(raw, 0)
+            except (StopIteration, ValueError):
+                end = -1
+            if end != len(raw):
+                obj = _loads(raw, name, line_no)
+            if type(obj) is not dict:
+                raise ParseError("each line must be a JSON object", path=name, line=line_no)
+            get = obj.get
+            tx_hash = get("tx_hash")
+            if type(tx_hash) is not str or not tx_hash.startswith("0x"):
+                raise ParseError(
+                    f"field 'tx_hash' must be a 0x-prefixed string, got {tx_hash!r}", path=name, line=line_no
+                )
+            chain_id = get("chain_id")
+            if type(chain_id) is not int or chain_id < 1:
+                raise _int_error(obj, "chain_id", name, line_no)
+            block = get("block_number")
+            if type(block) is not int or block < 0:
+                raise _int_error(obj, "block_number", name, line_no)
+            timestamp = get("timestamp")
+            if type(timestamp) is not int or timestamp < 0:
+                raise _int_error(obj, "timestamp", name, line_no)
+            log_index = get("log_index")
+            if type(log_index) is not int or log_index < 0:
+                raise _int_error(obj, "log_index", name, line_no)
+            # _intern's cache lookup, inlined; a miss repeats it there
+            token = get("token")
+            token = intern.get(token) if type(token) is str else None
+            if token is None:
+                token = _intern(obj, "token", intern, name, line_no)
+            frm = get("from")
+            frm = intern.get(frm) if type(frm) is str else None
+            if frm is None:
+                frm = _intern(obj, "from", intern, name, line_no)
+            to = get("to")
+            to = intern.get(to) if type(to) is str else None
+            if to is None:
+                to = _intern(obj, "to", intern, name, line_no)
+            value = get("value")
+            # isdigit alone admits non-ASCII digits such as "²" or "١"
+            if type(value) is str and value.isascii() and value.isdigit():
+                value = int(value)
+            if type(value) is not int or not 0 <= value <= MAX_VALUE:
+                raise _value_error(get("value"), name, line_no)
+            tx = get("tx")
+            if tx is not None:
+                tx = _parse_tx(tx, intern, name, line_no)
+            event = new(TransferEvent)
+            set_chain(event, chain_id)
+            set_block(event, block)
+            set_time(event, timestamp)
+            set_hash(event, tx_hash.lower())
+            set_log(event, log_index)
+            set_token(event, token)
+            set_from(event, frm)
+            set_to(event, to)
+            set_value(event, value)
+            set_tx(event, tx)
+            check(event, line_no)
             yield event
 
 
@@ -243,7 +320,7 @@ def load_account_history(path: str | Path) -> dict[str, int]:
             except Exception as exc:
                 raise ParseError(str(exc), path=str(path), line=line_no) from None
             raw = fields[1]
-            # as in _parse_value: int() would also take "١٢", "1_0", "+5", " 5" and "-4"
+            # as for an event's value: int() would also take "١٢", "1_0", "+5", " 5" and "-4"
             if not (raw.isascii() and raw.isdigit()):
                 raise ParseError(f"bad count {raw!r}", path=str(path), line=line_no)
             count = int(raw)

@@ -564,6 +564,7 @@ def test_bench_reports_rate(capsys):
     stats = json.loads(captured.out)
     assert stats["n_events"] == 20000
     assert stats["events_per_second"] > 0
+    assert stats["parse_events_per_second"] > 0
     assert len(stats["runs"]) == 1
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -64,6 +65,31 @@ def test_roundtrip_with_tx_metadata(tmp_path):
     path = tmp_path / "events.jsonl"
     write_events(path, events)
     assert list(iter_events(path)) == events
+
+
+def test_parsed_events_are_plain_transfer_events(tmp_path):
+    events = [
+        make_event(1, 0),
+        make_event(1, 1, tx_suffix="01", tx=TransactionRecord(CAROL, None, 21_000, None)),
+        make_event(2, 0, tx_suffix="02", value=2**256 - 1, from_addr=BOB, to_addr=ALICE),
+    ]
+    path = tmp_path / "events.jsonl"
+    write_events(path, events)
+    parsed = list(iter_events(path))
+    for got, want in zip(parsed, events, strict=True):
+        assert type(got) is TransferEvent
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            got.value = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del got.tx
+        assert dataclasses.replace(got, value=7) == dataclasses.replace(want, value=7)
+        assert dataclasses.astuple(got) == dataclasses.astuple(want)
+    assert set(parsed) == set(events)
+    again = tmp_path / "again.jsonl"
+    write_events(again, parsed)
+    assert again.read_bytes() == path.read_bytes()
+    assert list(iter_events(again)) == events
 
 
 def test_value_serialized_as_decimal_string(tmp_path):
