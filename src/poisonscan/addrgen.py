@@ -4,11 +4,8 @@ Private keys come from a counter-mode PRF over a caller seed, so every run
 is reproducible; a flag switches to OS cryptographic randomness for real
 key material. Candidates match a target when they share its first a_min and
 last b_min hex digits, the same predicate the detector applies to observed
-attacks. Two derivation strategies exist: "naive" does a generic
-double-and-add and a one-message Keccak per key; "optimized" derives a batch
-of keys in one call, through the batched fixed-base multiply and the
-many-message Keccak, and then tests them in order. Both produce identical
-addresses.
+attacks. Each batch of keys is derived in one call, through the batched
+fixed-base multiply and the many-message Keccak, and then tested in order.
 """
 
 from __future__ import annotations
@@ -22,8 +19,8 @@ from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import AddressError, parse_address
-from .keccak import keccak256, keccak256_many
-from .secp256k1 import CURVE_ORDER, GX, GY, scalar_base_mult_many, scalar_mult
+from .keccak import keccak256_many
+from .secp256k1 import CURVE_ORDER, scalar_base_mult_many
 from .similarity import score
 
 __all__ = [
@@ -38,7 +35,6 @@ __all__ = [
 _PRF_TAG = b"poisonscan.keygen.v1"
 _BATCH = 512
 _FIRST_BATCH = 8
-_MODES = ("naive", "optimized")
 
 
 def derive_addresses(private_keys: Sequence[int]) -> list[str]:
@@ -52,18 +48,6 @@ def derive_addresses(private_keys: Sequence[int]) -> list[str]:
 def derive_address(private_key: int) -> str:
     """EVM address of one private key; the one-key case of derive_addresses."""
     return derive_addresses([private_key])[0]
-
-
-def _derive_naive(private_key: int) -> str:
-    x, y = scalar_mult(private_key, (GX, GY))
-    public = x.to_bytes(32, "big") + y.to_bytes(32, "big")
-    return "0x" + keccak256(public)[12:].hex()
-
-
-def _derive(keys: list[int], mode: str) -> Iterable[str]:
-    """Addresses of keys: all at once, or in naive mode one key at a time
-    as the caller consumes them."""
-    return derive_addresses(keys) if mode == "optimized" else map(_derive_naive, keys)
 
 
 def _prf_key(seed: int, counter: int) -> int:
@@ -141,7 +125,6 @@ class GenStats:
     matches: tuple[Match, ...]
     elapsed_seconds: float
     aps: float
-    mode: str
     seed: int | None
     workers: int
 
@@ -172,22 +155,21 @@ def _batches(spec: SearchSpec) -> Iterator[tuple[int, int]]:
 
 
 def _scan_range(
-    spec: SearchSpec, seed: int, mode: str, batch: tuple[int, int]
+    spec: SearchSpec, seed: int, batch: tuple[int, int]
 ) -> tuple[int, list[tuple[int, Match]]]:
     """Test the keys of one batch in stream order and collect threshold hits.
 
     Returns the stream offset after the last key examined and the hits with
     their stream offsets. The scan stops at the key where its own hits reach
     max_matches, so its result does not depend on earlier batches. The batch
-    is derived in one call; naive mode derives one key at a time, only as
-    the test reaches it.
+    is derived in one call.
     """
     offset, size = batch
     keys = _draw_keys(seed, offset, size, spec.crypto_random)
     info = _target_info(spec)
     a_min, b_min, quota = spec.a_min, spec.b_min, spec.max_matches
     hits: list[tuple[int, Match]] = []
-    for at, (key, address) in enumerate(zip(keys, _derive(keys, mode)), offset):
+    for at, (key, address) in enumerate(zip(keys, derive_addresses(keys)), offset):
         digits = address[2:]
         for target, tdigits, prefix, suffix in info:
             if digits[:a_min] == prefix and (not b_min or digits[-b_min:] == suffix):
@@ -214,19 +196,16 @@ def search(
     spec: SearchSpec,
     seed: int = 0,
     workers: int = 1,
-    mode: str = "optimized",
     progress: Callable[[int, int], None] | None = None,
 ) -> GenStats:
     """Run the seeded search. Deterministic for a fixed seed and spec at any
     worker count: batches are consumed in stream order whoever derives them,
     and a batch stops only after max_matches hits of its own, by which point
     the quota is filled in that batch or an earlier one."""
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     started = time.perf_counter()
-    scan = partial(_scan_range, spec, seed, mode)
+    scan = partial(_scan_range, spec, seed)
     pool = None
     if workers == 1:
         results = map(scan, _batches(spec))
@@ -261,7 +240,6 @@ def search(
         matches=tuple(matches),
         elapsed_seconds=elapsed,
         aps=trials / elapsed if elapsed > 0 else 0.0,
-        mode=mode,
         seed=None if spec.crypto_random else seed,
         workers=workers,
     )

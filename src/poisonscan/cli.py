@@ -509,7 +509,6 @@ def _cmd_gen(args) -> int:
         spec,
         seed=args.seed,
         workers=args.workers,
-        mode=args.mode,
         progress=lambda trials, found: reporter.update_to(trials),
     )
     payload = {
@@ -517,7 +516,7 @@ def _cmd_gen(args) -> int:
         "a_min": spec.a_min,
         "b_min": spec.b_min,
         "seed": stats.seed,
-        "mode": stats.mode,
+        "mode": "optimized",  # a fixed field of the stats file format
         "workers": stats.workers,
         "trials": stats.trials,
         "matches": [
@@ -701,7 +700,6 @@ def _build_parser() -> _Parser:
     sub.add_argument("--matches", type=int, default=1, help="stop after this many matches (0: no limit)")
     sub.add_argument("--budget", type=int, help="stop after this many candidate keys")
     sub.add_argument("--seed", type=int, default=0, help="deterministic stream seed")
-    sub.add_argument("--mode", choices=("optimized", "naive"), default="optimized")
     sub.add_argument("--workers", type=_positive_int, default=1, help="worker processes (default: 1)")
     sub.add_argument("--out", help="stats JSON file (default: stdout)")
     sub.set_defaults(func=_cmd_gen)

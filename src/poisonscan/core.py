@@ -225,7 +225,7 @@ class TokenRegistry:
                     continue
                 try:
                     row = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
                     raise ParseError(f"bad JSON: {exc}", path=path, line=lineno) from None
                 if not isinstance(row, dict):
                     raise ParseError("each line must be a JSON object", path=path, line=lineno)

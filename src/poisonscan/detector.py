@@ -243,22 +243,6 @@ class DetectionReport:
     authentic_tokens: frozenset[str]
     counters: dict[str, int]
 
-    @property
-    def victims(self) -> tuple[str, ...]:
-        return tuple(sorted(self.victim_recipients))
-
-    @property
-    def intendeds(self) -> tuple[str, ...]:
-        out = {c.intended for c in self.contexts}
-        out.update(p.intended for p in self.payoffs if p.intended is not None)
-        return tuple(sorted(out))
-
-    @property
-    def lookalikes(self) -> tuple[str, ...]:
-        out = {c.lookalike for c in self.contexts}
-        out.update(p.lookalike for p in self.payoffs)
-        return tuple(sorted(out))
-
     def quarantined_keys(self) -> frozenset[str]:
         """Event keys whose every owning victim is birthday-excluded."""
         if not self.excluded_victims:
@@ -520,14 +504,14 @@ def scan(
     detail_ev: dict[str, TransferEvent] = {}
     usd_map: dict[str, Decimal | None] = {}
     ctx_map: dict[tuple[str, str, str], dict] = {}
-    pair_ev: dict[tuple[str, str], list[tuple[tuple[int, int], str]]] = {}
-    pair_seen: set[tuple[str, str, str]] = set()
+    # (victim, lookalike) -> {poison key: order}, in first-seen order
+    pair_ev: dict[tuple[str, str], dict[str, tuple[int, int]]] = {}
     cands: dict[str, dict] = {}
     # senders of authentic positive-value transfers; stablecoin senders are
     # the keys of active and keyed, so only the other tokens need this set
     spenders: set[str] = set()
-    unpriced: list[str] = []
-    unpriced_seen: set[str] = set()
+    # keys in first-seen order; the values are unused
+    unpriced: dict[str, None] = {}
 
     n_events = 0
     n_triggers = 0
@@ -545,11 +529,6 @@ def scan(
         usd = usd_amount(ev.value, dec, price) if dec is not None and price is not None else None
         usd_map[key] = usd
         return usd
-
-    def mark_unpriced(key: str) -> None:
-        if key not in unpriced_seen:
-            unpriced_seen.add(key)
-            unpriced.append(key)
 
     def collect(ev, victim, ref, look, label, a, b, sibling) -> None:
         nonlocal n_direct, n_sibling
@@ -573,10 +552,7 @@ def scan(
                 n_sibling += 1
             else:
                 n_direct += 1
-        pkey = (victim, look, key)
-        if pkey not in pair_seen:
-            pair_seen.add(pkey)
-            pair_ev.setdefault((victim, look), []).append((ev.order, key))
+        pair_ev.setdefault((victim, look), {}).setdefault(key, ev.order)
         watch.setdefault(victim, set()).add(look)
 
     def add_candidate(ev, victim, look, ref, route1) -> None:
@@ -618,7 +594,7 @@ def scan(
         if incoming:
             usd = priced(ev)
             if usd is None:
-                mark_unpriced(ev.key)
+                unpriced[ev.key] = None
                 return False
             if 0 < usd < tiny_cut:
                 collect(ev, victim, ref, look, Label.TINY, a, b, sibling)
@@ -678,7 +654,7 @@ def scan(
                 marks = watch.get(frm)
                 if marks is not None and to in marks:
                     pair = pair_ev.get((frm, to))
-                    if pair and any(o < ev.order for o, _ in pair):
+                    if pair and any(o < ev.order for o in pair.values()):
                         add_candidate(ev, frm, to, None, route1=False)
 
     def promote_victims() -> None:
@@ -889,8 +865,8 @@ def scan(
         look = cand["look"]
         refs = set(cand["refs"])
         refs.update(pair_refs.get((victim, look), ()))
-        evidence = pair_ev.get((victim, look), [])
-        if not cand["route1"] and not any(o < ev.order for o, _ in evidence):
+        evidence = pair_ev.get((victim, look), {})
+        if not cand["route1"] and not any(o < ev.order for o in evidence.values()):
             continue
         victim_anchors = anchors.get(victim, {})
         anchor_events = [victim_anchors[r] for r in refs if r in victim_anchors]
@@ -899,7 +875,7 @@ def scan(
         picked: list[str] = []
         if anchor is not None:
             a_order = anchor.order
-            picked = [k for (order, k) in evidence if a_order < order < ev_order]
+            picked = [k for k, order in evidence.items() if a_order < order < ev_order]
             picked.sort(key=lambda k: detail_ev[k].order)
         confirmed = bool(picked)
         intended = None
@@ -907,7 +883,7 @@ def scan(
             intended = max(sorted(refs), key=lambda r: positional_matches(look, r))
         usd = priced(ev)
         if usd is None:
-            mark_unpriced(key)
+            unpriced[key] = None
         if anchor is not None:
             detail_ev.setdefault(anchor.key, anchor)
             labels.setdefault(anchor.key, Label.INTENDED)
@@ -1009,7 +985,7 @@ def scan(
                     if h.token in auth_set and h.value > 0:
                         usd = priced(h)
                         if usd is None:
-                            mark_unpriced(h.key)
+                            unpriced[h.key] = None
                         elif 0 < usd < tiny_cut:
                             hits.append(h)
                             details.setdefault(h.key, EventDetail.from_event(h, usd))

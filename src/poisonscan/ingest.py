@@ -16,7 +16,8 @@ it runs once per event:
 - each field is tested inline by exact type and range, in a fixed order
   (``tx_hash``, ``chain_id``, ``block_number``, ``timestamp``,
   ``log_index``, ``token``, ``from``, ``to``, ``value``, ``tx``); only a
-  failing field calls a helper, which builds its message;
+  failing field calls a helper, which builds its message (or, for a
+  zero-padded ``value`` longer than 78 digits, its value);
 - addresses go through a per-file intern cache from raw text to
   canonical form.  Only text that ``parse_address`` accepted enters it,
   and it is cleared once it holds ``_INTERN_MAX`` entries, so it stays
@@ -69,8 +70,8 @@ _SETTERS = tuple(
 def _loads(raw: str, path: str, line: int):
     try:
         return json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", path=path, line=line) from None
+    except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
+        raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", path=path, line=line) from None
 
 
 def _int_error(obj: dict, field: str, path: str, line: int) -> ParseError:
@@ -82,14 +83,23 @@ def _int_error(obj: dict, field: str, path: str, line: int) -> ParseError:
     return ParseError(f"field {field!r} out of range: {value}", path=path, line=line)
 
 
-def _value_error(raw, path: str, line: int) -> ParseError:
+def _slow_value(raw, path: str, line: int) -> int:
+    """The value field when iter_events's inline test fails it: the value
+    of a zero-padded digit string longer than MAX_VALUE's 78 digits, or the
+    ParseError that names the fault."""
     if raw is None:
-        return ParseError("missing field 'value'", path=path, line=line)
+        raise ParseError("missing field 'value'", path=path, line=line)
     if type(raw) is str and raw.isascii() and raw.isdigit():
-        raw = int(raw)
+        digits = raw.lstrip("0") or "0"
+        # more digits cannot be in range, and int() refuses past 4,300
+        if len(digits) > 78:
+            raise ParseError(f"field 'value' out of range: {digits}", path=path, line=line)
+        raw = int(digits)
     if type(raw) is not int:
-        return ParseError(f"field 'value' must be a decimal string, got {raw!r}", path=path, line=line)
-    return ParseError(f"field 'value' out of range: {raw}", path=path, line=line)
+        raise ParseError(f"field 'value' must be a decimal string, got {raw!r}", path=path, line=line)
+    if not 0 <= raw <= MAX_VALUE:
+        raise ParseError(f"field 'value' out of range: {raw}", path=path, line=line)
+    return raw
 
 
 def _intern(obj: dict, field: str, intern: dict[str, str], path: str, line: int) -> str:
@@ -230,11 +240,12 @@ def iter_events(path: str | Path) -> Iterator[TransferEvent]:
             if to is None:
                 to = _intern(obj, "to", intern, name, line_no)
             value = get("value")
-            # isdigit alone admits non-ASCII digits such as "²" or "١"
-            if type(value) is str and value.isascii() and value.isdigit():
+            # isdigit alone admits non-ASCII digits such as "²" or "١"; past
+            # MAX_VALUE's 78 digits only a zero-padded string is in range
+            if type(value) is str and value.isascii() and value.isdigit() and len(value) <= 78:
                 value = int(value)
             if type(value) is not int or not 0 <= value <= MAX_VALUE:
-                raise _value_error(get("value"), name, line_no)
+                value = _slow_value(get("value"), name, line_no)
             tx = get("tx")
             if tx is not None:
                 tx = _parse_tx(tx, intern, name, line_no)

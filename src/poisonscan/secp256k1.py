@@ -1,12 +1,11 @@
-"""secp256k1 scalar multiplication for address derivation.
+"""secp256k1 fixed-base scalar multiplication for address derivation.
 
-Two code paths share the field arithmetic: a generic Jacobian double-and-add
-for one scalar and an arbitrary point, and a fixed-base path for many keys at
-once. The fixed-base path spends one-time setup on a table of byte-window
-multiples of G, built on first use. The keys then walk the 32 windows in
-lockstep, and each window adds every key's table point in affine form with
-one modular inversion shared by all of them (Montgomery's trick); the table
-rows are grown the same way. scalar_base_mult is the one-key case.
+Many keys are multiplied by G at once. One-time setup builds a table of
+byte-window multiples of G on first use. The keys then walk the 32 windows
+in lockstep, and each window adds every key's table point in affine form
+with one modular inversion shared by all of them (Montgomery's trick); the
+table rows are grown the same way, from row bases found by Jacobian
+doubling. scalar_base_mult is the one-key case.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ __all__ = [
     "GY",
     "scalar_base_mult",
     "scalar_base_mult_many",
-    "scalar_mult",
 ]
 
 FIELD_PRIME = 2**256 - 2**32 - 977
@@ -48,29 +46,6 @@ def _jac_double(point):
     return (x3, y3, z3)
 
 
-def _jac_add_affine(point, x2, y2):
-    """Add an affine point to a Jacobian point."""
-    x1, y1, z1 = point
-    if not z1:
-        return (x2, y2, 1)
-    z1z1 = z1 * z1 % _P
-    u2 = x2 * z1z1 % _P
-    s2 = y2 * z1 % _P * z1z1 % _P
-    h = (u2 - x1) % _P
-    r = (s2 - y1) % _P
-    if h == 0:
-        if r == 0:
-            return _jac_double(point)
-        return _INFINITY
-    hh = h * h % _P
-    hhh = h * hh % _P
-    v = x1 * hh % _P
-    x3 = (r * r - hhh - 2 * v) % _P
-    y3 = (r * (v - x3) - y1 * hhh) % _P
-    z3 = z1 * h % _P
-    return (x3, y3, z3)
-
-
 def _to_affine(point):
     x, y, z = point
     if not z:
@@ -78,19 +53,6 @@ def _to_affine(point):
     zinv = pow(z, -1, _P)
     zinv2 = zinv * zinv % _P
     return (x * zinv2 % _P, y * zinv2 % _P * zinv % _P)
-
-
-def scalar_mult(k: int, point: tuple[int, int]) -> tuple[int, int]:
-    """Generic double-and-add. Requires 1 <= k < curve order."""
-    if not 1 <= k < CURVE_ORDER:
-        raise ValueError(f"scalar outside [1, n-1]: {k}")
-    x, y = point
-    acc = _INFINITY
-    for bit in bin(k)[2:]:
-        acc = _jac_double(acc)
-        if bit == "1":
-            acc = _jac_add_affine(acc, x, y)
-    return _to_affine(acc)
 
 
 _BASE_TABLE: list[list[tuple[int, int]]] | None = None

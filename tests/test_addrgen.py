@@ -1,9 +1,9 @@
 """Address derivation and seeded lookalike search tests.
 
 The library path (batched fixed-base multiply over the window table, the
-many-message Keccak whose lanes pack one message per 64 bits, the generic
-Jacobian double-and-add) is checked bit-exactly against the independent
-affine/matrix oracle in crypto_oracle.py plus frozen public vectors. The
+many-message Keccak whose lanes pack one message per 64 bits) is checked
+bit-exactly against the independent affine/matrix oracle in
+crypto_oracle.py plus frozen public vectors. The
 batched search is checked against a per-key reference loop.
 """
 
@@ -30,7 +30,6 @@ from poisonscan.addrgen import (
     Match,
     SearchSpec,
     _batches,
-    _derive,
     _prf_key,
     derive_address,
     derive_addresses,
@@ -44,7 +43,6 @@ from poisonscan.secp256k1 import (
     _build_base_table,
     scalar_base_mult,
     scalar_base_mult_many,
-    scalar_mult,
 )
 from poisonscan.similarity import score
 
@@ -101,7 +99,6 @@ def test_generator_is_on_curve():
 
 def test_scalar_one_is_generator():
     assert scalar_base_mult(1) == (GX, GY)
-    assert scalar_mult(1, (GX, GY)) == (GX, GY)
 
 
 def test_scalar_two_matches_oracle_double():
@@ -115,7 +112,6 @@ def test_scalar_two_matches_oracle_double():
 def test_scalar_base_mult_matches_oracle(k):
     want = scalar_mult_oracle(k)
     assert scalar_base_mult(k) == want
-    assert scalar_mult(k, (GX, GY)) == want
 
 
 def test_scalar_base_mult_random_keys_match_oracle():
@@ -193,7 +189,6 @@ def test_derive_address_frozen_vectors():
 def test_derive_addresses_matches_single_and_oracle():
     addresses = derive_addresses(EDGE_KEYS)
     assert addresses == [derive_address(k) for k in EDGE_KEYS]
-    assert addresses == list(_derive(EDGE_KEYS, "naive"))
     assert addresses == [derive_address_oracle(k) for k in EDGE_KEYS]
 
 
@@ -231,7 +226,6 @@ def test_search_is_deterministic_for_fixed_seed():
     two = search(spec_first_digit(), seed=5)
     assert one.trials == two.trials
     assert one.matches == two.matches
-    assert one.mode == "optimized"
 
 
 def test_search_seeds_differ():
@@ -246,13 +240,6 @@ def test_search_match_satisfies_thresholds():
     assert match.address[2] == TARGET[2]
     assert derive_address(match.private_key) == match.address
     assert match.a >= 1 and match.target == TARGET
-
-
-def test_search_naive_mode_agrees_with_optimized():
-    fast = search(spec_first_digit(), seed=3, mode="optimized")
-    slow = search(spec_first_digit(), seed=3, mode="naive")
-    assert fast.trials == slow.trials
-    assert fast.matches == slow.matches
 
 
 def test_search_max_trials_stops_without_match():
@@ -341,24 +328,26 @@ def reference_search(spec, stream):
     return trials, matches
 
 
+REFERENCE_ROWS = [
+    (1, 0, 5, None, 1),  # quota only, filled inside a batch
+    (1, 1, None, 530, 1),  # budget only, across batches
+    (1, 0, 3, 40, 1),  # both, quota first
+    (1, 1, 50, 100, 1),  # both, budget first
+    (0, 2, 3, None, 1),
+    (2, 0, 2, None, 1),
+    (0, 0, 5, None, 1),  # every key matches every target
+    (1, 0, 6, None, 2),
+    (1, 1, None, 530, 2),
+]
+
+
 @pytest.mark.parametrize(
-    "a_min,b_min,max_matches,max_trials,mode,workers",
-    [
-        (1, 0, 5, None, "optimized", 1),  # quota only, filled inside a batch
-        (1, 1, None, 530, "optimized", 1),  # budget only, across batches
-        (1, 0, 3, 40, "optimized", 1),  # both, quota first
-        (1, 1, 50, 100, "optimized", 1),  # both, budget first
-        (0, 2, 3, None, "optimized", 1),
-        (2, 0, 2, None, "optimized", 1),
-        (0, 0, 5, None, "optimized", 1),  # every key matches every target
-        (1, 0, 4, None, "naive", 1),
-        (1, 0, 6, None, "optimized", 2),
-        (1, 1, None, 530, "optimized", 2),
-    ],
+    "a_min,b_min,max_matches,max_trials,workers",
+    REFERENCE_ROWS,
+    # the ids name the derivation, as gen's stats file does ("mode": "optimized")
+    ids=["-".join(map(str, (*row[:4], "optimized", row[4]))) for row in REFERENCE_ROWS],
 )
-def test_search_matches_per_key_reference(
-    key_stream, a_min, b_min, max_matches, max_trials, mode, workers
-):
+def test_search_matches_per_key_reference(key_stream, a_min, b_min, max_matches, max_trials, workers):
     spec = SearchSpec(
         targets=SEARCH_TARGETS,
         a_min=a_min,
@@ -366,7 +355,7 @@ def test_search_matches_per_key_reference(
         max_matches=max_matches,
         max_trials=max_trials,
     )
-    stats = search(spec, seed=SEARCH_SEED, mode=mode, workers=workers)
+    stats = search(spec, seed=SEARCH_SEED, workers=workers)
     trials, matches = reference_search(spec, key_stream)
     assert stats.trials == trials
     assert list(stats.matches) == matches
@@ -387,16 +376,16 @@ def test_batches_grow_without_restart_and_stop_at_budget():
 
 
 def test_pooled_quota_search_derives_few_keys_past_the_hit(tmp_path, monkeypatch):
-    """The pool's forked workers inherit the counting _derive."""
+    """The pool's forked workers inherit the counting derive_addresses."""
     log = tmp_path / "derived.txt"
-    derive = addrgen._derive
+    derive = addrgen.derive_addresses
 
-    def counting(keys, mode):
+    def counting(keys):
         with open(log, "a", encoding="utf-8") as handle:
             handle.write(f"{len(keys)}\n")
-        return derive(keys, mode)
+        return derive(keys)
 
-    monkeypatch.setattr(addrgen, "_derive", counting)
+    monkeypatch.setattr(addrgen, "derive_addresses", counting)
     spec = spec_first_digit()
     workers = 2
     stats = search(spec, seed=0, workers=workers)

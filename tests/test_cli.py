@@ -175,6 +175,41 @@ def test_malformed_input_file_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# int() refuses more than 4,300 digits; each of these must be an input error
+HUGE = "1" * 5000
+EVENT = {
+    "chain_id": 1, "block_number": 1, "timestamp": 1_700_000_000, "tx_hash": "0x" + "ab" * 32,
+    "log_index": 0, "token": "0x" + "a1" * 20, "from": "0x" + "b2" * 20, "to": "0x" + "c3" * 20,
+    "value": "5",
+}
+TOKEN = {"chain_id": 1, "address": "0x" + "a1" * 20, "symbol": "T", "decimals": 6,
+         "authentic": True, "stablecoin": False}
+
+
+@pytest.mark.parametrize(
+    "events_line,registry_line,where",
+    [
+        (json.dumps({**EVENT, "value": HUGE}), json.dumps(TOKEN), "events.jsonl:1"),
+        (json.dumps(EVENT).replace('"5"', HUGE), json.dumps(TOKEN), "events.jsonl:1"),
+        (json.dumps(EVENT), json.dumps(TOKEN).replace(": 6,", f": {HUGE},"), "registry.jsonl:1"),
+    ],
+    ids=["value-string", "value-literal", "registry-decimals"],
+)
+def test_huge_integer_input_exits_one(tmp_path, capsys, events_line, registry_line, where):
+    events = tmp_path / "events.jsonl"
+    events.write_text(events_line + "\n", encoding="utf-8")
+    registry = tmp_path / "registry.jsonl"
+    registry.write_text(registry_line + "\n", encoding="utf-8")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"chain_id": 1}) + "\n", encoding="utf-8")
+    argv = ["--events", str(events), "--config", str(config), "--registry", str(registry)]
+    for command in ("scan", "report"):
+        code = run([command, *argv, "--out", str(tmp_path / command)])
+        err = capsys.readouterr().err
+        assert code == 1, err[:300]
+        assert err.startswith("error:") and where in err
+
+
 def test_simulate_writes_bundle_and_manifest(sim_dir):
     for name in (
         "events.jsonl",
@@ -550,6 +585,21 @@ def test_gen_budget_bounds_trials(tmp_path, capsys):
     assert stats["matches"] == []
 
 
+def test_gen_stats_bytes_pinned(tmp_path):
+    """The stats file is a format: its keys (the fixed "mode" and the
+    default "workers" included), their order and the match encoding."""
+    targets = tmp_path / "targets.txt"
+    targets.write_text("0x" + "ab" * 20 + "\n" + "0x" + "0123456789" * 4 + "\n", encoding="utf-8")
+    out = tmp_path / "gen.json"
+    argv = ["gen", "--targets", str(targets), "--a-min", "1", "--b-min", "0", "--matches", "0"]
+    assert run(argv + ["--budget", "100", "--seed", "7", "--out", str(out)]) == 0
+    stats = read_json(out)
+    assert (stats["mode"], stats["workers"], stats["trials"], len(stats["matches"])) == ("optimized", 1, 100, 12)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "d6010e5ab4fdaa2e96f4fc11e3e1e3458bd103006e77ae763a224a2f04300287"
+    )
+
+
 def test_gen_unbounded_search_rejected(tmp_path, capsys):
     targets = tmp_path / "targets.txt"
     targets.write_text("0x" + "ab" * 20 + "\n", encoding="utf-8")
@@ -639,11 +689,14 @@ def test_every_exported_name_resolves():
         importlib.import_module(f"poisonscan.{info.name}")
         for info in pkgutil.iter_modules(poisonscan.__path__)
     ]
+    assert len(modules) > 10
+    assert [m.__name__ for m in modules if not hasattr(m, "__all__")] == []
     stale = [
         f"{module.__name__}.{name}"
         for module in modules
-        for name in getattr(module, "__all__", ())
+        for name in module.__all__
         if not hasattr(module, name)
     ]
-    assert len(modules) > 10
     assert not stale
+    for module in modules:
+        exec(f"from {module.__name__} import *", {})

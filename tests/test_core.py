@@ -166,6 +166,17 @@ def test_registry_jsonl_reports_bad_line(tmp_path):
             TokenRegistry.from_jsonl(path)
 
 
+def test_registry_jsonl_huge_integer_is_parse_error(tmp_path):
+    # int() refuses a JSON integer literal of more than 4,300 digits
+    good = {"chain_id": 1, "address": USDT, "symbol": "USDT", "decimals": 6,
+            "authentic": True, "stablecoin": True}
+    path = tmp_path / "registry.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "address": USDC}).replace(": 6,", ": " + "1" * 5000 + ","))
+    with pytest.raises(ParseError) as exc:
+        TokenRegistry.from_jsonl(path)
+    assert (exc.value.path, exc.value.line) == (str(path), 2)
+
+
 @pytest.mark.parametrize(
     "field,value",
     [

@@ -135,6 +135,29 @@ def test_value_upper_bound_accepts_max(tmp_path):
     assert events[0].value == 2**256 - 1
 
 
+# int() refuses more than 4,300 digits, in a string or a JSON literal
+HUGE = "1" * 5000
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [json.dumps(row(1, 0, value=HUGE)), json.dumps(row(1, 0)).replace('"1000"', HUGE)],
+    ids=["string", "literal"],
+)
+def test_huge_values_are_parse_errors(tmp_path, raw):
+    path = tmp_path / "events.jsonl"
+    path.write_text(json.dumps(row(1, 0, tx_suffix="01")) + "\n" + raw + "\n")
+    with pytest.raises(ParseError) as exc:
+        list(iter_events(path))
+    assert (exc.value.path, exc.value.line) == (str(path), 2)
+
+
+def test_zero_padded_value_longer_than_max_accepted(tmp_path):
+    path = tmp_path / "events.jsonl"
+    write_raw(path, [row(1, 0, value="0" * 5000 + str(2**256 - 1))])
+    assert [e.value for e in iter_events(path)] == [2**256 - 1]
+
+
 def test_decreasing_blocks_rejected(tmp_path):
     path = tmp_path / "events.jsonl"
     write_raw(path, [row(5, 0), row(4, 0, tx_suffix="01")])
