@@ -54,6 +54,7 @@ from .core import (
     PriceTable,
     TokenRegistry,
     parse_address,
+    parse_json,
 )
 from .detector import DetectionReport, birthday_filter, scan
 from .ingest import iter_events, load_account_history, write_events
@@ -206,8 +207,7 @@ def _read_labels(path) -> dict[str, str]:
 
 
 def _read_bytecode(path) -> dict[str, str]:
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = parse_json(Path(path).read_text(encoding="utf-8"), path)
     if not isinstance(raw, dict):
         raise ParseError("expected a JSON object mapping address to code id", path=str(path))
     return {parse_address(addr): str(code) for addr, code in raw.items()}
@@ -296,8 +296,7 @@ def _write_clusters(path: Path, sets, groups, bot_threshold: float) -> None:
 
 
 def _read_clusters(path):
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    raw = parse_json(Path(path).read_text(encoding="utf-8"), path)
     sets = tuple(AttackTransferSet(**entry) for entry in raw["sets"])
     groups = []
     for entry in raw["groups"]:
@@ -736,7 +735,7 @@ def run(argv=None) -> int:
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
-    except (PoisonscanError, OSError, json.JSONDecodeError) as exc:
+    except (PoisonscanError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

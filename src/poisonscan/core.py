@@ -184,6 +184,15 @@ def _typed(row: dict, name: str, kind: type, path, line: int):
     return value
 
 
+def parse_json(text: str, path: str | Path, line: int | None = None):
+    """``json.loads(text)``, with its ValueError (invalid JSON, or an integer
+    past int()'s digit limit) raised as a ParseError at ``path`` and ``line``."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", path=path, line=line) from None
+
+
 class TokenRegistry:
     """Registry of known token contracts per chain.
 
@@ -223,10 +232,7 @@ class TokenRegistry:
                 line = line.strip()
                 if not line:
                     continue
-                try:
-                    row = json.loads(line)
-                except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
-                    raise ParseError(f"bad JSON: {exc}", path=path, line=lineno) from None
+                row = parse_json(line, path, lineno)
                 if not isinstance(row, dict):
                     raise ParseError("each line must be a JSON object", path=path, line=lineno)
                 try:
@@ -522,7 +528,7 @@ class ChainConfig:
     def from_json_file(cls, path: str | Path) -> "ChainConfig":
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
             raise ConfigError(f"bad config JSON in {path}: {exc}") from None
         return cls.from_dict(raw)
 

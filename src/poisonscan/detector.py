@@ -59,13 +59,14 @@ from .core import (
     ChainConfig,
     ConfigError,
     Label,
-    OrderingError,
     PriceTable,
     TokenRegistry,
     TransferEvent,
     event_date,
+    parse_json,
     usd_amount,
 )
+from .ingest import ordered
 from .similarity import (
     birthday_collision_prob,
     osa_distance,
@@ -280,15 +281,6 @@ class DetectionReport:
             "counters": dict(self.counters),
         }
 
-    def to_json_dict(self) -> dict:
-        return {
-            **self._json_head(),
-            "labels": dict(self.labels),
-            "events": {k: _record_to_json(v) for k, v in self.events.items()},
-            "contexts": [_record_to_json(c) for c in self.contexts],
-            "payoffs": [_record_to_json(p) for p in self.payoffs],
-        }
-
     @classmethod
     def from_json_dict(cls, raw: Mapping) -> "DetectionReport":
         return cls(
@@ -307,11 +299,13 @@ class DetectionReport:
         )
 
     def write_json(self, path: str | Path) -> None:
-        """Write to_json_dict() as compact sorted-key JSON and a newline.
+        """Write report.json: every field in one JSON object with sorted keys,
+        no spaces and a closing newline, which ``read_json`` reads back.
 
-        The file is streamed: labels and events go out entry by entry,
-        contexts and payoffs record by record, so neither a copy of the
-        records nor the whole text is ever held in memory.
+        Records are keyed by their JSON names, with ``value`` and Decimal
+        amounts as strings. The file is streamed: labels and events go out
+        entry by entry, contexts and payoffs record by record, so neither a
+        copy of the records nor the whole text is ever held in memory.
         """
         encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
         body = {key: (encode(value),) for key, value in self._json_head().items()}
@@ -329,7 +323,7 @@ class DetectionReport:
 
     @classmethod
     def read_json(cls, path: str | Path) -> "DetectionReport":
-        return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls.from_json_dict(parse_json(Path(path).read_text(encoding="utf-8"), path))
 
 
 def _resolve_token_sets(
@@ -463,6 +457,10 @@ def scan(
     history: Iterable[TransferEvent] | None = None,
 ) -> DetectionReport:
     """Single-pass detection over one chain's ordered transfer stream.
+
+    ``events`` pass through ``ingest.ordered`` as they are consumed, so a
+    stream out of order raises the OrderingError that ``validate_stream``
+    gives for it, ``<stream>:N: ...`` with N counted from 1.
 
     With ``history``, each unconfirmed payoff is re-checked against the
     victim's entire history: any authentic-token tiny transfer (not just
@@ -682,9 +680,7 @@ def scan(
     tx_direct = False
 
     last_block = -1
-    last_li = -1
     cur_tx: str | None = None
-    seen_tx: set[str] = set()  # every transaction opened so far
     bound0 = 0
     bucket: list = []
     first_lbs = (-1, -1)
@@ -705,23 +701,15 @@ def scan(
     spenders_add = spenders.add
     anchor_log_append = anchor_log.append
 
-    for ev in events:
+    for ev in ordered(enumerate(events, start=1), "<stream>"):
         blk = ev.block_number
         if ev.chain_id != chain:
             raise ConfigError(
                 f"event chain_id {ev.chain_id} does not match configured chain {chain}"
             )
-        li = ev.log_index
         txh = ev.tx_hash
         if blk == last_block:
-            if li <= last_li:
-                raise OrderingError(
-                    f"log_index {li} not increasing within block {blk}"
-                )
             if txh != cur_tx:
-                if txh in seen_tx:
-                    raise OrderingError(f"transaction {txh} is not contiguous")
-                seen_tx.add(txh)
                 if tx_more:
                     if tx_direct:
                         expand_tx([tx_head, *tx_more])
@@ -732,13 +720,6 @@ def scan(
             else:
                 tx_more.append(ev)
         else:
-            if blk < last_block:
-                raise OrderingError(
-                    f"block {blk} after block {last_block} in scan input"
-                )
-            if txh in seen_tx:
-                raise OrderingError(f"transaction {txh} is not contiguous")
-            seen_tx.add(txh)
             if tx_more:
                 if tx_direct:
                     expand_tx([tx_head, *tx_more])
@@ -767,7 +748,6 @@ def scan(
             first_lbs = (blk, -1)  # shared by the block's new pairs
             if promote:
                 promote_victims()
-        last_li = li
         n_events += 1
 
         frm = ev.from_addr

@@ -4,8 +4,9 @@ Events live in JSON Lines files, one transfer per line, ordered by
 ``(block_number, log_index)``.  Reading validates each line as it is
 consumed: its fields, that order, and that each transaction's logs form
 one uninterrupted run, so a bad line surfaces with its ``path:line``.
-``scan`` applies the same ordering rules again, because it also takes
-in-memory streams that never passed through a file.
+``ordered`` is the one implementation of that ordering contract:
+``iter_events`` runs it over a file's lines, and ``validate_stream`` and
+``scan`` over the positions of an in-memory stream.
 
 ``iter_events`` checks every line on one path, built for speed because
 it runs once per event:
@@ -43,6 +44,7 @@ from .core import (
     TransactionRecord,
     TransferEvent,
     parse_address,
+    parse_json,
 )
 
 __all__ = [
@@ -65,13 +67,6 @@ _SETTERS = tuple(
         "token", "from_addr", "to_addr", "value", "tx",
     )
 )
-
-
-def _loads(raw: str, path: str, line: int):
-    try:
-        return json.loads(raw)
-    except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
-        raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", path=path, line=line) from None
 
 
 def _int_error(obj: dict, field: str, path: str, line: int) -> ParseError:
@@ -139,57 +134,59 @@ def _parse_tx(raw, intern: dict[str, str], path: str, line: int) -> TransactionR
     return TransactionRecord(initiator=initiator, target=target, gas_used=gas_used, gas_price=gas_price)
 
 
-class _OrderChecker:
-    """Enforces stream ordering invariants while events are consumed.
+def ordered(numbered: Iterable[tuple[int, TransferEvent]], name: str) -> Iterator[TransferEvent]:
+    """Yield the events of ``(where, event)`` pairs, checking stream order.
 
     Blocks must be non-decreasing, log indices strictly increasing within
     a block, and all events of one transaction one uninterrupted run: a
     transaction closes when another one starts or its block ends, and a
     closed transaction never reappears.  Per-transaction grouping
     downstream relies on the last rule, and it also makes every
-    ``(tx_hash, log_index)`` pair unique.
+    ``(tx_hash, log_index)`` pair unique.  The first violation raises
+    OrderingError as ``name:where: ...``.
     """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self.prev_block = -1
-        self.prev_log = -1
-        self.current_tx: str | None = None
-        self.closed_txs: set[str] = set()
-
-    def check(self, event: TransferEvent, line: int) -> None:
-        if event.block_number < self.prev_block:
+    # the state lives in locals: this runs once per event on every path
+    prev_block = -1
+    prev_log = -1
+    current_tx: str | None = None
+    closed_txs: set[str] = set()
+    for where, event in numbered:
+        block = event.block_number
+        if block != prev_block:
+            if block < prev_block:
+                raise OrderingError(f"{name}:{where}: block {block} after block {prev_block}")
+            prev_block = block
+            if current_tx is not None:
+                closed_txs.add(current_tx)
+                current_tx = None
+        elif event.log_index <= prev_log:
             raise OrderingError(
-                f"{self.path}:{line}: block {event.block_number} after block {self.prev_block}"
+                f"{name}:{where}: log index {event.log_index} after {prev_log} in block {block}"
             )
-        if event.block_number != self.prev_block:
-            self.prev_block = event.block_number
-            self.prev_log = -1
-            if self.current_tx is not None:
-                self.closed_txs.add(self.current_tx)
-                self.current_tx = None
-        elif event.log_index <= self.prev_log:
-            raise OrderingError(
-                f"{self.path}:{line}: log index {event.log_index} after {self.prev_log} "
-                f"in block {event.block_number}"
-            )
-        self.prev_log = event.log_index
-        if event.tx_hash != self.current_tx:
-            if event.tx_hash in self.closed_txs:
+        prev_log = event.log_index
+        tx_hash = event.tx_hash
+        if tx_hash != current_tx:
+            if tx_hash in closed_txs:
                 raise OrderingError(
-                    f"{self.path}:{line}: transaction {event.tx_hash} is not contiguous "
-                    f"(block {event.block_number})"
+                    f"{name}:{where}: transaction {tx_hash} is not contiguous (block {block})"
                 )
-            if self.current_tx is not None:
-                self.closed_txs.add(self.current_tx)
-            self.current_tx = event.tx_hash
+            if current_tx is not None:
+                closed_txs.add(current_tx)
+            current_tx = tx_hash
+        yield event
 
 
 def iter_events(path: str | Path) -> Iterator[TransferEvent]:
-    """Yield validated events from a JSON Lines file in stream order."""
+    """Yield validated events from a JSON Lines file in stream order; the
+    file is opened on the first ``next()``."""
     path = Path(path)
+    return ordered(_parse(path), str(path))
+
+
+def _parse(path: Path) -> Iterator[tuple[int, TransferEvent]]:
+    """Yield ``(line number, event)`` for each line of an event file,
+    with every field checked; ``ordered`` checks the order."""
     name = str(path)
-    check = _OrderChecker(name).check
     scan_once = make_scanner(json.JSONDecoder())
     intern: dict[str, str] = {}
     new = object.__new__
@@ -205,7 +202,7 @@ def iter_events(path: str | Path) -> Iterator[TransferEvent]:
             except (StopIteration, ValueError):
                 end = -1
             if end != len(raw):
-                obj = _loads(raw, name, line_no)
+                obj = parse_json(raw, name, line_no)
             if type(obj) is not dict:
                 raise ParseError("each line must be a JSON object", path=name, line=line_no)
             get = obj.get
@@ -260,22 +257,16 @@ def iter_events(path: str | Path) -> Iterator[TransferEvent]:
             set_to(event, to)
             set_value(event, value)
             set_tx(event, tx)
-            check(event, line_no)
-            yield event
+            yield line_no, event
 
 
 def validate_stream(events: Iterable[TransferEvent], name: str = "<stream>") -> int:
     """Check an in-memory event sequence against the file-order invariants.
 
     Returns the number of events checked; raises OrderingError on the
-    first violation.
+    first violation, as ``name:position: ...`` counting from 1.
     """
-    checker = _OrderChecker(name)
-    count = 0
-    for position, event in enumerate(events, start=1):
-        checker.check(event, position)
-        count += 1
-    return count
+    return sum(1 for _ in ordered(enumerate(events, start=1), name))
 
 
 def _event_to_json(event: TransferEvent) -> dict:
@@ -334,7 +325,10 @@ def load_account_history(path: str | Path) -> dict[str, int]:
             # as for an event's value: int() would also take "١٢", "1_0", "+5", " 5" and "-4"
             if not (raw.isascii() and raw.isdigit()):
                 raise ParseError(f"bad count {raw!r}", path=str(path), line=line_no)
-            count = int(raw)
+            try:
+                count = int(raw)
+            except ValueError:  # past int()'s digit limit
+                raise ParseError(f"count of {len(raw)} digits out of range", path=str(path), line=line_no) from None
             if account in history:
                 raise ParseError(f"duplicate account {account}", path=str(path), line=line_no)
             history[account] = count

@@ -33,6 +33,7 @@ from .core import (
     default_config,
     event_date,
     hex_digits,
+    parse_json,
 )
 from .clustering import rand_index
 from .ingest import validate_stream, write_account_history, write_events
@@ -271,7 +272,7 @@ class ScenarioSpec:
     def from_json_file(cls, path: str | Path) -> "ScenarioSpec":
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
             raise ScenarioError(f"bad scenario JSON in {path}: {exc}") from None
         return cls.from_dict(raw)
 
@@ -319,10 +320,10 @@ class GroundTruth:
     @classmethod
     def read_jsonl(cls, path: str | Path) -> "GroundTruth":
         rows, bots = [], []
-        for raw in Path(path).read_text(encoding="utf-8").splitlines():
+        for line, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
             if not raw.strip():
                 continue
-            obj = json.loads(raw)
+            obj = parse_json(raw, path, line)
             kind = obj.pop("kind", "event")
             if kind == "bot":
                 bots.append(obj["account"])

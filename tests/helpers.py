@@ -5,8 +5,10 @@ attack-rich scenario spec."""
 
 from __future__ import annotations
 
+import tempfile
 from datetime import date, timedelta
 from decimal import Decimal
+from pathlib import Path
 
 from poisonscan.core import (
     PriceTable,
@@ -15,6 +17,7 @@ from poisonscan.core import (
     TokenRegistry,
     TransferEvent,
 )
+from poisonscan.detector import DetectionReport
 from poisonscan.scenario import GroupSpec, ScenarioSpec
 
 GENESIS = 1_704_067_200
@@ -55,6 +58,14 @@ def make_prices(days: int = 30) -> PriceTable:
         table[(STABLE, day)] = Decimal("1")
         table[(AUTH, day)] = Decimal("5")
     return PriceTable(table)
+
+
+def report_bytes(report: DetectionReport) -> bytes:
+    """The bytes of ``report.write_json``, what report.json holds."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "report.json"
+        report.write_json(path)
+        return path.read_bytes()
 
 
 class StreamBuilder:

@@ -5,7 +5,7 @@ line goes through ``json.loads``, every field through its own helper,
 every address through ``parse_address`` and every event through the
 dataclass constructor.  ``iter_events`` must yield the same events as
 ``reference_iter_events`` on any file, or raise the same error (type,
-message, path and line).  The ordering rule is ``ingest._OrderChecker``,
+message, path and line).  The ordering rule is ``ingest.ordered``,
 shared on purpose: it is the one ordering rule, not under test here.
 Never imported by library code.
 """
@@ -16,7 +16,7 @@ import json
 from pathlib import Path
 
 from poisonscan.core import MAX_VALUE, ParseError, TransactionRecord, TransferEvent, parse_address
-from poisonscan.ingest import _OrderChecker
+from poisonscan.ingest import ordered
 
 
 def _parse_int(obj: dict, field: str, path: str, line: int, *, minimum: int = 0) -> int:
@@ -98,7 +98,10 @@ def _parse_event(obj: dict, path: str, line: int) -> TransferEvent:
 def reference_iter_events(path: str | Path):
     """Yield validated events from a JSON Lines file, one helper per field."""
     path = Path(path)
-    checker = _OrderChecker(str(path))
+    return ordered(_numbered_events(path), str(path))
+
+
+def _numbered_events(path: Path):
     with path.open("r", encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
             raw = raw.strip()
@@ -110,6 +113,4 @@ def reference_iter_events(path: str | Path):
                 raise ParseError(f"invalid JSON: {exc.msg}", path=str(path), line=line_no) from None
             if not isinstance(obj, dict):
                 raise ParseError("each line must be a JSON object", path=str(path), line=line_no)
-            event = _parse_event(obj, str(path), line_no)
-            checker.check(event, line_no)
-            yield event
+            yield line_no, _parse_event(obj, str(path), line_no)

@@ -210,6 +210,55 @@ def test_huge_integer_input_exits_one(tmp_path, capsys, events_line, registry_li
         assert err.startswith("error:") and where in err
 
 
+# per loader: the input file, its text, where the error must point, and the
+# command that reads it ({bad} is that file, {sim} and {scan} the bundles,
+# {out} an output directory)
+HUGE_INPUTS = {
+    "config": (
+        "config.json", f'{{"chain_id": {HUGE}}}', "config.json",
+        ["scan", "--config", "{bad}", "--events", "{sim}/events.jsonl", "--out", "{out}"],
+    ),
+    "spec": ("spec.json", f'{{"seed": {HUGE}}}', "spec.json", ["simulate", "--spec", "{bad}", "--out", "{out}"]),
+    "truth": (
+        "truth.jsonl", f'{{"kind": "bot", "account": "x"}}\n{{"n": {HUGE}}}', "truth.jsonl:2",
+        ["score", "--truth", "{bad}", "--report", "{scan}/report.json"],
+    ),
+    "report": (
+        "report.json", f'{{"chain_id": {HUGE}}}', "report.json",
+        ["cluster", "--report", "{bad}", "--out", "{out}"],
+    ),
+    "bytecode": (
+        "bytecode.json", f'{{"{EVENT["to"]}": {HUGE}}}', "bytecode.json",
+        ["cluster", "--bytecode", "{bad}", "--report", "{scan}/report.json", "--out", "{out}"],
+    ),
+    "accounts": (
+        "accounts.csv", f"account,total_txs\n{EVENT['to']},{HUGE}", "accounts.csv:2",
+        [
+            "report", "--accounts", "{bad}", "--events", "{sim}/events.jsonl",
+            "--config", "{sim}/config.json", "--out", "{out}",
+        ],
+    ),
+    "clusters": (
+        "clusters.json", f'{{"sets": {HUGE}}}', "clusters.json",
+        [
+            "econ", "--clusters", "{bad}", "--report", "{scan}/report.json",
+            "--prices", "{sim}/prices.csv", "--out", "{out}",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("loader", list(HUGE_INPUTS))
+def test_huge_integer_in_other_inputs_exits_one(loader, sim_dir, scan_dir, tmp_path, capsys):
+    name, text, where, args = HUGE_INPUTS[loader]
+    bad = tmp_path / name
+    bad.write_text(text + "\n", encoding="utf-8")
+    code = run([arg.format(bad=bad, sim=sim_dir, scan=scan_dir, out=tmp_path / "out") for arg in args])
+    err = capsys.readouterr().err
+    assert code == 1, err[:300]
+    assert err.startswith("error:") and where in err, err[:300]
+
+
 def test_simulate_writes_bundle_and_manifest(sim_dir):
     for name in (
         "events.jsonl",

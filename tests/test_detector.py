@@ -34,7 +34,7 @@ from poisonscan.detector import (
     scan,
     sensitivity_run,
 )
-from poisonscan.ingest import iter_events, write_events
+from poisonscan.ingest import iter_events, validate_stream, write_events
 from poisonscan.scenario import benign_stream, generate, score_labels
 from poisonscan.similarity import positional_matches, score
 
@@ -53,6 +53,7 @@ from helpers import (
     make_prices,
     make_registry,
     REPORT_JSON_SHA256,
+    report_bytes,
     rich_spec,
 )
 
@@ -327,10 +328,28 @@ def test_expansion_needs_a_direct_hit():
 def test_unordered_stream_rejected():
     sb = StreamBuilder()
     sb.add(100, V1, R1, STABLE, 1_000_000)
-    sb.add(99, V2, R2, STABLE, 1_000_000)
-    events = sorted(sb.events(), key=lambda e: -e.block_number)
-    with pytest.raises(OrderingError):
-        scan(events, ChainConfig(chain_id=1), make_registry(), make_prices())
+    sb.add(100, V2, R2, STABLE, 1_000_000)
+    sb.add(100, V1, R2, STABLE, 1_000_000)
+    sb.add(101, V2, R1, STABLE, 1_000_000)
+    a, b, c, d = sb.events()
+    tx = a.tx_hash
+    # each stream breaks the ordering contract at its last event
+    cases = [
+        # a decreasing block
+        ([d, a], "<stream>:2: block 100 after block 101"),
+        # a repeated log index within a block
+        ([a, replace(b, log_index=0)], "<stream>:2: log index 0 after 0 in block 100"),
+        # an interleaved transaction within a block
+        ([a, b, replace(c, tx_hash=tx)], f"<stream>:3: transaction {tx} is not contiguous (block 100)"),
+        # a transaction that reappears in a later block
+        ([a, replace(d, tx_hash=tx)], f"<stream>:2: transaction {tx} is not contiguous (block 101)"),
+    ]
+    for events, message in cases:
+        with pytest.raises(OrderingError) as scanned:
+            scan(events, ChainConfig(chain_id=1), make_registry(), make_prices())
+        with pytest.raises(OrderingError) as validated:
+            validate_stream(events)
+        assert str(scanned.value) == str(validated.value) == message
 
 
 def test_chain_mismatch_rejected():
@@ -349,9 +368,7 @@ def test_generator_input_equals_list_input():
     events = sb.events()
     a = scan(events, ChainConfig(chain_id=1), make_registry(), make_prices())
     b = scan(iter(events), ChainConfig(chain_id=1), make_registry(), make_prices())
-    assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
-        b.to_json_dict(), sort_keys=True
-    )
+    assert report_bytes(a) == report_bytes(b)
 
 
 def test_report_json_roundtrip(tmp_path):
@@ -396,8 +413,6 @@ def test_report_json_roundtrip(tmp_path):
     assert (tmp_path / "report.json").read_bytes() == (tmp_path / "again.json").read_bytes()
 
 
-def compact_json(report) -> str:
-    return json.dumps(report.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def rich_report(seed: int = 7) -> DetectionReport:
@@ -423,7 +438,9 @@ def test_write_json_equals_compact_dumps(tmp_path):
     for name, rep in (("rich", report), ("empty", empty)):
         path = tmp_path / f"{name}.json"
         rep.write_json(path)
-        assert path.read_text(encoding="utf-8") == compact_json(rep)
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+        assert DetectionReport.read_json(path) == rep
 
 
 def test_write_json_memory_is_not_the_file_size(tmp_path):
@@ -498,8 +515,8 @@ def test_history_iterator_equals_list():
     assert from_iter == from_list
     assert any(p.via_history for p in from_list.payoffs)
     for report in (from_list, from_iter):
-        text = compact_json(birthday_filter(report, config))
-        assert hashlib.sha256(text.encode()).hexdigest() == REPORT_JSON_SHA256
+        data = report_bytes(birthday_filter(report, config))
+        assert hashlib.sha256(data).hexdigest() == REPORT_JSON_SHA256
 
 
 def test_history_from_another_chain_rejected():

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import poisonscan
 from poisonscan.core import OrderingError, ParseError, TransactionRecord, TransferEvent
 from poisonscan.ingest import (
     iter_events,
@@ -158,17 +162,21 @@ def test_zero_padded_value_longer_than_max_accepted(tmp_path):
     assert [e.value for e in iter_events(path)] == [2**256 - 1]
 
 
+def exactly(text: str) -> str:
+    return f"^{re.escape(text)}$"
+
+
 def test_decreasing_blocks_rejected(tmp_path):
     path = tmp_path / "events.jsonl"
     write_raw(path, [row(5, 0), row(4, 0, tx_suffix="01")])
-    with pytest.raises(OrderingError):
+    with pytest.raises(OrderingError, match=exactly(f"{path}:2: block 4 after block 5")):
         list(iter_events(path))
 
 
 def test_non_increasing_log_index_rejected(tmp_path):
     path = tmp_path / "events.jsonl"
     write_raw(path, [row(5, 3), row(5, 3, tx_suffix="01")])
-    with pytest.raises(OrderingError):
+    with pytest.raises(OrderingError, match=exactly(f"{path}:2: log index 3 after 3 in block 5")):
         list(iter_events(path))
 
 
@@ -180,9 +188,10 @@ def test_duplicate_tx_log_pair_rejected(tmp_path):
         # a transaction's logs spill over into the next block
         [row(5, 0), row(6, 1)],
     ]
+    message = f"{path}:2: transaction 0x{'00' * 32} is not contiguous (block 6)"
     for rows in cases:
         write_raw(path, rows)
-        with pytest.raises(OrderingError, match="not contiguous"):
+        with pytest.raises(OrderingError, match=exactly(message)):
             list(iter_events(path))
 
 
@@ -190,8 +199,22 @@ def test_interleaved_transaction_rejected(tmp_path):
     path = tmp_path / "events.jsonl"
     # tx 00 resumes after tx 01 started inside the same block
     write_raw(path, [row(5, 0, "00"), row(5, 1, "01"), row(5, 2, "00")])
-    with pytest.raises(OrderingError):
+    message = f"{path}:3: transaction 0x{'00' * 32} is not contiguous (block 5)"
+    with pytest.raises(OrderingError, match=exactly(message)):
         list(iter_events(path))
+
+
+def test_ordering_errors_are_raised_only_in_ingest():
+    # ingest.ordered is the one implementation of the ordering contract
+    raising = set()
+    for source in sorted(Path(poisonscan.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                # OrderingError, or a dotted name ending in it
+                if ast.unparse(exc).split(".")[-1] == "OrderingError":
+                    raising.add(source.name)
+    assert raising == {"ingest.py"}
 
 
 def test_tx_metadata_parsed(tmp_path):
