@@ -9,193 +9,124 @@ similarity and mining-cost models (similarity, addrgen), a labeled
 scenario generator for testing and benchmarks (scenario), and a
 command-line driver with reproducible output bundles (cli).
 
+Each public name loads its module on first use: ``import poisonscan``
+imports no layer, and ``from poisonscan import GenModel`` imports only
+``similarity`` and what it needs. ``_EXPORTS`` is the one list of names.
+
 The package does not import ``poisonscan.cli``: ``python -m poisonscan.cli``
 would then execute that module twice, once on import and once as
 ``__main__``.
 """
 
+from importlib import import_module
+
 __version__ = "0.1.0"
 
-from .addrgen import (
-    GenStats,
-    Match,
-    SearchSpec,
-    derive_address,
-    search,
-)
-from .analytics import (
-    CompetitionRecord,
-    Competitor,
-    GroupEconomics,
-    build_competitions,
-    group_economics,
-    most_imitated_targets,
-    similarity_distribution,
-    spearman,
-    success_ranks,
-    targeting_correlation,
-    win_loss_matrix,
-)
-from .clustering import (
-    AccountProfile,
-    AttackGroup,
-    AttackTransferSet,
-    account_profiles,
-    attack_ratio,
-    build_transfer_sets,
-    cluster,
-    cross_chain_reuse,
-    groups_to_csv,
-    rand_index,
-    temporal_clusters,
-)
-from .core import (
-    USD_QUANTUM,
-    Address,
-    AddressError,
-    AnalyticsError,
-    ChainConfig,
-    ClusteringError,
-    ConfigError,
-    Label,
-    OrderingError,
-    ParseError,
-    PoisonscanError,
-    PriceTable,
-    RegistryEntry,
-    RegistryError,
-    ScenarioError,
-    TokenRef,
-    TokenRegistry,
-    TransactionRecord,
-    TransferEvent,
-    default_config,
-    event_date,
-    hex_digits,
-    parse_address,
-    usd_amount,
-)
-from .detector import (
-    AttackContext,
-    DetectionReport,
-    EventDetail,
-    PayoffRecord,
-    birthday_filter,
-    scan,
-    sensitivity_run,
-)
-from .ingest import (
-    iter_events,
-    load_account_history,
-    validate_stream,
-    write_account_history,
-    write_events,
-)
-from .scenario import (
-    BotSpec,
-    GroundTruth,
-    GroupSpec,
-    ScenarioBundle,
-    ScenarioSpec,
-    ScoreCard,
-    benign_stream,
-    generate,
-    score_labels,
-)
-from .similarity import (
-    GenModel,
-    HardwareEstimate,
-    SimilarityScore,
-    birthday_collision_prob,
-    expected_trials,
-    hardware_estimate,
-    match_probability,
-    osa_distance,
-    positional_matches,
-    score,
-)
+# home module -> the public names the package root lends from it
+_EXPORTS: dict[str, tuple[str, ...]] = {
+    "addrgen": ("GenStats", "Match", "SearchSpec", "derive_address", "search"),
+    "analytics": (
+        "CompetitionRecord",
+        "Competitor",
+        "GroupEconomics",
+        "build_competitions",
+        "group_economics",
+        "most_imitated_targets",
+        "similarity_distribution",
+        "spearman",
+        "success_ranks",
+        "targeting_correlation",
+        "win_loss_matrix",
+    ),
+    "clustering": (
+        "AccountProfile",
+        "AttackGroup",
+        "AttackTransferSet",
+        "account_profiles",
+        "attack_ratio",
+        "build_transfer_sets",
+        "cluster",
+        "cross_chain_reuse",
+        "groups_to_csv",
+        "rand_index",
+        "temporal_clusters",
+    ),
+    "core": (
+        "USD_QUANTUM",
+        "Address",
+        "AddressError",
+        "AnalyticsError",
+        "ChainConfig",
+        "ClusteringError",
+        "ConfigError",
+        "Label",
+        "OrderingError",
+        "ParseError",
+        "PoisonscanError",
+        "PriceTable",
+        "RegistryEntry",
+        "RegistryError",
+        "ScenarioError",
+        "TokenRef",
+        "TokenRegistry",
+        "TransactionRecord",
+        "TransferEvent",
+        "default_config",
+        "event_date",
+        "hex_digits",
+        "parse_address",
+        "usd_amount",
+    ),
+    "detector": (
+        "AttackContext",
+        "DetectionReport",
+        "EventDetail",
+        "PayoffRecord",
+        "birthday_filter",
+        "scan",
+        "sensitivity_run",
+    ),
+    "ingest": (
+        "iter_events",
+        "load_account_history",
+        "validate_stream",
+        "write_account_history",
+        "write_events",
+    ),
+    "scenario": (
+        "BotSpec",
+        "GroundTruth",
+        "GroupSpec",
+        "ScenarioBundle",
+        "ScenarioSpec",
+        "ScoreCard",
+        "benign_stream",
+        "generate",
+        "score_labels",
+    ),
+    "similarity": (
+        "GenModel",
+        "HardwareEstimate",
+        "SimilarityScore",
+        "birthday_collision_prob",
+        "expected_trials",
+        "hardware_estimate",
+        "match_probability",
+        "osa_distance",
+        "positional_matches",
+        "score",
+    ),
+}
 
-__all__ = [
-    "AccountProfile",
-    "Address",
-    "AddressError",
-    "AnalyticsError",
-    "AttackContext",
-    "AttackGroup",
-    "AttackTransferSet",
-    "BotSpec",
-    "ChainConfig",
-    "ClusteringError",
-    "CompetitionRecord",
-    "Competitor",
-    "ConfigError",
-    "DetectionReport",
-    "EventDetail",
-    "GenModel",
-    "GenStats",
-    "GroundTruth",
-    "GroupEconomics",
-    "GroupSpec",
-    "HardwareEstimate",
-    "Label",
-    "Match",
-    "OrderingError",
-    "ParseError",
-    "PayoffRecord",
-    "PoisonscanError",
-    "PriceTable",
-    "RegistryEntry",
-    "RegistryError",
-    "ScenarioBundle",
-    "ScenarioError",
-    "ScenarioSpec",
-    "ScoreCard",
-    "SearchSpec",
-    "SimilarityScore",
-    "TokenRef",
-    "TokenRegistry",
-    "TransactionRecord",
-    "TransferEvent",
-    "USD_QUANTUM",
-    "account_profiles",
-    "attack_ratio",
-    "benign_stream",
-    "birthday_collision_prob",
-    "birthday_filter",
-    "build_competitions",
-    "build_transfer_sets",
-    "cluster",
-    "cross_chain_reuse",
-    "default_config",
-    "derive_address",
-    "event_date",
-    "expected_trials",
-    "generate",
-    "group_economics",
-    "groups_to_csv",
-    "hardware_estimate",
-    "hex_digits",
-    "iter_events",
-    "load_account_history",
-    "match_probability",
-    "most_imitated_targets",
-    "osa_distance",
-    "parse_address",
-    "positional_matches",
-    "rand_index",
-    "scan",
-    "score",
-    "score_labels",
-    "search",
-    "sensitivity_run",
-    "similarity_distribution",
-    "spearman",
-    "success_ranks",
-    "targeting_correlation",
-    "temporal_clusters",
-    "usd_amount",
-    "validate_stream",
-    "win_loss_matrix",
-    "write_account_history",
-    "write_events",
-]
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+
+
+def __getattr__(name: str):
+    """Import ``name``'s home module on first use and keep the value here,
+    so later lookups never reach this function."""
+    for module, names in _EXPORTS.items():
+        if name in names:
+            value = getattr(import_module(f"{__name__}.{module}"), name)
+            globals()[name] = value
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

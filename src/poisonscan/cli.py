@@ -48,6 +48,7 @@ from .clustering import (
     groups_to_csv,
 )
 from .core import (
+    SHAPE_ERRORS,
     ChainConfig,
     ParseError,
     PoisonscanError,
@@ -55,6 +56,7 @@ from .core import (
     TokenRegistry,
     parse_address,
     parse_json,
+    shape_message,
 )
 from .detector import DetectionReport, birthday_filter, scan
 from .ingest import iter_events, load_account_history, write_events
@@ -250,7 +252,8 @@ def _load_prices(path, config: ChainConfig, registry: TokenRegistry) -> PriceTab
 
 
 def _scan_pipeline(args):
-    """events file -> fully post-processed detection report."""
+    """events file -> fully post-processed detection report, and the prices
+    it was scanned with."""
     config = _load_config(args)
     registry = _load_registry(args.registry)
     prices = _load_prices(args.prices, config, registry)
@@ -262,7 +265,8 @@ def _scan_pipeline(args):
         stream = iter_events(args.events)
         history = iter_events(args.history) if args.history else None
     events = _tracked(stream, _Progress("scan"))
-    return birthday_filter(scan(events, config, registry, prices, history=history), config)
+    report = scan(events, config, registry, prices, history=history)
+    return birthday_filter(report, config), prices
 
 
 def _scan_options(args) -> dict:
@@ -297,13 +301,14 @@ def _write_clusters(path: Path, sets, groups, bot_threshold: float) -> None:
 
 def _read_clusters(path):
     raw = parse_json(Path(path).read_text(encoding="utf-8"), path)
-    sets = tuple(AttackTransferSet(**entry) for entry in raw["sets"])
-    groups = []
-    for entry in raw["groups"]:
-        data = dict(entry)
-        data["members"] = tuple(data["members"])
-        groups.append(AttackGroup(**data))
-    return sets, tuple(groups)
+    try:
+        sets = tuple(AttackTransferSet(**entry) for entry in raw["sets"])
+        groups = tuple(
+            AttackGroup(**{**entry, "members": tuple(entry["members"])}) for entry in raw["groups"]
+        )
+    except SHAPE_ERRORS as exc:
+        raise ParseError(shape_message("a clusters file", exc), path=path) from None
+    return sets, groups
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +381,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    report = _scan_pipeline(args)
+    report, _ = _scan_pipeline(args)
     outdir = _ensure_outdir(args.out)
     report.write_json(outdir / "report.json")
     _write_manifest(
@@ -572,12 +577,13 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    report = _scan_pipeline(args)
+    # parity assets are token addresses, never the native asset that
+    # group_economics prices gas in, so the scan's prices serve it too
+    report, prices = _scan_pipeline(args)
     sets = build_transfer_sets(report)
     history = load_account_history(args.accounts) if args.accounts else None
     ratios = attack_ratio(sets, history)
     groups = cluster(sets, args.bot_threshold, ratios=ratios)
-    prices = PriceTable.from_csv(args.prices) if args.prices else PriceTable({})
     econ_rows = group_economics(groups, sets, report, prices)
     records = build_competitions(report, sets, groups)
     labels_map = _read_labels(args.labels) if args.labels else None

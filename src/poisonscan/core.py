@@ -18,7 +18,7 @@ import json
 from binascii import unhexlify
 from dataclasses import dataclass, field, fields, replace
 from datetime import date, datetime, timezone
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation, localcontext
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -182,6 +182,39 @@ def _typed(row: dict, name: str, kind: type, path, line: int):
         what = "an integer" if kind is int else "a boolean"
         raise ParseError(f"field {name!r} must be {what}, got {value!r}", path=path, line=line)
     return value
+
+
+# what building records from a JSON tree of the wrong shape raises: a missing
+# key or item, an unknown keyword, a list where an object belongs, a bad number
+SHAPE_ERRORS = (LookupError, TypeError, ValueError, AttributeError, ArithmeticError)
+
+
+def shape_message(what: str, exc: Exception) -> str:
+    """Why a JSON tree is not ``what``, from the SHAPE_ERRORS it raised."""
+    if isinstance(exc, KeyError):
+        return f"not {what}: missing field {exc}"
+    return f"not {what}: {type(exc).__name__}: {exc}"
+
+
+# a scalar field's annotation -> the exact types its value may have: a bool is
+# an int, bool("false") is true, and int(2.5) is 2, so no coercion is made
+_SCALAR_TYPES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": ((bool,), "a boolean"),
+    "str": ((str,), "a string"),
+}
+
+
+def check_scalar_fields(record, error: type[PoisonscanError], where: str = "") -> None:
+    """Raise ``error`` unless each field of the dataclass ``record`` annotated
+    int, float, bool or str holds a value of exactly that JSON type."""
+    for f in fields(record):
+        if f.type in _SCALAR_TYPES:
+            kinds, what = _SCALAR_TYPES[f.type]
+            value = getattr(record, f.name)
+            if type(value) not in kinds:
+                raise error(f"{where}{f.name} must be {what}, got {value!r}")
 
 
 def parse_json(text: str, path: str | Path, line: int | None = None):
@@ -472,12 +505,18 @@ class ChainConfig:
     stablecoin_parity: bool = False
 
     def __post_init__(self):
+        check_scalar_fields(self, ConfigError)
         if self.window_blocks < 1:
             raise ConfigError(f"window_blocks must be >= 1, got {self.window_blocks}")
-        if not isinstance(self.tiny_threshold_usd, Decimal):
-            object.__setattr__(self, "tiny_threshold_usd", Decimal(str(self.tiny_threshold_usd)))
-        if self.tiny_threshold_usd <= 0:
-            raise ConfigError(f"tiny_threshold_usd must be > 0, got {self.tiny_threshold_usd}")
+        tiny = self.tiny_threshold_usd
+        if not isinstance(tiny, Decimal):
+            try:
+                object.__setattr__(self, "tiny_threshold_usd", Decimal(str(tiny)))
+            except InvalidOperation:
+                raise ConfigError(f"tiny_threshold_usd must be a number, got {tiny!r}") from None
+        # NaN would make the comparison raise, and Infinity pass it
+        if not self.tiny_threshold_usd.is_finite() or self.tiny_threshold_usd <= 0:
+            raise ConfigError(f"tiny_threshold_usd must be finite and > 0, got {tiny}")
         if not 0 < self.birthday_alpha < 1:
             raise ConfigError(f"birthday_alpha must be in (0, 1), got {self.birthday_alpha}")
         if not 0 <= self.a_min <= 40:
@@ -489,6 +528,8 @@ class ChainConfig:
         if self.block_time_seconds < 1:
             raise ConfigError(f"block_time_seconds must be >= 1, got {self.block_time_seconds}")
         if self.stablecoins is not None:
+            if not isinstance(self.stablecoins, (list, tuple)):
+                raise ConfigError(f"stablecoins must be a list, got {self.stablecoins!r}")
             try:
                 canon = tuple(parse_address(a) for a in self.stablecoins)
             except AddressError as exc:
@@ -511,18 +552,14 @@ class ChainConfig:
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "ChainConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
+        if not isinstance(raw, Mapping):
+            raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs = dict(raw)
-        if "tiny_threshold_usd" in kwargs:
-            kwargs["tiny_threshold_usd"] = Decimal(str(kwargs["tiny_threshold_usd"]))
-        if kwargs.get("stablecoins") is not None:
-            kwargs["stablecoins"] = tuple(kwargs["stablecoins"])
-        if "chain_id" not in kwargs:
+        if "chain_id" not in raw:
             raise ConfigError("config requires chain_id")
-        return cls(**kwargs)
+        return cls(**raw)
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ChainConfig":

@@ -56,14 +56,17 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
+    SHAPE_ERRORS,
     ChainConfig,
     ConfigError,
     Label,
+    ParseError,
     PriceTable,
     TokenRegistry,
     TransferEvent,
     event_date,
     parse_json,
+    shape_message,
     usd_amount,
 )
 from .ingest import ordered
@@ -323,7 +326,11 @@ class DetectionReport:
 
     @classmethod
     def read_json(cls, path: str | Path) -> "DetectionReport":
-        return cls.from_json_dict(parse_json(Path(path).read_text(encoding="utf-8"), path))
+        raw = parse_json(Path(path).read_text(encoding="utf-8"), path)
+        try:
+            return cls.from_json_dict(raw)
+        except SHAPE_ERRORS as exc:
+            raise ParseError(shape_message("a detection report", exc), path=path) from None
 
 
 def _resolve_token_sets(

@@ -21,8 +21,10 @@ from decimal import Decimal
 from pathlib import Path
 
 from .core import (
+    SHAPE_ERRORS,
     ChainConfig,
     Label,
+    ParseError,
     PriceTable,
     RegistryEntry,
     ScenarioError,
@@ -30,10 +32,12 @@ from .core import (
     TokenRegistry,
     TransactionRecord,
     TransferEvent,
+    check_scalar_fields,
     default_config,
     event_date,
     hex_digits,
     parse_json,
+    shape_message,
 )
 from .clustering import rand_index
 from .ingest import validate_stream, write_account_history, write_events
@@ -155,6 +159,18 @@ class ScenarioSpec:
         object.__setattr__(self, "contested_winners", tuple(self.contested_winners))
 
     def validate(self) -> None:
+        check_scalar_fields(self, ScenarioError)
+        for i, g in enumerate(self.groups):
+            check_scalar_fields(g, ScenarioError, f"group {i}: ")
+        for i, b in enumerate(self.bots):
+            check_scalar_fields(b, ScenarioError, f"bot {i}: ")
+        nested = [*self.chain_ids, *self.contested_winners]
+        for g in self.groups:
+            nested += [*(g.offsets or ()), *g.payoff_delay, *(v for pair in g.scores for v in pair)]
+        for b in self.bots:
+            nested += b.copies
+        if any(type(v) is not int for v in nested):
+            raise ScenarioError("chain ids, winners, offsets, delays, scores, copies: integers only")
         if not 1 <= len(self.chain_ids) <= 2:
             raise ScenarioError(f"chain_ids must list 1 or 2 chains, got {self.chain_ids}")
         if len(set(self.chain_ids)) != len(self.chain_ids):
@@ -239,33 +255,35 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "ScenarioSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
+        if not isinstance(raw, Mapping):
+            raise ScenarioError(f"scenario spec must be a JSON object, got {type(raw).__name__}")
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
         kwargs = dict(raw)
-
-        def tuples(seq):
-            return tuple(tuple(v) if isinstance(v, list) else v for v in seq)
-
-        if "groups" in kwargs:
-            groups = []
-            for g in kwargs["groups"]:
-                g = dict(g)
-                for key in ("strategies", "offsets", "payoff_delay"):
-                    if g.get(key) is not None:
-                        g[key] = tuple(g[key])
-                if "scores" in g:
-                    g["scores"] = tuple(tuple(s) for s in g["scores"])
-                groups.append(GroupSpec(**g))
-            kwargs["groups"] = tuple(groups)
-        if "bots" in kwargs:
-            kwargs["bots"] = tuple(BotSpec(**{**b, "copies": tuple(b["copies"])}) for b in kwargs["bots"])
-        for key in ("chain_ids", "contested_winners"):
-            if key in kwargs:
-                kwargs[key] = tuples(kwargs[key])
-        spec = cls(**kwargs)
-        spec.validate()
+        try:
+            if "groups" in kwargs:
+                groups = []
+                for g in kwargs["groups"]:
+                    g = dict(g)
+                    for key in ("strategies", "offsets", "payoff_delay"):
+                        if g.get(key) is not None:
+                            g[key] = tuple(g[key])
+                    if "scores" in g:
+                        g["scores"] = tuple(tuple(s) for s in g["scores"])
+                    groups.append(GroupSpec(**g))
+                kwargs["groups"] = tuple(groups)
+            if "bots" in kwargs:
+                kwargs["bots"] = tuple(
+                    BotSpec(**{**b, "copies": tuple(b["copies"])}) for b in kwargs["bots"]
+                )
+            for key in ("chain_ids", "contested_winners"):
+                if key in kwargs:
+                    kwargs[key] = tuple(tuple(v) if isinstance(v, list) else v for v in kwargs[key])
+            spec = cls(**kwargs)
+            spec.validate()
+        except SHAPE_ERRORS as exc:
+            raise ScenarioError(shape_message("a scenario spec", exc)) from None
         return spec
 
     @classmethod
@@ -279,6 +297,11 @@ class ScenarioSpec:
 
 # ---------------------------------------------------------------------------
 # ground truth
+
+
+# the fields of a ground-truth line that scoring reads, and their JSON types
+_TRUTH_TYPES = {"chain_id": (int,), "key": (str,), "label": (str,), "group": (int, type(None))}
+_BOT_TYPES = {"account": (str,)}
 
 
 class GroundTruth:
@@ -324,7 +347,14 @@ class GroundTruth:
             if not raw.strip():
                 continue
             obj = parse_json(raw, path, line)
+            if not isinstance(obj, dict):
+                raise ParseError("each line must be a JSON object", path=path, line=line)
             kind = obj.pop("kind", "event")
+            for name, kinds in _BOT_TYPES.items() if kind == "bot" else _TRUTH_TYPES.items():
+                if name not in obj:
+                    raise ParseError(f"missing field {name!r}", path=path, line=line)
+                if type(obj[name]) not in kinds:
+                    raise ParseError(f"bad {name!r}: {obj[name]!r}", path=path, line=line)
             if kind == "bot":
                 bots.append(obj["account"])
             else:

@@ -248,15 +248,49 @@ HUGE_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("loader", list(HUGE_INPUTS))
-def test_huge_integer_in_other_inputs_exits_one(loader, sim_dir, scan_dir, tmp_path, capsys):
-    name, text, where, args = HUGE_INPUTS[loader]
+def assert_input_error(case, sim_dir, scan_dir, tmp_path, capsys):
+    name, text, where, args = case
     bad = tmp_path / name
     bad.write_text(text + "\n", encoding="utf-8")
     code = run([arg.format(bad=bad, sim=sim_dir, scan=scan_dir, out=tmp_path / "out") for arg in args])
     err = capsys.readouterr().err
     assert code == 1, err[:300]
     assert err.startswith("error:") and where in err, err[:300]
+
+
+@pytest.mark.parametrize("loader", list(HUGE_INPUTS))
+def test_huge_integer_in_other_inputs_exits_one(loader, sim_dir, scan_dir, tmp_path, capsys):
+    assert_input_error(HUGE_INPUTS[loader], sim_dir, scan_dir, tmp_path, capsys)
+
+
+# JSON of valid syntax but the wrong shape, as in HUGE_INPUTS: the file, its
+# text, what the error must name, and the command that reads it
+SCAN_CONFIG = HUGE_INPUTS["config"][3]
+SHAPE_INPUTS = {
+    "report-empty": ("report.json", "{}", "report.json", HUGE_INPUTS["report"][3]),
+    "clusters-set-keys": (
+        "clusters.json", '{"sets": [{"x": 1}], "groups": []}', "clusters.json",
+        HUGE_INPUTS["clusters"][3],
+    ),
+    "config-int-string": (
+        "config.json", '{"chain_id": 1, "window_blocks": "5"}', "window_blocks", SCAN_CONFIG,
+    ),
+    "config-tiny-text": (
+        "config.json", '{"chain_id": 1, "tiny_threshold_usd": "abc"}', "tiny_threshold_usd",
+        SCAN_CONFIG,
+    ),
+    "config-stablecoins-int": (
+        "config.json", '{"chain_id": 1, "stablecoins": 5}', "stablecoins", SCAN_CONFIG,
+    ),
+    "config-int-fraction": ("config.json", '{"chain_id": 1, "a_min": 2.5}', "a_min", SCAN_CONFIG),
+    "truth-list-line": ("truth.jsonl", "[1]", "truth.jsonl:1", HUGE_INPUTS["truth"][3]),
+    "spec-group-keys": ("spec.json", '{"groups": [{"bogus": 1}]}', "bogus", HUGE_INPUTS["spec"][3]),
+}
+
+
+@pytest.mark.parametrize("case", list(SHAPE_INPUTS))
+def test_wrong_shape_input_exits_one(case, sim_dir, scan_dir, tmp_path, capsys):
+    assert_input_error(SHAPE_INPUTS[case], sim_dir, scan_dir, tmp_path, capsys)
 
 
 def test_simulate_writes_bundle_and_manifest(sim_dir):
@@ -719,7 +753,7 @@ def test_import_loads_only_the_standard_library():
     probe = (
         "import sys\n"
         "before = set(sys.modules)\n"
-        "import poisonscan\n"
+        "from poisonscan import *\n"
         "print(*sorted({n.split('.')[0] for n in set(sys.modules) - before}))\n"
     )
     proc = subprocess.run(
@@ -731,6 +765,38 @@ def test_import_loads_only_the_standard_library():
     # multiprocessing registers __main__ a second time as __mp_main__
     outside = loaded - set(sys.stdlib_module_names) - {"poisonscan", "__mp_main__"}
     assert not outside
+
+
+def test_root_imports_a_module_only_when_one_of_its_names_is_used():
+    probe = (
+        "import json, sys\n"
+        "def loaded():\n"
+        "    print(json.dumps(sorted(n for n in sys.modules if n.startswith('poisonscan.'))))\n"
+        "import poisonscan\n"
+        "loaded()\n"
+        "from poisonscan import ChainConfig\n"
+        "loaded()\n"
+        "from poisonscan import scan\n"
+        "loaded()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=False
+    )
+    assert proc.returncode == 0, proc.stderr
+    bare, config, scanning = (json.loads(line) for line in proc.stdout.splitlines())
+    assert bare == []
+    assert config == ["poisonscan.core"]
+    assert "poisonscan.detector" in scanning
+    assert not {"poisonscan.scenario", "poisonscan.addrgen", "poisonscan.analytics"} & set(scanning)
+
+
+def test_export_table_matches_each_module_all():
+    assert len(poisonscan.__all__) == len(set(poisonscan.__all__))
+    for module, names in poisonscan._EXPORTS.items():
+        public = set(importlib.import_module(f"poisonscan.{module}").__all__)
+        assert set(names) <= public, module
+        # the root has never exported the batched deriver
+        assert public - set(names) <= {"derive_addresses"}, module
 
 
 def test_every_exported_name_resolves():

@@ -359,6 +359,15 @@ def test_default_config_presets():
         {"b_min": 41},
         {"typo_match_bound": 41},
         {"block_time_seconds": 0},
+        {"tiny_threshold_usd": Decimal("NaN")},
+        {"tiny_threshold_usd": "Infinity"},
+        {"tiny_threshold_usd": "abc"},
+        {"a_min": 2.5},
+        {"window_blocks": True},
+        {"birthday_alpha": "0.5"},
+        {"native_asset": 5},
+        {"stablecoin_parity": "false"},
+        {"stablecoins": 5},
     ],
 )
 def test_config_validation(kwargs):

@@ -67,6 +67,24 @@ def test_cross_chain_needs_two_chains():
         small_spec(cross_chain_reuse=1, groups=(tiny_group(),))
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"n_blocks": 2000.5},
+        {"chain_ids": ["1"]},
+        {"groups": [{"scores": [[3.5, 4]]}]},
+        {"groups": [{"offsets": [1.5]}]},
+        {"groups": [{"payoff_delay": [2]}]},
+        {"groups": [{}], "bots": [{"copies": [0], "mutate": "no"}]},
+        {"groups": [5]},
+        [],
+    ],
+)
+def test_spec_of_the_wrong_shape_rejected(raw):
+    with pytest.raises(ScenarioError):
+        ScenarioSpec.from_dict(raw)
+
+
 def test_too_few_blocks_rejected():
     with pytest.raises(ScenarioError):
         ScenarioSpec(n_blocks=200, groups=(tiny_group(),)).validate()
