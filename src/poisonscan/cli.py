@@ -19,13 +19,13 @@ invariant breaks.
 
 import argparse
 import csv
-import dataclasses
 import hashlib
 import json
 import sys
 import tempfile
 import time
 from decimal import Decimal, InvalidOperation
+from functools import partial
 from itertools import islice
 from pathlib import Path
 
@@ -48,7 +48,6 @@ from .clustering import (
     groups_to_csv,
 )
 from .core import (
-    SHAPE_ERRORS,
     ChainConfig,
     ParseError,
     PoisonscanError,
@@ -56,7 +55,8 @@ from .core import (
     TokenRegistry,
     parse_address,
     parse_json,
-    shape_message,
+    read_fields,
+    to_json,
 )
 from .detector import DetectionReport, birthday_filter, scan
 from .ingest import iter_events, load_account_history, write_events
@@ -284,31 +284,20 @@ def _scan_options(args) -> dict:
 # clusters.json round trip
 
 
-def _fields_dict(record) -> dict:
-    """A dataclass's fields by name; unlike dataclasses.asdict, nothing is copied."""
-    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
-
-
 def _write_clusters(path: Path, sets, groups, bot_threshold: float) -> None:
     payload = {
         "schema": SCHEMA_VERSION,
         "bot_threshold": bot_threshold,
-        "sets": [_fields_dict(s) for s in sets],
-        "groups": [_fields_dict(g) for g in groups],
+        "sets": [to_json(s) for s in sets],
+        "groups": [to_json(g) for g in groups],
     }
     _write_json(path, payload)
 
 
 def _read_clusters(path):
     raw = parse_json(Path(path).read_text(encoding="utf-8"), path)
-    try:
-        sets = tuple(AttackTransferSet(**entry) for entry in raw["sets"])
-        groups = tuple(
-            AttackGroup(**{**entry, "members": tuple(entry["members"])}) for entry in raw["groups"]
-        )
-    except SHAPE_ERRORS as exc:
-        raise ParseError(shape_message("a clusters file", exc), path=path) from None
-    return sets, groups
+    error = partial(ParseError, path=path)
+    return read_fields(raw, error, sets=tuple[AttackTransferSet, ...], groups=tuple[AttackGroup, ...])
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +464,7 @@ def _cmd_score(args) -> int:
             member: group.group_id for group in groups for member in group.members
         }
     card = score_labels(report.labels, truth, report.chain_id, predicted_groups)
-    payload = dataclasses.asdict(card)
+    payload = to_json(card)
     if args.out:
         _write_json(Path(args.out), payload)
     else:

@@ -15,12 +15,17 @@ from __future__ import annotations
 
 import csv
 import json
+import reprlib
 from binascii import unhexlify
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from datetime import date, datetime, timezone
 from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation, localcontext
+from functools import cache, partial
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from types import NoneType, UnionType
+from typing import (
+    Callable, Iterable, Iterator, Mapping, Union, get_args, get_origin, get_type_hints,
+)
 
 __all__ = [
     "Address",
@@ -174,47 +179,221 @@ class RegistryEntry:
     stablecoin: bool
 
 
-def _typed(row: dict, name: str, kind: type, path, line: int):
-    """``row[name]``, which must be exactly a JSON integer or boolean:
-    ``bool("false")`` is true, ``int(1.9)`` is 1, and a bool is an int."""
-    value = row[name]
-    if type(value) is not kind:
-        what = "an integer" if kind is int else "a boolean"
-        raise ParseError(f"field {name!r} must be {what}, got {value!r}", path=path, line=line)
-    return value
+# ---------------------------------------------------------------------------
+# JSON record codec
+#
+# Every record file (report.json, clusters.json, config.json, scenario.json)
+# is written and read from the annotations of its dataclass. A field's JSON
+# key is its name, but for the transfer endpoints. Token ``value``s and
+# Decimal amounts travel as decimal strings, tuples and frozensets as lists,
+# nested records as objects. Reading checks exact JSON types: 2.5, "5" and
+# true are no integer, "no" is no boolean. A key may be left out exactly
+# when its field has a default, and an unknown key is an error.
+
+_JSON_NAMES = {"from_addr": "from", "to_addr": "to"}
+
+_SCALARS = {int: "an integer", float: "a number", bool: "a boolean", str: "a string"}
+
+_ABSENT = object()
 
 
-# what building records from a JSON tree of the wrong shape raises: a missing
-# key or item, an unknown keyword, a list where an object belongs, a bad number
-SHAPE_ERRORS = (LookupError, TypeError, ValueError, AttributeError, ArithmeticError)
+class _Mismatch(TypeError):
+    """A JSON value that is not of its field's type. The path to the field
+    is filled in, innermost key last, as the error unwinds."""
+
+    path: tuple[str, ...] = ()
+
+    def at(self, key: str) -> "_Mismatch":
+        self.path = (key, *self.path)
+        return self
+
+    def __str__(self) -> str:
+        return (f"field {'.'.join(self.path)!r} " if self.path else "") + self.args[0]
 
 
-def shape_message(what: str, exc: Exception) -> str:
-    """Why a JSON tree is not ``what``, from the SHAPE_ERRORS it raised."""
-    if isinstance(exc, KeyError):
-        return f"not {what}: missing field {exc}"
-    return f"not {what}: {type(exc).__name__}: {exc}"
+def _wrong(what: str, value) -> _Mismatch:
+    return _Mismatch(f"must be {what}, got {reprlib.repr(value)}")
 
 
-# a scalar field's annotation -> the exact types its value may have: a bool is
-# an int, bool("false") is true, and int(2.5) is 2, so no coercion is made
-_SCALAR_TYPES = {
-    "int": ((int,), "an integer"),
-    "float": ((int, float), "a number"),
-    "bool": ((bool,), "a boolean"),
-    "str": ((str,), "a string"),
-}
+def _reader(kind: type, what: str, convert):
+    """Reads a JSON value of type ``kind`` through ``convert``."""
+
+    def read(value):
+        if type(value) is kind:
+            return convert(value)
+        raise _wrong(what, value)
+
+    return read
 
 
-def check_scalar_fields(record, error: type[PoisonscanError], where: str = "") -> None:
-    """Raise ``error`` unless each field of the dataclass ``record`` annotated
-    int, float, bool or str holds a value of exactly that JSON type."""
-    for f in fields(record):
-        if f.type in _SCALAR_TYPES:
-            kinds, what = _SCALAR_TYPES[f.type]
-            value = getattr(record, f.name)
-            if type(value) not in kinds:
-                raise error(f"{where}{f.name} must be {what}, got {value!r}")
+def _read_amount(value) -> int:
+    """A token ``value``: a string of ASCII decimal digits."""
+    if type(value) is str and value.isascii() and value.isdigit():
+        try:
+            return int(value)
+        except ValueError:  # past int()'s digit limit
+            pass
+    raise _wrong("a decimal string", value)
+
+
+def _read_decimal(value) -> Decimal:
+    if type(value) is str:
+        try:
+            return Decimal(value)
+        except InvalidOperation:
+            pass
+    raise _wrong("a decimal string", value)
+
+
+@cache
+def _codec(hint) -> tuple:
+    """``(kind, read, write)`` for values annotated ``hint``. ``read`` turns a
+    JSON value into the Python one or raises _Mismatch; ``kind`` is the JSON
+    type that reads as itself, or None; ``write`` is None where a value is
+    written as itself."""
+    if hint in _SCALARS:
+        kinds, what = ((int, float) if hint is float else (hint,)), _SCALARS[hint]
+
+        def read(value):
+            if type(value) in kinds:
+                return value
+            raise _wrong(what, value)
+
+        return hint, read, None
+    if hint is Decimal:
+        return None, _read_decimal, str
+    if is_dataclass(hint):
+        return None, partial(_read_record, hint), to_json
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, UnionType) and len(args) == 2 and NoneType in args:
+        kind, inner, write = _codec(args[0] if args[1] is NoneType else args[1])
+
+        def read(value):
+            return None if value is None else inner(value)
+
+        return kind, read, write and (lambda value: None if value is None else write(value))
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        _, item, write = _codec(args[0])
+        read = _reader(list, "a list", lambda value: tuple([item(x) for x in value]))
+        return None, read, list if write is None else (lambda value: [write(x) for x in value])
+    if origin is tuple:
+        items = [_codec(arg) for arg in args]
+
+        def read(value):
+            if type(value) is not list or len(value) != len(items):
+                raise _wrong(f"a list of {len(items)} items", value)
+            return tuple([item(x) for (_, item, _), x in zip(items, value)])
+
+        def write(value):
+            return [x if w is None else w(x) for (_, _, w), x in zip(items, value)]
+
+        return None, read, write
+    if origin is frozenset:
+        _, item, write = _codec(args[0])
+        read = _reader(list, "a list", lambda value: frozenset([item(x) for x in value]))
+        return None, read, sorted if write is None else (lambda value: sorted(map(write, value)))
+    if origin is dict and args[0] is str:
+        _, item, write = _codec(args[1])
+        read = _reader(dict, "an object", lambda value: {k: item(x) for k, x in value.items()})
+        return None, read, dict if write is None else (
+            lambda value: {k: write(x) for k, x in value.items()}
+        )
+    raise TypeError(f"no JSON codec for {hint!r}")
+
+
+@cache
+def _fields(cls: type) -> tuple:
+    """Per field of the dataclass ``cls``: its name, its JSON key, ``kind``,
+    ``read`` and ``write`` (see _codec), whether it is required, and its
+    annotation as written."""
+    hints = get_type_hints(cls)
+    out = []
+    for f in fields(cls):
+        if f.name == "value" and hints[f.name] is int:
+            kind, read, write = None, _read_amount, str
+        else:
+            kind, read, write = _codec(hints[f.name])
+        required = f.default is MISSING and f.default_factory is MISSING
+        out.append((f.name, _JSON_NAMES.get(f.name, f.name), kind, read, write, required, f.type))
+    return tuple(out)
+
+
+def _read_record(cls: type, raw):
+    if type(raw) is not dict:
+        raise _wrong("an object", raw)
+    kwargs = {}
+    try:
+        for name, key, kind, read, _, required, _ in _fields(cls):
+            value = raw.get(key, _ABSENT)
+            if type(value) is kind:
+                kwargs[name] = value
+            elif value is not _ABSENT:
+                kwargs[name] = read(value)
+            elif required:
+                raise _Mismatch("is missing")
+    except _Mismatch as exc:
+        raise exc.at(key) from None
+    if len(kwargs) != len(raw):
+        known = {key for _, key, *_ in _fields(cls)}
+        raise _Mismatch("is unknown").at(min(set(raw) - known))
+    return cls(**kwargs)
+
+
+def to_json(record) -> dict:
+    """The JSON object of the dataclass ``record``; ``from_json`` reads it
+    back."""
+    out = {}
+    for name, key, _, _, write, _, _ in _fields(type(record)):
+        value = getattr(record, name)
+        out[key] = value if write is None else write(value)
+    return out
+
+
+def from_json(cls: type, raw, error: Callable[[str], Exception]):
+    """The dataclass ``cls`` read from the JSON object ``raw``. A value of the
+    wrong JSON type, a missing required key or an unknown key raises
+    ``error(message)``, and the message names the field; so does a value
+    that a record's own checks reject."""
+    try:
+        return _read_record(cls, raw)
+    except (_Mismatch, PoisonscanError) as exc:
+        raise error(f"not a {cls.__name__}: {exc}") from None
+
+
+def read_fields(raw, error: Callable[[str], Exception], /, **hints) -> list:
+    """The values of the keys that ``hints`` names in the JSON object ``raw``,
+    each read as its annotation there; other keys are left alone."""
+    out, key = [], None
+    try:
+        if type(raw) is not dict:
+            raise _wrong("a JSON object", raw)
+        for key, hint in hints.items():
+            if key not in raw:
+                raise _Mismatch("is missing")
+            out.append(_codec(hint)[1](raw[key]))
+    except _Mismatch as exc:
+        raise error(str(exc if key is None else exc.at(key))) from None
+    return out
+
+
+def check_fields(record, error: Callable[[str], Exception]) -> None:
+    """Raise ``error`` unless every field of the dataclass ``record``, built
+    in Python, holds exactly the type its annotation names. That holds when
+    the value reads back from its JSON form as itself: 2.5, "5" and True are
+    no int, and a list is no tuple."""
+    for name, _, _, read, write, _, annotation in _fields(type(record)):
+        value = getattr(record, name)
+        try:
+            back = read(value if write is None else write(value))
+        except _Mismatch as exc:
+            if exc.path:  # it names a field of a nested record
+                raise error(str(exc.at(name))) from None
+            back = _ABSENT
+        except (TypeError, AttributeError):  # not even writable
+            back = _ABSENT
+        # a NaN reads back unequal to itself; the range checks name it
+        if back is not value and not (type(back) is type(value) and (back == value or back != back)):
+            raise error(f"field {name!r} must be {annotation}, got {reprlib.repr(value)}")
 
 
 def parse_json(text: str, path: str | Path, line: int | None = None):
@@ -266,46 +445,24 @@ class TokenRegistry:
                 if not line:
                     continue
                 row = parse_json(line, path, lineno)
-                if not isinstance(row, dict):
-                    raise ParseError("each line must be a JSON object", path=path, line=lineno)
+                error = partial(ParseError, path=path, line=lineno)
+                chain_id, address, symbol, decimals, authentic, stablecoin = read_fields(
+                    row, error, chain_id=int, address=str, symbol=str, decimals=int,
+                    authentic=bool, stablecoin=bool,
+                )
                 try:
-                    token = TokenRef(
-                        chain_id=_typed(row, "chain_id", int, path, lineno),
-                        address=parse_address(row["address"]),
-                        symbol=str(row["symbol"]),
-                        decimals=_typed(row, "decimals", int, path, lineno),
-                    )
-                    entries.append(
-                        RegistryEntry(
-                            token=token,
-                            authentic=_typed(row, "authentic", bool, path, lineno),
-                            stablecoin=_typed(row, "stablecoin", bool, path, lineno),
-                        )
-                    )
-                except KeyError as exc:
-                    raise ParseError(f"missing field {exc}", path=path, line=lineno) from None
-                except (ValueError, AddressError) as exc:
-                    raise ParseError(str(exc), path=path, line=lineno) from None
+                    address = parse_address(address)
+                except AddressError as exc:
+                    raise error(str(exc)) from None
+                token = TokenRef(chain_id, address, symbol, decimals)
+                entries.append(RegistryEntry(token, authentic, stablecoin))
         return cls(entries)
 
     def to_jsonl(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as handle:
             for entry in self:
-                token = entry.token
-                handle.write(
-                    json.dumps(
-                        {
-                            "chain_id": token.chain_id,
-                            "address": token.address,
-                            "symbol": token.symbol,
-                            "decimals": token.decimals,
-                            "authentic": entry.authentic,
-                            "stablecoin": entry.stablecoin,
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+                flags = {"authentic": entry.authentic, "stablecoin": entry.stablecoin}
+                handle.write(json.dumps({**to_json(entry.token), **flags}, sort_keys=True) + "\n")
 
     def get(self, chain_id: int, address: Address) -> RegistryEntry | None:
         return self._table.get((chain_id, address))
@@ -505,17 +662,12 @@ class ChainConfig:
     stablecoin_parity: bool = False
 
     def __post_init__(self):
-        check_scalar_fields(self, ConfigError)
+        check_fields(self, ConfigError)
         if self.window_blocks < 1:
             raise ConfigError(f"window_blocks must be >= 1, got {self.window_blocks}")
-        tiny = self.tiny_threshold_usd
-        if not isinstance(tiny, Decimal):
-            try:
-                object.__setattr__(self, "tiny_threshold_usd", Decimal(str(tiny)))
-            except InvalidOperation:
-                raise ConfigError(f"tiny_threshold_usd must be a number, got {tiny!r}") from None
         # NaN would make the comparison raise, and Infinity pass it
-        if not self.tiny_threshold_usd.is_finite() or self.tiny_threshold_usd <= 0:
+        tiny = self.tiny_threshold_usd
+        if not tiny.is_finite() or tiny <= 0:
             raise ConfigError(f"tiny_threshold_usd must be finite and > 0, got {tiny}")
         if not 0 < self.birthday_alpha < 1:
             raise ConfigError(f"birthday_alpha must be in (0, 1), got {self.birthday_alpha}")
@@ -528,8 +680,6 @@ class ChainConfig:
         if self.block_time_seconds < 1:
             raise ConfigError(f"block_time_seconds must be >= 1, got {self.block_time_seconds}")
         if self.stablecoins is not None:
-            if not isinstance(self.stablecoins, (list, tuple)):
-                raise ConfigError(f"stablecoins must be a list, got {self.stablecoins!r}")
             try:
                 canon = tuple(parse_address(a) for a in self.stablecoins)
             except AddressError as exc:
@@ -540,34 +690,15 @@ class ChainConfig:
         return replace(self, **kwargs)
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, Decimal):
-                value = str(value)
-            elif isinstance(value, tuple):
-                value = list(value)
-            out[f.name] = value
-        return out
+        return to_json(self)
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "ChainConfig":
-        if not isinstance(raw, Mapping):
-            raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
-        unknown = set(raw) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "chain_id" not in raw:
-            raise ConfigError("config requires chain_id")
-        return cls(**raw)
+        return from_json(cls, raw, ConfigError)
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ChainConfig":
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
-            raise ConfigError(f"bad config JSON in {path}: {exc}") from None
-        return cls.from_dict(raw)
+        return cls.from_dict(parse_json(Path(path).read_text(encoding="utf-8"), path))
 
 
 _PRESETS: dict[int, dict] = {

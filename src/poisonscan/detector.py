@@ -49,14 +49,13 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from decimal import Decimal
-from functools import cache
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
-    SHAPE_ERRORS,
     ChainConfig,
     ConfigError,
     Label,
@@ -65,8 +64,9 @@ from .core import (
     TokenRegistry,
     TransferEvent,
     event_date,
+    from_json,
     parse_json,
-    shape_message,
+    to_json,
     usd_amount,
 )
 from .ingest import ordered
@@ -169,53 +169,13 @@ class PayoffRecord:
     edit_distance: int | None = None
 
 
-# ---------------------------------------------------------------------------
-# report record codec: one JSON object per record, keyed by field name except
-# for the transfer endpoints; token amounts travel as decimal strings
-
-_JSON_NAMES = {"from_addr": "from", "to_addr": "to"}
-
-
-def _optional_decimal(raw: str | None) -> Decimal | None:
-    return None if raw is None else Decimal(raw)
-
-
-_DECODERS = {"value": int, "usd": _optional_decimal, "evidence": tuple}
-
-
-@cache
-def _json_names(cls: type) -> tuple[tuple[str, str], ...]:
-    return tuple((f.name, _JSON_NAMES.get(f.name, f.name)) for f in fields(cls))
-
-
-def _record_to_json(record) -> dict:
-    out = {}
-    for name, key in _json_names(type(record)):
-        value = getattr(record, name)
-        if name == "value" or isinstance(value, Decimal):
-            value = str(value)
-        elif isinstance(value, tuple):
-            value = list(value)
-        out[key] = value
-    return out
-
-
-def _record_from_json(cls: type, raw: Mapping):
-    kwargs = {}
-    for name, key in _json_names(cls):
-        value = raw[key]
-        decode = _DECODERS.get(name)
-        kwargs[name] = value if decode is None else decode(value)
-    return cls(**kwargs)
-
-
-def _object_pieces(encode, mapping: Mapping, to_json=None) -> Iterable[str]:
+def _object_pieces(encode, mapping: Mapping, write=None) -> Iterable[str]:
     """A JSON object in sorted key order, one entry per piece."""
     yield "{"
     sep = ""
     for key in sorted(mapping):
         value = mapping[key]
-        yield sep + encode(key) + ":" + encode(value if to_json is None else to_json(value))
+        yield sep + encode(key) + ":" + encode(value if write is None else write(value))
         sep = ","
     yield "}"
 
@@ -225,7 +185,7 @@ def _array_pieces(encode, records: Iterable) -> Iterable[str]:
     yield "["
     sep = ""
     for record in records:
-        yield sep + encode(_record_to_json(record))
+        yield sep + encode(to_json(record))
         sep = ","
     yield "]"
 
@@ -271,49 +231,21 @@ class DetectionReport:
                 out[label] = out.get(label, 0) + 1
         return out
 
-    def _json_head(self) -> dict:
-        """The top-level keys of report.json that hold no per-event records."""
-        return {
-            "chain_id": self.chain_id,
-            "config": self.config.to_dict(),
-            "victim_recipients": dict(self.victim_recipients),
-            "excluded_victims": dict(self.excluded_victims),
-            "accidental": sorted(self.accidental),
-            "unpriced": list(self.unpriced),
-            "authentic_tokens": sorted(self.authentic_tokens),
-            "counters": dict(self.counters),
-        }
-
-    @classmethod
-    def from_json_dict(cls, raw: Mapping) -> "DetectionReport":
-        return cls(
-            chain_id=raw["chain_id"],
-            config=ChainConfig.from_dict(raw["config"]),
-            labels=dict(raw["labels"]),
-            events={k: _record_from_json(EventDetail, v) for k, v in raw["events"].items()},
-            contexts=tuple(_record_from_json(AttackContext, c) for c in raw["contexts"]),
-            payoffs=tuple(_record_from_json(PayoffRecord, p) for p in raw["payoffs"]),
-            victim_recipients=dict(raw["victim_recipients"]),
-            excluded_victims=dict(raw["excluded_victims"]),
-            accidental=frozenset(raw["accidental"]),
-            unpriced=tuple(raw["unpriced"]),
-            authentic_tokens=frozenset(raw["authentic_tokens"]),
-            counters=dict(raw["counters"]),
-        )
-
     def write_json(self, path: str | Path) -> None:
         """Write report.json: every field in one JSON object with sorted keys,
         no spaces and a closing newline, which ``read_json`` reads back.
 
-        Records are keyed by their JSON names, with ``value`` and Decimal
-        amounts as strings. The file is streamed: labels and events go out
-        entry by entry, contexts and payoffs record by record, so neither a
-        copy of the records nor the whole text is ever held in memory.
+        Each record is written by ``to_json``. The file is streamed: labels
+        and events go out entry by entry, contexts and payoffs record by
+        record, so neither a copy of the records nor the whole text is ever
+        held in memory.
         """
         encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-        body = {key: (encode(value),) for key, value in self._json_head().items()}
+        # the fields that hold no per-event records go out whole
+        head = to_json(replace(self, labels={}, events={}, contexts=(), payoffs=()))
+        body = {key: (encode(value),) for key, value in head.items()}
         body["labels"] = _object_pieces(encode, self.labels)
-        body["events"] = _object_pieces(encode, self.events, _record_to_json)
+        body["events"] = _object_pieces(encode, self.events, to_json)
         body["contexts"] = _array_pieces(encode, self.contexts)
         body["payoffs"] = _array_pieces(encode, self.payoffs)
         with open(path, "w", encoding="utf-8") as fh:
@@ -327,10 +259,7 @@ class DetectionReport:
     @classmethod
     def read_json(cls, path: str | Path) -> "DetectionReport":
         raw = parse_json(Path(path).read_text(encoding="utf-8"), path)
-        try:
-            return cls.from_json_dict(raw)
-        except SHAPE_ERRORS as exc:
-            raise ParseError(shape_message("a detection report", exc), path=path) from None
+        return from_json(cls, raw, partial(ParseError, path=path))
 
 
 def _resolve_token_sets(

@@ -16,12 +16,12 @@ import json
 import random
 import string
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from decimal import Decimal
+from functools import partial
 from pathlib import Path
 
 from .core import (
-    SHAPE_ERRORS,
     ChainConfig,
     Label,
     ParseError,
@@ -32,12 +32,14 @@ from .core import (
     TokenRegistry,
     TransactionRecord,
     TransferEvent,
-    check_scalar_fields,
+    check_fields,
     default_config,
     event_date,
+    from_json,
     hex_digits,
     parse_json,
-    shape_message,
+    read_fields,
+    to_json,
 )
 from .clustering import rand_index
 from .ingest import validate_stream, write_account_history, write_events
@@ -152,25 +154,8 @@ class ScenarioSpec:
     gas_price: int = 30 * 10**9
     genesis_timestamp: int = 1_704_067_200
 
-    def __post_init__(self):
-        object.__setattr__(self, "chain_ids", tuple(self.chain_ids))
-        object.__setattr__(self, "groups", tuple(self.groups))
-        object.__setattr__(self, "bots", tuple(self.bots))
-        object.__setattr__(self, "contested_winners", tuple(self.contested_winners))
-
     def validate(self) -> None:
-        check_scalar_fields(self, ScenarioError)
-        for i, g in enumerate(self.groups):
-            check_scalar_fields(g, ScenarioError, f"group {i}: ")
-        for i, b in enumerate(self.bots):
-            check_scalar_fields(b, ScenarioError, f"bot {i}: ")
-        nested = [*self.chain_ids, *self.contested_winners]
-        for g in self.groups:
-            nested += [*(g.offsets or ()), *g.payoff_delay, *(v for pair in g.scores for v in pair)]
-        for b in self.bots:
-            nested += b.copies
-        if any(type(v) is not int for v in nested):
-            raise ScenarioError("chain ids, winners, offsets, delays, scores, copies: integers only")
+        check_fields(self, ScenarioError)
         if not 1 <= len(self.chain_ids) <= 2:
             raise ScenarioError(f"chain_ids must list 1 or 2 chains, got {self.chain_ids}")
         if len(set(self.chain_ids)) != len(self.chain_ids):
@@ -240,68 +225,21 @@ class ScenarioSpec:
                 )
 
     def to_json_dict(self) -> dict:
-        def unpack(obj):
-            out = {}
-            for f in fields(obj):
-                value = getattr(obj, f.name)
-                if isinstance(value, tuple) and value and hasattr(value[0], "__dataclass_fields__"):
-                    value = [unpack(v) for v in value]
-                elif isinstance(value, tuple):
-                    value = [list(v) if isinstance(v, tuple) else v for v in value]
-                out[f.name] = value
-            return out
-
-        return unpack(self)
+        return to_json(self)
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "ScenarioSpec":
-        if not isinstance(raw, Mapping):
-            raise ScenarioError(f"scenario spec must be a JSON object, got {type(raw).__name__}")
-        unknown = set(raw) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
-        kwargs = dict(raw)
-        try:
-            if "groups" in kwargs:
-                groups = []
-                for g in kwargs["groups"]:
-                    g = dict(g)
-                    for key in ("strategies", "offsets", "payoff_delay"):
-                        if g.get(key) is not None:
-                            g[key] = tuple(g[key])
-                    if "scores" in g:
-                        g["scores"] = tuple(tuple(s) for s in g["scores"])
-                    groups.append(GroupSpec(**g))
-                kwargs["groups"] = tuple(groups)
-            if "bots" in kwargs:
-                kwargs["bots"] = tuple(
-                    BotSpec(**{**b, "copies": tuple(b["copies"])}) for b in kwargs["bots"]
-                )
-            for key in ("chain_ids", "contested_winners"):
-                if key in kwargs:
-                    kwargs[key] = tuple(tuple(v) if isinstance(v, list) else v for v in kwargs[key])
-            spec = cls(**kwargs)
-            spec.validate()
-        except SHAPE_ERRORS as exc:
-            raise ScenarioError(shape_message("a scenario spec", exc)) from None
+        spec = from_json(cls, raw, ScenarioError)
+        spec.validate()
         return spec
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ScenarioSpec":
-        try:
-            raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
-            raise ScenarioError(f"bad scenario JSON in {path}: {exc}") from None
-        return cls.from_dict(raw)
+        return cls.from_dict(parse_json(Path(path).read_text(encoding="utf-8"), path))
 
 
 # ---------------------------------------------------------------------------
 # ground truth
-
-
-# the fields of a ground-truth line that scoring reads, and their JSON types
-_TRUTH_TYPES = {"chain_id": (int,), "key": (str,), "label": (str,), "group": (int, type(None))}
-_BOT_TYPES = {"account": (str,)}
 
 
 class GroundTruth:
@@ -350,14 +288,12 @@ class GroundTruth:
             if not isinstance(obj, dict):
                 raise ParseError("each line must be a JSON object", path=path, line=line)
             kind = obj.pop("kind", "event")
-            for name, kinds in _BOT_TYPES.items() if kind == "bot" else _TRUTH_TYPES.items():
-                if name not in obj:
-                    raise ParseError(f"missing field {name!r}", path=path, line=line)
-                if type(obj[name]) not in kinds:
-                    raise ParseError(f"bad {name!r}: {obj[name]!r}", path=path, line=line)
+            error = partial(ParseError, path=path, line=line)
             if kind == "bot":
-                bots.append(obj["account"])
+                bots += read_fields(obj, error, account=str)
             else:
+                # the fields that scoring reads
+                read_fields(obj, error, chain_id=int, key=str, label=str, group=int | None)
                 rows.append(obj)
         return cls(rows, bots)
 

@@ -17,6 +17,7 @@ import pytest
 import poisonscan
 import poisonscan.cli as cli_mod
 from poisonscan.cli import run
+from poisonscan.core import Label
 from poisonscan.detector import DetectionReport
 from poisonscan.scenario import BotSpec, GroupSpec, ScenarioSpec, generate
 
@@ -248,11 +249,13 @@ HUGE_INPUTS = {
 }
 
 
-def assert_input_error(case, sim_dir, scan_dir, tmp_path, capsys):
+def assert_input_error(case, dirs, tmp_path, capsys):
+    """``dirs`` maps {sim}, {scan} and the like to bundle directories; a
+    callable text is made from them."""
     name, text, where, args = case
     bad = tmp_path / name
-    bad.write_text(text + "\n", encoding="utf-8")
-    code = run([arg.format(bad=bad, sim=sim_dir, scan=scan_dir, out=tmp_path / "out") for arg in args])
+    bad.write_text((text(dirs) if callable(text) else text) + "\n", encoding="utf-8")
+    code = run([arg.format(bad=bad, out=tmp_path / "out", **dirs) for arg in args])
     err = capsys.readouterr().err
     assert code == 1, err[:300]
     assert err.startswith("error:") and where in err, err[:300]
@@ -260,12 +263,50 @@ def assert_input_error(case, sim_dir, scan_dir, tmp_path, capsys):
 
 @pytest.mark.parametrize("loader", list(HUGE_INPUTS))
 def test_huge_integer_in_other_inputs_exits_one(loader, sim_dir, scan_dir, tmp_path, capsys):
-    assert_input_error(HUGE_INPUTS[loader], sim_dir, scan_dir, tmp_path, capsys)
+    assert_input_error(HUGE_INPUTS[loader], {"sim": sim_dir, "scan": scan_dir}, tmp_path, capsys)
+
+
+def edited(name, edit):
+    """The text of bundle file ``name`` ("{scan}/report.json") once ``edit``
+    has changed its JSON tree in place."""
+
+    def text(dirs):
+        tree = read_json(Path(name.format(**dirs)))
+        edit(tree)
+        return json.dumps(tree)
+
+    return text
+
+
+def reading_bad(args, name):
+    """``args`` with bundle file ``name`` swapped for the bad file."""
+    return [arg.replace(name, "{bad}") for arg in args]
+
+
+def poison_blocks_text(report):
+    for key, label in report["labels"].items():
+        if label in Label.POISONS:
+            report["events"][key]["block_number"] = "x"
+
+
+REPORT, CLUSTERS = "{scan}/report.json", "{cluster}/clusters.json"
+BAD_REPORTS = {
+    "poison-block": (poison_blocks_text, "events.block_number"),
+    "payoff-confirmed": (lambda r: r["payoffs"][0].update(confirmed="no"), "payoffs.confirmed"),
+    "chain-id": (lambda r: r.update(chain_id="1"), "'chain_id'"),
+    "anchor-block": (lambda r: r["contexts"][0].update(anchor_block="x"), "contexts.anchor_block"),
+}
+SET_BLOCK_TEXT = edited(CLUSTERS, lambda c: c["sets"][0].update(block_number="x"))
 
 
 # JSON of valid syntax but the wrong shape, as in HUGE_INPUTS: the file, its
 # text, what the error must name, and the command that reads it
 SCAN_CONFIG = HUGE_INPUTS["config"][3]
+ECON = [
+    "econ", "--report", REPORT, "--clusters", CLUSTERS, "--prices", "{sim}/prices.csv",
+    "--out", "{out}",
+]
+SCORE = ["score", "--report", REPORT, "--truth", "{sim}/ground_truth.jsonl"]
 SHAPE_INPUTS = {
     "report-empty": ("report.json", "{}", "report.json", HUGE_INPUTS["report"][3]),
     "clusters-set-keys": (
@@ -285,12 +326,32 @@ SHAPE_INPUTS = {
     "config-int-fraction": ("config.json", '{"chain_id": 1, "a_min": 2.5}', "a_min", SCAN_CONFIG),
     "truth-list-line": ("truth.jsonl", "[1]", "truth.jsonl:1", HUGE_INPUTS["truth"][3]),
     "spec-group-keys": ("spec.json", '{"groups": [{"bogus": 1}]}', "bogus", HUGE_INPUTS["spec"][3]),
+    # record fields of the wrong JSON type, each once accepted or an internal error
+    **{
+        f"report-{bad}-{args[0]}": (
+            "report.json", edited(REPORT, edit), where, reading_bad(args, REPORT),
+        )
+        for bad, (edit, where) in BAD_REPORTS.items()
+        for args in (HUGE_INPUTS["report"][3], ECON, SCORE)
+    },
+    # a value the record's own checks reject names the file it came from
+    "report-config-window-zero": (
+        "report.json", edited(REPORT, lambda r: r["config"].update(window_blocks=0)), "report.json",
+        HUGE_INPUTS["report"][3],
+    ),
+    "clusters-set-block-econ": (
+        "clusters.json", SET_BLOCK_TEXT, "sets.block_number", reading_bad(ECON, CLUSTERS),
+    ),
+    "clusters-set-block-score": (
+        "clusters.json", SET_BLOCK_TEXT, "sets.block_number", [*SCORE, "--clusters", "{bad}"],
+    ),
 }
 
 
 @pytest.mark.parametrize("case", list(SHAPE_INPUTS))
-def test_wrong_shape_input_exits_one(case, sim_dir, scan_dir, tmp_path, capsys):
-    assert_input_error(SHAPE_INPUTS[case], sim_dir, scan_dir, tmp_path, capsys)
+def test_wrong_shape_input_exits_one(case, sim_dir, scan_dir, cluster_dir, tmp_path, capsys):
+    dirs = {"sim": sim_dir, "scan": scan_dir, "cluster": cluster_dir}
+    assert_input_error(SHAPE_INPUTS[case], dirs, tmp_path, capsys)
 
 
 def test_simulate_writes_bundle_and_manifest(sim_dir):
