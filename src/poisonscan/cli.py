@@ -57,6 +57,7 @@ from .core import (
     parse_json,
     read_fields,
     to_json,
+    write_json,
 )
 from .detector import DetectionReport, birthday_filter, scan
 from .ingest import iter_events, load_account_history, write_events
@@ -145,12 +146,6 @@ def _ensure_outdir(path: str) -> Path:
     return out
 
 
-def _write_json(path: Path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -180,7 +175,7 @@ def _write_manifest(outdir: Path, subcommand: str, inputs: dict, options: dict, 
         },
         "options": options,
     }
-    _write_json(outdir / "manifest.json", manifest)
+    write_json(outdir / "manifest.json", manifest)
 
 
 def _read_lines(path) -> list[str]:
@@ -291,7 +286,7 @@ def _write_clusters(path: Path, sets, groups, bot_threshold: float) -> None:
         "sets": [to_json(s) for s in sets],
         "groups": [to_json(g) for g in groups],
     }
-    _write_json(path, payload)
+    write_json(path, payload)
 
 
 def _read_clusters(path):
@@ -466,7 +461,7 @@ def _cmd_score(args) -> int:
     card = score_labels(report.labels, truth, report.chain_id, predicted_groups)
     payload = to_json(card)
     if args.out:
-        _write_json(Path(args.out), payload)
+        write_json(Path(args.out), payload)
     else:
         print(json.dumps(payload, indent=2, sort_keys=True))
     _info(
@@ -524,7 +519,7 @@ def _cmd_gen(args) -> int:
         ],
     }
     if args.out:
-        _write_json(Path(args.out), payload)
+        write_json(Path(args.out), payload)
     else:
         print(json.dumps(payload, indent=2, sort_keys=True))
     _info(
@@ -583,7 +578,7 @@ def _cmd_report(args) -> int:
     _write_clusters(outdir / "clusters.json", sets, groups, args.bot_threshold)
     _write_economics_csv(outdir / "economics.csv", econ_rows)
     _write_win_loss_csv(outdir / "win_loss.csv", win_loss_matrix(records))
-    _write_json(outdir / "success_ranks.json", _ranks_payload(records))
+    write_json(outdir / "success_ranks.json", _ranks_payload(records))
     _write_similarity_csv(
         outdir / "similarity_cells.csv", similarity_distribution(groups, sets, report)
     )
@@ -601,7 +596,7 @@ def _cmd_report(args) -> int:
         "profit_usd": str(sum((row.profit_usd for row in econ_rows), Decimal(0))),
         "quarantined": sum(row.quarantined for row in econ_rows),
     }
-    _write_json(outdir / "summary.json", summary)
+    write_json(outdir / "summary.json", summary)
     options = _scan_options(args)
     options["bot_threshold"] = args.bot_threshold
     _write_manifest(

@@ -405,6 +405,14 @@ def parse_json(text: str, path: str | Path, line: int | None = None):
         raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", path=path, line=line) from None
 
 
+def write_json(path: str | Path, payload) -> None:
+    """Write ``payload`` to ``path`` as JSON indented by 2 with sorted keys
+    and a closing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 class TokenRegistry:
     """Registry of known token contracts per chain.
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import reprlib
 import string
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
@@ -40,6 +41,7 @@ from .core import (
     parse_json,
     read_fields,
     to_json,
+    write_json,
 )
 from .clustering import rand_index
 from .ingest import validate_stream, write_account_history, write_events
@@ -63,7 +65,8 @@ _DEFAULT_NATIVE_PRICE = Decimal("1000")
 _STABLE_PRICE = Decimal("1.00")
 _OTHER_PRICE = Decimal("5.00")
 
-_STRATEGIES = ("tiny", "zero", "counterfeit")
+_LABELS = {"tiny": Label.TINY, "zero": Label.ZERO, "counterfeit": Label.COUNTERFEIT}
+_STRATEGIES = tuple(_LABELS)
 
 
 def _other_digit(rng: random.Random, avoid: str, current: str) -> str:
@@ -89,6 +92,20 @@ def _surgery(rng: random.Random, used: set[str], intended: str, a: int, b: int) 
             if (got.a, got.b) != (a, b):
                 raise ScenarioError(f"surgery produced ({got.a}, {got.b}) instead of ({a}, {b})")
             return candidate
+
+
+def _binding(
+    victim: str, intended: str, lookalike: str | None, a: int | None, b: int | None, offset: int
+) -> dict:
+    """The (victim, intended, lookalike) binding every truth row carries."""
+    return {
+        "victim": victim,
+        "intended": intended,
+        "lookalike": lookalike,
+        "a": a,
+        "b": b,
+        "offset": offset,
+    }
 
 
 @dataclass(frozen=True)
@@ -166,12 +183,13 @@ class ScenarioSpec:
             raise ScenarioError("need at least 2 benign users for background traffic")
         if self.n_stablecoins < 1:
             raise ScenarioError("need at least one stablecoin")
-        window = default_config(self.chain_ids[0]).window_blocks
         for i, g in enumerate(self.groups):
             if g.n_attacks < 1:
                 raise ScenarioError(f"group {i}: n_attacks must be >= 1")
             if not g.strategies or any(s not in _STRATEGIES for s in g.strategies):
                 raise ScenarioError(f"group {i}: strategies must come from {_STRATEGIES}")
+            if not g.scores:
+                raise ScenarioError(f"group {i}: scores must name at least one score")
             for a, b in g.scores:
                 if a < 0 or b < 0 or a + b > 40:
                     raise ScenarioError(f"group {i}: infeasible score ({a}, {b})")
@@ -206,23 +224,26 @@ class ScenarioSpec:
             raise ScenarioError("contested_winners entries must be 0 or 1")
         if self.cross_chain_reuse > 0 and len(self.chain_ids) < 2:
             raise ScenarioError("cross_chain_reuse needs two chains")
-        if self.typos < 0 or self.decoy_payoffs < 0 or self.contested_payoffs < 0:
+        if self.cross_chain_reuse > 0 and not self.groups:
+            raise ScenarioError("cross_chain_reuse needs a group to replay")
+        if min(self.typos, self.decoy_payoffs, self.contested_payoffs, self.cross_chain_reuse) < 0:
             raise ScenarioError("event counts must be non-negative")
         if self.gas_used < 0 or self.gas_price < 0:
             raise ScenarioError("gas values must be non-negative")
-        backward = window + 45
-        for g in self.groups:
-            if g.offsets:
-                backward = max(backward, max(g.offsets) + 2)
-        forward = 260
-        for g in self.groups:
-            forward = max(forward, g.payoff_delay[1] + 10)
-        if self.groups or self.typos or self.decoy_payoffs or self.contested_payoffs:
-            needed = backward + forward + 20
-            if self.n_blocks < needed:
-                raise ScenarioError(
-                    f"n_blocks {self.n_blocks} too small for requested attacks; need >= {needed}"
-                )
+        # every block the generator draws comes from one of these spans
+        spans = [_poison_span(self, g) for g in self.groups]
+        counts = {
+            10: self.typos,
+            30: self.cross_chain_reuse,
+            220: self.decoy_payoffs + self.contested_payoffs,
+        }
+        spans += [_span(self, margin) for margin, n in counts.items() if n]
+        short = max((lo - hi + 1 for lo, hi in spans), default=0)
+        if short > 0:
+            raise ScenarioError(
+                f"n_blocks {self.n_blocks} too small for requested attacks; "
+                f"need >= {self.n_blocks + short}"
+            )
 
     def to_json_dict(self) -> dict:
         return to_json(self)
@@ -236,6 +257,24 @@ class ScenarioSpec:
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ScenarioSpec":
         return cls.from_dict(parse_json(Path(path).read_text(encoding="utf-8"), path))
+
+
+def _span(spec: ScenarioSpec, margin: int) -> tuple[int, int]:
+    """The [lo, hi) blocks a trigger may take when what follows it ends
+    within the first chain's window plus ``margin`` blocks."""
+    window = default_config(spec.chain_ids[0]).window_blocks
+    return spec.start_block + 2, spec.start_block + spec.n_blocks - window - margin
+
+
+def _poison_span(spec: ScenarioSpec, group: GroupSpec) -> tuple[int, int]:
+    """The [lo, hi) blocks a poisoning of ``group`` may take: room behind it
+    for its furthest trigger or sibling, ahead of it for its latest payoff."""
+    window = default_config(spec.chain_ids[0]).window_blocks
+    max_offset = max(group.offsets) if group.offsets else window
+    return (
+        spec.start_block + max(max_offset, window + 45) + 2,
+        spec.start_block + spec.n_blocks - max(group.payoff_delay[1], 250) - 10,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +326,12 @@ class GroundTruth:
             obj = parse_json(raw, path, line)
             if not isinstance(obj, dict):
                 raise ParseError("each line must be a JSON object", path=path, line=line)
-            kind = obj.pop("kind", "event")
             error = partial(ParseError, path=path, line=line)
+            kind = obj.pop("kind", None)
             if kind == "bot":
                 bots += read_fields(obj, error, account=str)
+            elif kind != "event":
+                raise error(f"field 'kind' must be 'event' or 'bot', got {reprlib.repr(kind)}")
             else:
                 # the fields that scoring reads
                 read_fields(obj, error, chain_id=int, key=str, label=str, group=int | None)
@@ -383,7 +424,8 @@ class _GroupState:
     counterfeit: TokenRef
     # (block, event, tx target, binding, label) per copyable poisoning
     copyable: list[tuple[int, _PlannedEvent, str, dict, str]] = field(default_factory=list)
-    replayable: list[dict] = field(default_factory=list)
+    # (binding of the first victim, attacker) per attack but history upgrades
+    replayable: list[tuple[dict, str]] = field(default_factory=list)
 
 
 class _Generator:
@@ -469,25 +511,20 @@ class _Generator:
 
     # -- attacks ----------------------------------------------------------
 
-    def poison_block_bounds(self, gspec: GroupSpec) -> tuple[int, int]:
-        spec = self.spec
-        max_offset = max(gspec.offsets) if gspec.offsets else self.window
-        backward = max(max_offset, self.window + 45) + 2
-        forward = max(gspec.payoff_delay[1], 250) + 10
-        lo = spec.start_block + backward
-        hi = spec.start_block + spec.n_blocks - forward
-        if hi <= lo:
-            raise ScenarioError("n_blocks leaves no room for attack placement")
-        return lo, hi
-
     def plan_trigger(
-        self, chain_id: int, victim: str, intended: str, block: int, value: int | None = None
+        self, chain: int, victim: str, intended: str, block: int, truth: dict | None = None
     ) -> _PlannedEvent:
-        token = self.stablecoins[chain_id][0]
-        value = value if value is not None else self.usd_value(100, 2000)
-        ev = _PlannedEvent(token, victim, intended, value)
-        self.add_tx(chain_id, block, [ev])
+        """The victim's payment to the counterparty it meant to pay."""
+        token = self.stablecoins[chain][0]
+        ev = _PlannedEvent(token, victim, intended, self.usd_value(100, 2000), truth)
+        self.add_tx(chain, block, [ev])
         return ev
+
+    def plan_payment(self, chain: int, block: int, victim: str, dest: str, truth: dict) -> None:
+        """The victim's stablecoin payment to ``dest``, with gas paid."""
+        token = self.stablecoins[chain][0]
+        pay = _PlannedEvent(token, victim, dest, self.usd_value(100, 2000), truth)
+        self.add_tx(chain, block, [pay], victim, token.address, with_gas=True)
 
     def plan_groups(self) -> None:
         chain = self.spec.chain_ids[0]
@@ -499,7 +536,7 @@ class _Generator:
                 counterfeit=TokenRef(chain, self.new_address(), f"FAKE{g_idx}", 6),
             )
             self.group_states.append(state)
-            lo, hi = self.poison_block_bounds(gspec)
+            lo, hi = _poison_span(self.spec, gspec)
             upgrade_from = gspec.n_attacks - gspec.history_upgrades
             for i in range(gspec.n_attacks):
                 if i >= upgrade_from:
@@ -508,16 +545,9 @@ class _Generator:
                 self.plan_attack(chain, gspec, state, i, lo, hi)
 
     def plan_attack(
-        self,
-        chain: int,
-        gspec: GroupSpec,
-        state: _GroupState,
-        i: int,
-        lo: int,
-        hi: int,
+        self, chain: int, gspec: GroupSpec, state: _GroupState, i: int, lo: int, hi: int
     ) -> None:
         rng = self.rng
-        spec = self.spec
         strategy = gspec.strategies[i % len(gspec.strategies)]
         a, b = gspec.scores[i % len(gspec.scores)]
         sibling = i < gspec.sibling_bundles
@@ -528,9 +558,9 @@ class _Generator:
         else:
             offset0 = rng.randint(1, self.window)
         attacker = state.attackers[i % len(state.attackers)]
-        target = state.contract if n_ctx > 1 else None
         poison_events: list[_PlannedEvent] = []
-        contexts: list[dict] = []
+        # (trigger, binding) per bundled victim
+        contexts: list[tuple[_PlannedEvent, dict]] = []
         for j in range(n_ctx):
             victim = self.new_address()
             intended = self.new_address()
@@ -541,16 +571,7 @@ class _Generator:
                 offset = self.window + 2 + rng.randint(0, 40)
             else:
                 offset = rng.randint(1, self.window)
-            trigger_block = poison_block - offset
-            trigger = self.plan_trigger(chain, victim, intended, trigger_block)
-            binding = {
-                "victim": victim,
-                "intended": intended,
-                "lookalike": look,
-                "a": a,
-                "b": b,
-                "offset": offset,
-            }
+            trigger = self.plan_trigger(chain, victim, intended, poison_block - offset)
             token = self.stablecoins[chain][rng.randrange(len(self.stablecoins[chain]))]
             if strategy == "tiny":
                 ev = _PlannedEvent(token, look, victim, self.usd_value(1, 9))
@@ -559,54 +580,26 @@ class _Generator:
             else:
                 ev = _PlannedEvent(state.counterfeit, victim, look, self.usd_value(100, 2000))
             poison_events.append(ev)
-            contexts.append(
-                {
-                    "binding": binding,
-                    "strategy": strategy,
-                    "trigger_block": trigger_block,
-                    "token": token,
-                    "trigger": trigger,
-                    "in_window": offset <= self.window + 1,
-                }
-            )
+            contexts.append((trigger, _binding(victim, intended, look, a, b, offset)))
+        label = _LABELS[strategy]
         # one in-window hit makes every transfer in the transaction
         # classifiable through shared-transaction expansion
-        any_direct = any(c["in_window"] for c in contexts)
-        label = {
-            "tiny": Label.TINY,
-            "zero": Label.ZERO,
-            "counterfeit": Label.COUNTERFEIT,
-        }[strategy]
-        for ev, ctx in zip(poison_events, contexts):
-            if ctx["in_window"] or any_direct:
-                binding = ctx["binding"]
-                ctx["trigger"].truth = {"label": Label.INTENDED, "group": state.index, **binding}
+        planted = any(binding["offset"] <= self.window + 1 for _, binding in contexts)
+        if planted:
+            for ev, (trigger, binding) in zip(poison_events, contexts):
+                trigger.truth = {"label": Label.INTENDED, "group": state.index, **binding}
                 ev.truth = {"label": label, "group": state.index, **binding}
-        tx_target = target if target is not None else poison_events[0].token.address
+        tx_target = state.contract if n_ctx > 1 else poison_events[0].token.address
         self.add_tx(chain, poison_block, poison_events, attacker, tx_target, with_gas=True)
-        if strategy in ("zero", "counterfeit"):
-            for ev, ctx in zip(poison_events, contexts):
-                state.copyable.append(
-                    (poison_block, ev, tx_target, ctx["binding"], label)
-                )
-        if (contexts[0]["in_window"] or any_direct) and rng.random() < gspec.payoff_rate:
-            ctx = contexts[0]
-            payoff_block = poison_block + rng.randint(*gspec.payoff_delay)
-            token = self.stablecoins[chain][0]
-            pay = _PlannedEvent(
-                token, ctx["binding"]["victim"], ctx["binding"]["lookalike"], self.usd_value(100, 2000)
-            )
-            pay.truth = {
-                "label": Label.PAYOFF_CONFIRMED,
-                "group": state.index,
-                **ctx["binding"],
-            }
-            self.add_tx(
-                chain, payoff_block, [pay], ctx["binding"]["victim"], token.address, with_gas=True
-            )
-        state.replayable.append(
-            {"strategy": strategy, "a": a, "b": b, "contexts": contexts, "attacker": attacker}
-        )
+        if strategy != "tiny":
+            for ev, (_, binding) in zip(poison_events, contexts):
+                state.copyable.append((poison_block, ev, tx_target, binding, label))
+        binding = contexts[0][1]
+        if planted and rng.random() < gspec.payoff_rate:
+            pay_block = poison_block + rng.randint(*gspec.payoff_delay)
+            truth = {"label": Label.PAYOFF_CONFIRMED, "group": state.index, **binding}
+            self.plan_payment(chain, pay_block, binding["victim"], binding["lookalike"], truth)
+        state.replayable.append((binding, attacker))
 
     def plan_history_upgrade(
         self, chain: int, gspec: GroupSpec, state: _GroupState, lo: int, hi: int
@@ -619,36 +612,16 @@ class _Generator:
         victim = self.new_address()
         intended = self.new_address()
         look = self.lookalike(intended, a, b)
-        trigger_block = rng.randrange(lo, hi)
-        poison_offset = rng.randint(1, self.window - 10)
-        payoff_offset = rng.randint(poison_offset + 1, self.window)
-        trigger = self.plan_trigger(chain, victim, intended, trigger_block)
-        binding = {
-            "victim": victim,
-            "intended": intended,
-            "lookalike": look,
-            "a": a,
-            "b": b,
-            "offset": poison_offset,
-        }
-        trigger.truth = {"label": Label.INTENDED, "group": state.index, **binding}
+        block = rng.randrange(lo, hi)
+        offset = rng.randint(1, self.window - 10)
+        pay_offset = rng.randint(offset + 1, self.window)
+        row = {"group": state.index, **_binding(victim, intended, look, a, b, offset)}
+        self.plan_trigger(chain, victim, intended, block, {"label": Label.INTENDED, **row})
         other = self.others[chain][0]
-        tiny_raw = rng.randrange(2, 18) * 10**17
-        poison = _PlannedEvent(other, look, victim, tiny_raw)
-        self.add_tx(
-            chain,
-            trigger_block + poison_offset,
-            [poison],
-            state.attackers[0],
-            other.address,
-            with_gas=True,
-        )
-        token = self.stablecoins[chain][0]
-        pay = _PlannedEvent(token, victim, look, self.usd_value(100, 2000))
-        pay.truth = {"label": Label.PAYOFF_CONFIRMED, "group": state.index, **binding}
-        self.add_tx(
-            chain, trigger_block + payoff_offset, [pay], victim, token.address, with_gas=True
-        )
+        ev = _PlannedEvent(other, look, victim, rng.randrange(2, 18) * 10**17)
+        self.add_tx(chain, block + offset, [ev], state.attackers[0], other.address, with_gas=True)
+        truth = {"label": Label.PAYOFF_CONFIRMED, **row}
+        self.plan_payment(chain, block + pay_offset, victim, look, truth)
 
     def plan_bots(self) -> None:
         chain = self.spec.chain_ids[0]
@@ -667,47 +640,28 @@ class _Generator:
                     # each copy rides alone in its own transaction, so it is
                     # only detectable when it lands inside the victim window
                     if copy_offset <= self.window + 1:
-                        copy.truth = {
-                            "label": label,
-                            "group": None,
-                            **{**binding, "offset": copy_offset},
-                        }
+                        copy.truth = {"label": label, "group": None}
+                        copy.truth.update(binding, offset=copy_offset)
                     self.add_tx(chain, copy_block, [copy], bot, target, with_gas=True)
             self.accounts[chain][bot] = max(10 * self.tx_counts.get((chain, bot), 0), 10)
 
     def plan_typos(self) -> None:
         chain = self.spec.chain_ids[0]
         rng = self.rng
-        token = self.stablecoins[chain][0]
+        lo, hi = _span(self.spec, 10)
         for _ in range(self.spec.typos):
-            lo = self.spec.start_block + 2
-            hi = self.spec.start_block + self.spec.n_blocks - self.window - 10
             victim = self.new_address()
             intended = self.new_address()
-            trigger_block = rng.randrange(lo, hi)
-            typo_block = trigger_block + rng.randint(2, self.window - 5)
-            dest, distance = self.typo_of(intended)
+            block = rng.randrange(lo, hi)
+            offset = rng.randint(2, self.window - 5)
+            dest = self.typo_of(intended)
             sc = score(dest, intended)
-            binding = {
-                "victim": victim,
-                "intended": intended,
-                "lookalike": dest,
-                "a": sc.a,
-                "b": sc.b,
-                "offset": typo_block - trigger_block,
-            }
-            trigger = self.plan_trigger(chain, victim, intended, trigger_block)
-            trigger.truth = {"label": Label.INTENDED, "group": None, **binding}
-            pay = _PlannedEvent(token, victim, dest, self.usd_value(100, 2000))
-            pay.truth = {
-                "label": Label.ACCIDENTAL,
-                "group": None,
-                "edit_distance": distance,
-                **binding,
-            }
-            self.add_tx(chain, typo_block, [pay], victim, token.address, with_gas=True)
+            row = {"group": None, **_binding(victim, intended, dest, sc.a, sc.b, offset)}
+            self.plan_trigger(chain, victim, intended, block, {"label": Label.INTENDED, **row})
+            truth = {"label": Label.ACCIDENTAL, "edit_distance": 1, **row}
+            self.plan_payment(chain, block + offset, victim, dest, truth)
 
-    def typo_of(self, intended: str) -> tuple[str, int]:
+    def typo_of(self, intended: str) -> str:
         """Single-edit corruption of the intended address, placed so the
         result still clears the (3, 4) collection thresholds."""
         rng = self.rng
@@ -727,7 +681,7 @@ class _Generator:
             candidate = "0x" + "".join(chars)
             if candidate not in self.used_addresses:
                 self.used_addresses.add(candidate)
-                return candidate, 1
+                return candidate
 
     def plan_decoys(self) -> None:
         """Lookalike-shaped payments that stay unconfirmed: low positional
@@ -735,138 +689,75 @@ class _Generator:
         chain = self.spec.chain_ids[0]
         rng = self.rng
         token = self.stablecoins[chain][0]
+        lo, hi = _span(self.spec, 220)
         for _ in range(self.spec.decoy_payoffs):
-            lo = self.spec.start_block + 2
-            hi = self.spec.start_block + self.spec.n_blocks - self.window - 220
             victim = self.new_address()
             intended = self.new_address()
             dest = self.lookalike(intended, 5, 5)
             spender_sink = self.new_address()
-            trigger_block = rng.randrange(lo, hi)
-            pay_block = trigger_block + rng.randint(2, self.window - 5)
-            binding = {
-                "victim": victim,
-                "intended": intended,
-                "lookalike": dest,
-                "a": 5,
-                "b": 5,
-                "offset": pay_block - trigger_block,
-            }
-            trigger = self.plan_trigger(chain, victim, intended, trigger_block)
-            trigger.truth = {"label": Label.INTENDED, "group": None, **binding}
-            pay = _PlannedEvent(token, victim, dest, self.usd_value(100, 2000))
-            pay.truth = {"label": Label.PAYOFF_UNCONFIRMED, "group": None, **binding}
-            self.add_tx(chain, pay_block, [pay], victim, token.address, with_gas=True)
+            block = rng.randrange(lo, hi)
+            offset = rng.randint(2, self.window - 5)
+            row = {"group": None, **_binding(victim, intended, dest, 5, 5, offset)}
+            self.plan_trigger(chain, victim, intended, block, {"label": Label.INTENDED, **row})
+            truth = {"label": Label.PAYOFF_UNCONFIRMED, **row}
+            self.plan_payment(chain, block + offset, victim, dest, truth)
             spend = _PlannedEvent(token, dest, spender_sink, self.usd_value(10, 90))
-            self.add_tx(
-                chain, pay_block + 40 + rng.randint(0, 160), [spend], dest, token.address
-            )
+            spend_block = block + offset + 40 + rng.randint(0, 160)
+            self.add_tx(chain, spend_block, [spend], dest, token.address)
 
     def plan_contested(self) -> None:
         """Two groups poison the same victim; the configured winner takes
         the payoff. Winner index 0 means the first (higher-similarity)
         group wins."""
         spec = self.spec
-        if not spec.contested_payoffs:
-            return
         chain = spec.chain_ids[0]
         rng = self.rng
         token = self.stablecoins[chain][0]
-        ga, gb = self.group_states[0], self.group_states[1]
+        lo, hi = _span(spec, 220)
+        winners = spec.contested_winners or (0,)
         for c in range(spec.contested_payoffs):
-            winner_idx = (
-                spec.contested_winners[c % len(spec.contested_winners)]
-                if spec.contested_winners
-                else 0
-            )
-            lo = spec.start_block + 2
-            hi = spec.start_block + spec.n_blocks - self.window - 220
             victim = self.new_address()
             intended = self.new_address()
             look_a = self.lookalike(intended, 5, 6)
             look_b = self.lookalike(intended, 3, 4)
-            trigger_block = rng.randrange(lo, hi)
-            trigger = self.plan_trigger(chain, victim, intended, trigger_block)
-            block_a = trigger_block + rng.randint(1, 10)
-            block_b = block_a + rng.randint(1, 10)
-            pay_block = block_b + rng.randint(2, 60)
-            entries = [
-                (ga, look_a, 5, 6, block_a),
-                (gb, look_b, 3, 4, block_b),
-            ]
-            trigger.truth = {
-                "label": Label.INTENDED,
-                "group": None,
-                "victim": victim,
-                "intended": intended,
-                "lookalike": None,
-                "a": None,
-                "b": None,
-                "offset": 0,
-            }
-            for state, look, a, b, block in entries:
-                ev = _PlannedEvent(token, victim, look, 0)
-                ev.truth = {
-                    "label": Label.ZERO,
-                    "group": state.index,
-                    "victim": victim,
-                    "intended": intended,
-                    "lookalike": look,
-                    "a": a,
-                    "b": b,
-                    "offset": block - trigger_block,
-                }
-                self.add_tx(chain, block, [ev], state.attackers[0], token.address, with_gas=True)
-            w_state, w_look, w_a, w_b, _ = entries[winner_idx]
-            pay = _PlannedEvent(token, victim, w_look, self.usd_value(100, 2000))
-            pay.truth = {
-                "label": Label.PAYOFF_CONFIRMED,
-                "group": w_state.index,
-                "victim": victim,
-                "intended": intended,
-                "lookalike": w_look,
-                "a": w_a,
-                "b": w_b,
-                "offset": pay_block - trigger_block,
-            }
-            self.add_tx(chain, pay_block, [pay], victim, token.address, with_gas=True)
+            block = rng.randrange(lo, hi)
+            row = {"group": None, **_binding(victim, intended, None, None, None, 0)}
+            self.plan_trigger(chain, victim, intended, block, {"label": Label.INTENDED, **row})
+            offset_a = rng.randint(1, 10)
+            offset_b = offset_a + rng.randint(1, 10)
+            pay_offset = offset_b + rng.randint(2, 60)
+            rows = []
+            for state, look, a, b, offset in (
+                (self.group_states[0], look_a, 5, 6, offset_a),
+                (self.group_states[1], look_b, 3, 4, offset_b),
+            ):
+                row = {"group": state.index, **_binding(victim, intended, look, a, b, offset)}
+                rows.append(row)
+                ev = _PlannedEvent(token, victim, look, 0, {"label": Label.ZERO, **row})
+                attacker = state.attackers[0]
+                self.add_tx(chain, block + offset, [ev], attacker, token.address, with_gas=True)
+            row = rows[winners[c % len(winners)]]
+            truth = {**row, "label": Label.PAYOFF_CONFIRMED, "offset": pay_offset}
+            self.plan_payment(chain, block + pay_offset, victim, row["lookalike"], truth)
 
     def plan_cross_chain(self) -> None:
         """Replay leading group-0 contexts on the second chain with the
         same victim, intended, and lookalike addresses."""
         spec = self.spec
-        if spec.cross_chain_reuse == 0 or len(spec.chain_ids) < 2:
+        if not spec.cross_chain_reuse:
             return
-        chain2 = spec.chain_ids[1]
+        chain = spec.chain_ids[1]
         rng = self.rng
-        token = self.stablecoins[chain2][0]
-        state = self.group_states[0]
-        replayed = 0
-        for replay in state.replayable:
-            if replayed >= spec.cross_chain_reuse:
-                break
-            ctx = replay["contexts"][0]
-            binding = dict(ctx["binding"])
-            lo = spec.start_block + 2
-            hi = spec.start_block + spec.n_blocks - self.window - 30
-            trigger_block = rng.randrange(lo, hi)
+        token = self.stablecoins[chain][0]
+        lo, hi = _span(spec, 30)
+        for binding, attacker in self.group_states[0].replayable[: spec.cross_chain_reuse]:
+            block = rng.randrange(lo, hi)
             offset = rng.randint(1, self.window)
-            trigger = self.plan_trigger(
-                chain2, binding["victim"], binding["intended"], trigger_block
-            )
-            binding["offset"] = offset
-            trigger.truth = {"label": Label.INTENDED, "group": state.index, **binding}
-            ev = _PlannedEvent(token, binding["victim"], binding["lookalike"], 0)
-            ev.truth = {"label": Label.ZERO, "group": state.index, **binding}
-            self.add_tx(
-                chain2,
-                trigger_block + offset,
-                [ev],
-                replay["attacker"],
-                token.address,
-                with_gas=True,
-            )
-            replayed += 1
+            row = {"group": 0, **binding, "offset": offset}
+            victim, intended, look = binding["victim"], binding["intended"], binding["lookalike"]
+            self.plan_trigger(chain, victim, intended, block, {"label": Label.INTENDED, **row})
+            ev = _PlannedEvent(token, victim, look, 0, {"label": Label.ZERO, **row})
+            self.add_tx(chain, block + offset, [ev], attacker, token.address, with_gas=True)
 
     # -- assembly ---------------------------------------------------------
 
@@ -1011,10 +902,7 @@ class ScenarioBundle:
             paths[name] = path
             cfg_name = "config.json" if single else f"config_{chain_id}.json"
             cfg_path = outdir / cfg_name
-            cfg_path.write_text(
-                json.dumps(self.configs[chain_id].to_dict(), indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
+            write_json(cfg_path, self.configs[chain_id].to_dict())
             paths[cfg_name] = cfg_path
             acct_name = "accounts.csv" if single else f"accounts_{chain_id}.csv"
             acct_path = outdir / acct_name
@@ -1030,10 +918,7 @@ class ScenarioBundle:
         self.truth.write_jsonl(truth_path)
         paths["ground_truth.jsonl"] = truth_path
         spec_path = outdir / "scenario.json"
-        spec_path.write_text(
-            json.dumps(self.spec.to_json_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        write_json(spec_path, self.spec.to_json_dict())
         paths["scenario.json"] = spec_path
         return paths
 

@@ -325,7 +325,20 @@ SHAPE_INPUTS = {
     ),
     "config-int-fraction": ("config.json", '{"chain_id": 1, "a_min": 2.5}', "a_min", SCAN_CONFIG),
     "truth-list-line": ("truth.jsonl", "[1]", "truth.jsonl:1", HUGE_INPUTS["truth"][3]),
+    "truth-kind-bots": (
+        "truth.jsonl",
+        '{"kind": "bots", "chain_id": 1, "key": "k:1", "label": "tiny_poison", "group": 0}',
+        "field 'kind'", HUGE_INPUTS["truth"][3],
+    ),
     "spec-group-keys": ("spec.json", '{"groups": [{"bogus": 1}]}', "bogus", HUGE_INPUTS["spec"][3]),
+    # specs the generator cannot plant, once an internal error
+    "spec-scores-empty": (
+        "spec.json", '{"groups": [{"scores": []}]}', "scores", HUGE_INPUTS["spec"][3],
+    ),
+    "spec-reuse-without-groups": (
+        "spec.json", '{"chain_ids": [1, 56], "cross_chain_reuse": 1}', "cross_chain_reuse",
+        HUGE_INPUTS["spec"][3],
+    ),
     # record fields of the wrong JSON type, each once accepted or an internal error
     **{
         f"report-{bad}-{args[0]}": (

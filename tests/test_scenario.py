@@ -3,6 +3,7 @@ schema validity, and scoring."""
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
@@ -399,3 +400,126 @@ def test_benign_stream_shape_and_determinism():
     from poisonscan.core import event_date
 
     assert prices.get_or_none(stable.address, event_date(events[0].timestamp)) == 1
+
+
+# ---------------------------------------------------------------------------
+# pinned bytes and the validate gate
+
+
+def every_kind_spec() -> ScenarioSpec:
+    """A two-chain spec that plants every attack kind the generator knows."""
+    return small_spec(
+        chain_ids=(1, 56),
+        groups=(
+            GroupSpec(
+                n_attacks=6,
+                scores=((3, 4), (4, 5)),
+                bundle_size=2,
+                sibling_bundles=1,
+                history_upgrades=1,
+                payoff_rate=1.0,
+                payoff_delay=(2, 120),
+            ),
+            GroupSpec(n_attacks=4, strategies=("zero",), scores=((5, 6),), offsets=(30, 80)),
+        ),
+        bots=(
+            BotSpec(copies=(0,), n_copies=3),
+            BotSpec(copies=(0, 1), delay_blocks=2, mutate=True),
+        ),
+        typos=2,
+        decoy_payoffs=1,
+        contested_payoffs=2,
+        contested_winners=(0, 1),
+        cross_chain_reuse=3,
+    )
+
+
+# sha256 of each file that generate(every_kind_spec()).write() writes
+EVERY_KIND_DIGESTS = {
+    "accounts_1.csv": "9725289c503f5f12bac4352c9b76be974465ae4e83bcdb6909acf703214e015e",
+    "accounts_56.csv": "bc331ebe8c2bc0cc93942713e515c69845e423922a106af18fdc86421f2999fd",
+    "config_1.json": "ab595079724c54dffbe9282efe4539e73647a2fe98dc5f96637e743a884cdd81",
+    "config_56.json": "8d56c13ea2e38326bf8ee89793360c493b5b62229a7b3ffba4c67c7bb78ab65e",
+    "events_1.jsonl": "c5991c4ccff38b7b9928b676ba3ca49d4515133641a64e0389423633368b672c",
+    "events_56.jsonl": "08a58b4fe4145ba90a5a08efb795d149b19de0777606beffc4af3c4c663de0df",
+    "ground_truth.jsonl": "900ee616352a844cc90e4cc15b0a1496c6ae849251f7824896300031e33079b2",
+    "prices.csv": "ef7c04d6d143712723589e16b5687094c5faf25f416de9b5f99e298997e72407",
+    "registry.jsonl": "a591f3a121d28bc35d05aab861e719cca56cd01c57a0377d6e87091729d5046b",
+    "scenario.json": "16a3e7743d3df72a1b23b52ee0019d7fa81ac030244165a804d6aaf13dd715ad",
+}
+
+
+def test_every_kind_bundle_bytes_are_pinned(tmp_path):
+    bundle = generate(every_kind_spec())
+    assert set(bundle.truth.label_counts(1)) == Label.ALL - {Label.BENIGN}
+    assert bundle.truth.label_counts(56) == {Label.INTENDED: 3, Label.ZERO: 3}
+    assert len(bundle.truth.bots) == 2
+    paths = bundle.write(tmp_path)
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
+    assert digests == EVERY_KIND_DIGESTS
+
+
+def random_spec(rng: random.Random) -> ScenarioSpec:
+    """A spec from a small grid that straddles the edge of what the
+    generator can place."""
+    groups = []
+    for _ in range(rng.choice((0, 1, 1, 2, 3))):
+        n_attacks = rng.randint(1, 4)
+        n_scores = rng.choice((0, 1, 1, 2))
+        offsets = (None, None, (), (rng.randint(1, 250),), (5, rng.randint(1, 400)))
+        groups.append(
+            GroupSpec(
+                n_attacks=n_attacks,
+                strategies=tuple(rng.sample(("tiny", "zero", "counterfeit"), rng.randint(1, 3))),
+                scores=tuple((rng.randint(0, 8), rng.randint(0, 8)) for _ in range(n_scores)),
+                offsets=rng.choice(offsets),
+                bundle_size=rng.randint(1, 3),
+                payoff_rate=rng.choice((0.0, 1.0)),
+                payoff_delay=(2, rng.choice((40, 150, 300))),
+                n_attackers=rng.randint(1, 2),
+                sibling_bundles=rng.randint(0, 1),
+                history_upgrades=rng.choice((0, 0, n_attacks // 2)),
+            )
+        )
+    bots = tuple(
+        BotSpec(
+            copies=(rng.randrange(len(groups)),),
+            delay_blocks=rng.randint(0, 3),
+            n_copies=rng.randint(1, 3),
+            mutate=rng.random() < 0.5,
+        )
+        for _ in range(rng.randint(0, 2) if groups else 0)
+    )
+    contested = rng.choice((0, 0, 1, 2)) if len(groups) > 1 else 0
+    chain_ids = rng.choice(((1,), (1,), (56,), (1, 56), (56, 1)))
+    return ScenarioSpec(
+        seed=rng.randrange(1000),
+        chain_ids=chain_ids,
+        n_blocks=rng.randint(100, 700),
+        n_benign_users=4,
+        benign_per_block=rng.randint(0, 1),
+        n_stablecoins=1,
+        groups=tuple(groups),
+        bots=bots,
+        typos=rng.choice((0, 0, 1, 2)),
+        decoy_payoffs=rng.choice((0, 0, 1)),
+        contested_payoffs=contested,
+        contested_winners=rng.choice(((), (1,), (0, 1))),
+        cross_chain_reuse=rng.choice((0, 1, 3)) if len(chain_ids) == 2 else 0,
+    )
+
+
+def test_validate_is_the_generators_only_gate():
+    """A spec either generates or is rejected with a ScenarioError."""
+    rng = random.Random(2024)
+    outcomes = {"generated": 0, "rejected": 0}
+    for _ in range(300):
+        spec = random_spec(rng)
+        try:
+            spec.validate()
+        except ScenarioError:
+            outcomes["rejected"] += 1
+            continue
+        generate(spec)
+        outcomes["generated"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
