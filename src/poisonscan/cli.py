@@ -48,6 +48,7 @@ from .clustering import (
     groups_to_csv,
 )
 from .core import (
+    AddressError,
     ChainConfig,
     ParseError,
     PoisonscanError,
@@ -178,14 +179,20 @@ def _write_manifest(outdir: Path, subcommand: str, inputs: dict, options: dict, 
     write_json(outdir / "manifest.json", manifest)
 
 
-def _read_lines(path) -> list[str]:
-    out = []
+def _address(text: str, path, line: int | None = None) -> str:
+    """``text`` as a canonical address; a bad one is a ParseError naming
+    ``path`` and ``line``, and its message quotes the text."""
+    try:
+        return parse_address(text)
+    except AddressError as exc:
+        raise ParseError(str(exc), path=str(path), line=line) from None
+
+
+def _read_addresses(path) -> list[str]:
+    """The canonical addresses of a file with one address per line."""
     with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if line:
-                out.append(line)
-    return out
+        lines = [raw.strip() for raw in fh]
+    return [_address(line, path, number) for number, line in enumerate(lines, 1) if line]
 
 
 def _read_labels(path) -> dict[str, str]:
@@ -199,7 +206,7 @@ def _read_labels(path) -> dict[str, str]:
         for number, row in enumerate(reader, 2):
             if len(row) != 2:
                 raise ParseError(f"expected 2 columns, got {len(row)}", path=str(path), line=number)
-            out[parse_address(row[0])] = row[1]
+            out[_address(row[0], path, number)] = row[1]
     return out
 
 
@@ -207,7 +214,7 @@ def _read_bytecode(path) -> dict[str, str]:
     raw = parse_json(Path(path).read_text(encoding="utf-8"), path)
     if not isinstance(raw, dict):
         raise ParseError("expected a JSON object mapping address to code id", path=str(path))
-    return {parse_address(addr): str(code) for addr, code in raw.items()}
+    return {_address(addr, path): str(code) for addr, code in raw.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +404,7 @@ def _cmd_cluster(args) -> int:
     sets = build_transfer_sets(report)
     history = load_account_history(args.accounts) if args.accounts else None
     ratios = attack_ratio(sets, history)
-    verified = tuple(_read_lines(args.verified_contracts)) if args.verified_contracts else ()
+    verified = tuple(_read_addresses(args.verified_contracts)) if args.verified_contracts else ()
     bytecode = _read_bytecode(args.bytecode) if args.bytecode else None
     groups = cluster(
         sets,
@@ -472,7 +479,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    targets = _read_lines(args.targets)
+    targets = _read_addresses(args.targets)
     if not targets:
         raise ParseError("no target addresses", path=str(args.targets))
     if args.matches < 0:
@@ -561,6 +568,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    labels_map = _read_labels(args.labels) if args.labels else None
     # parity assets are token addresses, never the native asset that
     # group_economics prices gas in, so the scan's prices serve it too
     report, prices = _scan_pipeline(args)
@@ -570,7 +578,6 @@ def _cmd_report(args) -> int:
     groups = cluster(sets, args.bot_threshold, ratios=ratios)
     econ_rows = group_economics(groups, sets, report, prices)
     records = build_competitions(report, sets, groups)
-    labels_map = _read_labels(args.labels) if args.labels else None
 
     outdir = _ensure_outdir(args.out)
     report.write_json(outdir / "report.json")

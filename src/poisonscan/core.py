@@ -19,7 +19,7 @@ import reprlib
 from binascii import unhexlify
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from datetime import date, datetime, timezone
-from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal, InvalidOperation
 from functools import cache, partial
 from pathlib import Path
 from types import NoneType, UnionType
@@ -472,9 +472,6 @@ class TokenRegistry:
                 flags = {"authentic": entry.authentic, "stablecoin": entry.stablecoin}
                 handle.write(json.dumps({**to_json(entry.token), **flags}, sort_keys=True) + "\n")
 
-    def get(self, chain_id: int, address: Address) -> RegistryEntry | None:
-        return self._table.get((chain_id, address))
-
     def token(self, chain_id: int, address: Address) -> TokenRef | None:
         entry = self._table.get((chain_id, address))
         return entry.token if entry is not None else None
@@ -496,9 +493,6 @@ class TokenRegistry:
             )
             self._authentic[chain_id] = cached
         return cached
-
-    def chains(self) -> tuple[int, ...]:
-        return tuple(sorted({cid for cid, _ in self._table}))
 
     def __len__(self) -> int:
         return len(self._table)
@@ -629,6 +623,10 @@ class PriceTable:
         return len(self._prices)
 
 
+# usd_amount's own context, so a call neither reads nor sets the thread's
+_USD_CONTEXT = Context(prec=120, rounding=ROUND_HALF_EVEN)
+
+
 def usd_amount(value: int, decimals: int, price: Decimal) -> Decimal:
     """Exact token-amount times price, quantized half-even to 6 digits.
 
@@ -637,10 +635,8 @@ def usd_amount(value: int, decimals: int, price: Decimal) -> Decimal:
     """
     if value < 0:
         raise ValueError(f"negative transfer value: {value}")
-    with localcontext() as ctx:
-        ctx.prec = 120
-        amount = Decimal(value).scaleb(-decimals) * price
-        return amount.quantize(USD_QUANTUM, rounding=ROUND_HALF_EVEN)
+    ctx = _USD_CONTEXT
+    return ctx.quantize(ctx.multiply(ctx.scaleb(Decimal(value), -decimals), price), USD_QUANTUM)
 
 
 # ---------------------------------------------------------------------------

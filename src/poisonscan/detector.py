@@ -47,12 +47,14 @@ matches, not work done.
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections import deque
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
@@ -276,6 +278,10 @@ def _resolve_token_sets(
 # a victim with this many active refs is probed through a keyed index
 IX_MIN = 32
 
+# follows scan's last event: its tx_hash equals no event's, so it closes the
+# last transaction
+_END = SimpleNamespace(tx_hash=object())
+
 # a ref's (first digit, last digit) pair as an index into a 256-slot tally
 _HEX = "0123456789abcdef"
 _DIGIT_PAIR = {a + b: 16 * i + j for i, a in enumerate(_HEX) for j, b in enumerate(_HEX)}
@@ -432,15 +438,19 @@ def scan(
     active: dict[str, dict[str, tuple[int, int]]] = {}
     # (block, [active dict, recipient, ...]) for each block's trigger updates
     recent: deque[tuple[int, list]] = deque()
-    watch: dict[str, set[str]] = {}
 
-    poison_of: dict[str, str] = {}
+    # the poison labels as collected; finalize adds the intended and payoff ones
+    labels: dict[str, str] = {}
     detail_ev: dict[str, TransferEvent] = {}
     usd_map: dict[str, Decimal | None] = {}
     ctx_map: dict[tuple[str, str, str], dict] = {}
-    # (victim, lookalike) -> {poison key: order}, in first-seen order
-    pair_ev: dict[tuple[str, str], dict[str, tuple[int, int]]] = {}
-    cands: dict[str, dict] = {}
+    # victim -> lookalike -> {poison key: order}, in first-seen order; a
+    # payment from a victim to one of its lookalikes is a payoff candidate
+    pair_ev: dict[str, dict[str, dict[str, tuple[int, int]]]] = {}
+    # payoff candidate key -> the refs its lookalike matched in a probe;
+    # empty when only pair_ev made it a candidate, which then needs earlier
+    # evidence. The victim and lookalike are the event's sender and receiver.
+    cands: dict[str, set[str]] = {}
     # senders of authentic positive-value transfers; stablecoin senders are
     # the keys of active and keyed, so only the other tokens need this set
     spenders: set[str] = set()
@@ -464,47 +474,38 @@ def scan(
         usd_map[key] = usd
         return usd
 
+    def usd_of(ev: TransferEvent, label: str) -> Decimal | None:
+        if label == Label.ZERO:
+            return Decimal("0.000000")
+        if label == Label.COUNTERFEIT:
+            return None
+        return priced(ev)
+
     def collect(ev, victim, ref, look, label, a, b, sibling) -> None:
         nonlocal n_direct, n_sibling
         key = ev.key
-        poison_of[key] = label
+        labels[key] = label
         detail_ev[key] = ev
         ckey = (victim, ref, look)
         ctx = ctx_map.get(ckey)
         if ctx is None:
-            # the anchor is looked up at finalize
-            ctx = ctx_map[ckey] = {
-                "a": a,
-                "b": b,
-                "anchor": None,
-                "evidence": {},
-                "sibling": sibling,
-            }
+            ctx = ctx_map[ckey] = {"a": a, "b": b, "evidence": {}, "sibling": sibling}
         if key not in ctx["evidence"]:
             ctx["evidence"][key] = ev.order
             if sibling:
                 n_sibling += 1
             else:
                 n_direct += 1
-        pair_ev.setdefault((victim, look), {}).setdefault(key, ev.order)
-        watch.setdefault(victim, set()).add(look)
+        pair_ev.setdefault(victim, {}).setdefault(look, {}).setdefault(key, ev.order)
 
-    def add_candidate(ev, victim, look, ref, route1) -> None:
+    def add_candidate(ev: TransferEvent, ref: str | None) -> None:
         key = ev.key
-        cand = cands.get(key)
-        if cand is None:
-            cand = cands[key] = {
-                "ev": ev,
-                "victim": victim,
-                "look": look,
-                "refs": set(),
-                "route1": False,
-            }
+        refs = cands.get(key)
+        if refs is None:
+            refs = cands[key] = set()
             detail_ev[key] = ev
         if ref is not None:
-            cand["refs"].add(ref)
-        if route1:
-            cand["route1"] = True
+            refs.add(ref)
 
     def consider(ev, victim, look, ref, incoming, sibling) -> bool:
         """Score one candidate pair; returns True when a poisoning was
@@ -540,7 +541,7 @@ def scan(
         if ev.value == 0:
             collect(ev, victim, ref, look, Label.ZERO, a, b, sibling)
             return not sibling
-        add_candidate(ev, victim, look, ref, route1=True)
+        add_candidate(ev, ref)
         return False
 
     def fold_anchors(victims: set[str] | None = None) -> None:
@@ -557,39 +558,29 @@ def scan(
         anchor_log.clear()
 
     def expand_tx(tx_events: list[TransferEvent]) -> None:
+        # pair_ev is not needed here: a payment in the transaction to a
+        # lookalike whose evidence this walk collects is scored against the
+        # ref that evidence matched, which makes it a candidate
         if anchor_log:
             fold_anchors()
         for ev in tx_events:
             blk = ev.block_number
             frm = ev.from_addr
             to = ev.to_addr
-            full = anchors.get(frm)
-            if full:
-                l2, l41 = to[2], to[41]
-                for ref, anchor in full.items():
-                    if (
-                        (ref[2] == l2 or ref[41] == l41)
-                        and ref != to
-                        and anchor.block_number < blk
-                    ):
-                        consider(ev, frm, to, ref, incoming=False, sibling=True)
+            sides = [(frm, to, False)]
             if ev.token in stable_set and ev.value > 0:
-                full = anchors.get(to)
+                sides.append((to, frm, True))
+            for victim, look, incoming in sides:
+                full = anchors.get(victim)
                 if full:
-                    l2, l41 = frm[2], frm[41]
+                    l2, l41 = look[2], look[41]
                     for ref, anchor in full.items():
                         if (
                             (ref[2] == l2 or ref[41] == l41)
-                            and ref != frm
+                            and ref != look
                             and anchor.block_number < blk
                         ):
-                            consider(ev, to, frm, ref, incoming=True, sibling=True)
-            if ev.token in auth_set and ev.value > 0:
-                marks = watch.get(frm)
-                if marks is not None and to in marks:
-                    pair = pair_ev.get((frm, to))
-                    if pair and any(o < ev.order for o in pair.values()):
-                        add_candidate(ev, frm, to, None, route1=False)
+                            consider(ev, victim, look, ref, incoming, sibling=True)
 
     def promote_victims() -> None:
         # each promoted victim moves from active to keyed, and its expiry
@@ -610,7 +601,9 @@ def scan(
         promote.clear()
 
     # the open transaction is tx_head plus tx_more; it is re-walked by
-    # expand_tx only when it has a direct poisoning and more than one log
+    # expand_tx only when it has a direct poisoning and more than one log.
+    # ordered() ends a transaction with its block, so every block starts
+    # with a new one, and _END closes the last.
     tx_head: TransferEvent | None = None
     tx_more: list[TransferEvent] = []
     tx_direct = False
@@ -637,53 +630,47 @@ def scan(
     spenders_add = spenders.add
     anchor_log_append = anchor_log.append
 
-    for ev in ordered(enumerate(events, start=1), "<stream>"):
-        blk = ev.block_number
-        if ev.chain_id != chain:
-            raise ConfigError(
-                f"event chain_id {ev.chain_id} does not match configured chain {chain}"
-            )
+    for ev in itertools.chain(ordered(enumerate(events, start=1), "<stream>"), (_END,)):
         txh = ev.tx_hash
-        if blk == last_block:
-            if txh != cur_tx:
-                if tx_more:
-                    if tx_direct:
-                        expand_tx([tx_head, *tx_more])
-                    tx_more = []
-                tx_direct = False
-                tx_head = ev
-                cur_tx = txh
-            else:
-                tx_more.append(ev)
-        else:
+        if txh != cur_tx:
             if tx_more:
                 if tx_direct:
                     expand_tx([tx_head, *tx_more])
                 tx_more = []
+            if ev is _END:
+                break
             tx_direct = False
             tx_head = ev
             cur_tx = txh
-            bound = blk - m - 1
-            if dirty:
-                for av in dirty:
-                    av.flush()
-                dirty.clear()
-            while recent and recent[0][0] < bound:
-                nb, expired = recent_pop()
-                for av, r in zip(expired[::2], expired[1::2]):
-                    cur = av.get(r)
-                    if cur is not None:
-                        if cur[0] == nb:
-                            del av[r]
-                        elif cur[1] == nb:
-                            av[r] = (cur[0], -1)
-            bound0 = bound if bound > 0 else 0
-            last_block = blk
-            bucket = []
-            recent_append((blk, bucket))
-            first_lbs = (blk, -1)  # shared by the block's new pairs
-            if promote:
-                promote_victims()
+            blk = ev.block_number
+            if blk != last_block:
+                bound = blk - m - 1
+                if dirty:
+                    for av in dirty:
+                        av.flush()
+                    dirty.clear()
+                while recent and recent[0][0] < bound:
+                    nb, expired = recent_pop()
+                    for av, r in zip(expired[::2], expired[1::2]):
+                        cur = av.get(r)
+                        if cur is not None:
+                            if cur[0] == nb:
+                                del av[r]
+                            elif cur[1] == nb:
+                                av[r] = (cur[0], -1)
+                bound0 = bound if bound > 0 else 0
+                last_block = blk
+                bucket = []
+                recent_append((blk, bucket))
+                first_lbs = (blk, -1)  # shared by the block's new pairs
+                if promote:
+                    promote_victims()
+        else:
+            tx_more.append(ev)
+        if ev.chain_id != chain:
+            raise ConfigError(
+                f"event chain_id {ev.chain_id} does not match configured chain {chain}"
+            )
         n_events += 1
 
         frm = ev.from_addr
@@ -714,8 +701,8 @@ def scan(
                         tx_direct = True
 
         if val > 0 and tok in auth_set:
-            if frm in watch and to in watch[frm]:
-                add_candidate(ev, frm, to, None, route1=False)
+            if frm in pair_ev and to in pair_ev[frm]:
+                add_candidate(ev, None)
             if tok in stable_set:
                 av = active_get(to)
                 if av:
@@ -754,40 +741,28 @@ def scan(
             else:
                 spenders_add(frm)
 
-    if tx_direct and tx_more:
-        expand_tx([tx_head, *tx_more])
-
     # ------------------------------------------------------------------
     # finalize
 
-    labels: dict[str, str] = dict(poison_of)
-
-    fold_anchors({victim for victim, _, _ in ctx_map} | {c["victim"] for c in cands.values()})
+    fold_anchors({victim for victim, _, _ in ctx_map} | {detail_ev[k].from_addr for k in cands})
 
     pair_refs: dict[tuple[str, str], set[str]] = {}
     for (victim, ref, look) in ctx_map:
         pair_refs.setdefault((victim, look), set()).add(ref)
 
-    for (victim, ref, _), ctx in ctx_map.items():
-        anchor = ctx["anchor"] = anchors[victim][ref]
-        detail_ev.setdefault(anchor.key, anchor)
-        labels.setdefault(anchor.key, Label.INTENDED)
-
     payoff_rows: list[PayoffRecord] = []
     for key in sorted(cands, key=lambda k: detail_ev[k].order):
-        cand = cands[key]
-        ev = cand["ev"]
-        victim = cand["victim"]
-        look = cand["look"]
-        refs = set(cand["refs"])
-        refs.update(pair_refs.get((victim, look), ()))
-        evidence = pair_ev.get((victim, look), {})
-        if not cand["route1"] and not any(o < ev.order for o in evidence.values()):
+        ev = detail_ev[key]
+        victim = ev.from_addr
+        look = ev.to_addr
+        ev_order = ev.order
+        evidence = pair_ev.get(victim, {}).get(look, {})
+        if not cands[key] and not any(o < ev_order for o in evidence.values()):
             continue
+        refs = cands[key] | pair_refs.get((victim, look), set())
         victim_anchors = anchors.get(victim, {})
         anchor_events = [victim_anchors[r] for r in refs if r in victim_anchors]
         anchor = min(anchor_events, key=lambda t: t.order) if anchor_events else None
-        ev_order = ev.order
         picked: list[str] = []
         if anchor is not None:
             a_order = anchor.order
@@ -827,7 +802,9 @@ def scan(
     contexts: list[AttackContext] = []
     for (victim, ref, look) in sorted(ctx_map):
         ctx = ctx_map[(victim, ref, look)]
-        anchor = ctx["anchor"]
+        anchor = anchors[victim][ref]
+        detail_ev.setdefault(anchor.key, anchor)
+        labels.setdefault(anchor.key, Label.INTENDED)
         evidence = sorted(ctx["evidence"], key=lambda k: ctx["evidence"][k])
         contexts.append(
             AttackContext(
@@ -844,25 +821,15 @@ def scan(
             )
         )
 
-    victim_recipients: dict[str, int] = {}
-    for (victim, _, _) in ctx_map:
-        victim_recipients[victim] = len(anchors.get(victim, {}))
-    for row in payoff_rows:
-        victim_recipients.setdefault(row.victim, len(anchors.get(row.victim, {})))
+    victim_recipients = {
+        victim: len(anchors.get(victim, ()))
+        for victim in [*(v for v, _, _ in ctx_map), *(row.victim for row in payoff_rows)]
+    }
 
-    details: dict[str, EventDetail] = {}
-    for key in set(labels) | {r.key for r in payoff_rows}:
-        ev = detail_ev[key]
-        usd = usd_map.get(key)
-        if usd is None and key not in usd_map:
-            label = labels.get(key)
-            if label == Label.ZERO:
-                usd = Decimal("0.000000")
-            elif label == Label.COUNTERFEIT:
-                usd = None
-            else:
-                usd = priced(ev)
-        details[key] = EventDetail.from_event(ev, usd)
+    details = {
+        key: EventDetail.from_event(detail_ev[key], usd_of(detail_ev[key], label))
+        for key, label in labels.items()
+    }
 
     # the history events that touch a lookalike of an unconfirmed anchored
     # row, per lookalike in stream order; the walk runs to the end even when
@@ -897,21 +864,22 @@ def scan(
             for h in involving.get(look, ()):
                 if not lo < h.order < hi:
                     continue
+                label = None
                 if h.from_addr == look and h.to_addr == victim:
                     if h.token in auth_set and h.value > 0:
                         usd = priced(h)
                         if usd is None:
                             unpriced[h.key] = None
                         elif 0 < usd < tiny_cut:
-                            hits.append(h)
-                            details.setdefault(h.key, EventDetail.from_event(h, usd))
+                            label = Label.TINY
                 elif h.from_addr == victim and h.to_addr == look:
                     if h.token not in auth_set:
-                        hits.append(h)
-                        details.setdefault(h.key, EventDetail.from_event(h, None))
+                        label = Label.COUNTERFEIT
                     elif h.value == 0:
-                        hits.append(h)
-                        details.setdefault(h.key, EventDetail.from_event(h, Decimal("0.000000")))
+                        label = Label.ZERO
+                if label is not None:
+                    hits.append(h)
+                    details.setdefault(h.key, EventDetail.from_event(h, usd_of(h, label)))
             if hits:
                 hits.sort(key=lambda e: e.order)
                 payoff_rows[i] = replace(

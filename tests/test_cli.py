@@ -358,6 +358,26 @@ SHAPE_INPUTS = {
     "clusters-set-block-score": (
         "clusters.json", SET_BLOCK_TEXT, "sets.block_number", [*SCORE, "--clusters", "{bad}"],
     ),
+    # a bad address in a small input file names the file and its line
+    "verified-address": (
+        "verified.txt", f"{EVENT['to']}\n\n0xzz", "verified.txt:3",
+        ["cluster", "--verified-contracts", "{bad}", "--report", REPORT, "--out", "{out}"],
+    ),
+    "targets-address": (
+        "targets.txt", f"{EVENT['to']}\n0xzz", "targets.txt:2",
+        ["gen", "--targets", "{bad}", "--budget", "10", "--out", "{out}"],
+    ),
+    # the labels are read before the scan, whose events file is missing
+    "labels-address": (
+        "labels.csv", "address,label\n0xzz,exchange", "labels.csv:2",
+        [
+            "report", "--labels", "{bad}", "--events", "{out}/none.jsonl",
+            "--config", "{sim}/config.json", "--out", "{out}",
+        ],
+    ),
+    "bytecode-address": (
+        "bytecode.json", '{"0xzz": "c1"}', "'0xzz' (", HUGE_INPUTS["bytecode"][3],
+    ),
 }
 
 
@@ -527,6 +547,20 @@ def test_cluster_bot_threshold_zero_merges(workdir, sim_dir, scan_dir):
     assert code == 0
     clusters = read_json(out / "clusters.json")
     assert len(clusters["groups"]) == 1
+
+
+def test_cluster_verified_contract_matches_in_any_case(scan_dir, cluster_dir, tmp_path):
+    sets = read_json(cluster_dir / "clusters.json")["sets"]
+    token = min(s["counterfeit_token"] for s in sets if s["counterfeit_token"])
+    groups = {}
+    for case, text in (("none", ""), ("lower", token), ("upper", "0x" + token[2:].upper())):
+        verified = tmp_path / f"{case}.txt"
+        verified.write_text(text + "\n", encoding="utf-8")
+        out = tmp_path / case
+        argv = ["cluster", "--report", str(scan_dir / "report.json"), "--exclude-verified"]
+        assert run([*argv, "--verified-contracts", str(verified), "--out", str(out)]) == 0
+        groups[case] = (out / "groups.csv").read_bytes()
+    assert groups["upper"] == groups["lower"] != groups["none"]
 
 
 def test_econ_outputs_satisfy_profit_identity(econ_dir):

@@ -9,8 +9,9 @@ code.
 from __future__ import annotations
 
 import json
+import random
 from datetime import date
-from decimal import Decimal
+from decimal import ROUND_HALF_EVEN, Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from poisonscan.core import (
     TokenRegistry,
     TransactionRecord,
     TransferEvent,
+    USD_QUANTUM,
     default_config,
     event_date,
     hex_digits,
@@ -126,8 +128,8 @@ def test_registry_lookups():
 
 def test_registry_same_address_differs_per_chain():
     reg = TokenRegistry(entries())
-    assert reg.get(1, USDT).token.decimals == 6
-    assert reg.get(56, USDT).token.decimals == 18
+    assert reg.token(1, USDT).decimals == 6
+    assert reg.token(56, USDT).decimals == 18
 
 
 def test_registry_rejects_duplicates():
@@ -293,6 +295,37 @@ def test_usd_amount_matches_fraction_oracle(value, decimals, price_milli):
     got = usd_amount(value, decimals, price)
     want = usd_oracle(value, decimals, Fraction(price_milli, 1000))
     assert got == want
+
+
+def usd_in_local_context(value: int, decimals: int, price: Decimal) -> Decimal:
+    """usd_amount as a 120-digit local context computes it."""
+    with localcontext() as ctx:
+        ctx.prec = 120
+        amount = Decimal(value).scaleb(-decimals) * price
+        return amount.quantize(USD_QUANTUM, rounding=ROUND_HALF_EVEN)
+
+
+def usd_text(convert, *args) -> str:
+    try:
+        return str(convert(*args))
+    except InvalidOperation:
+        # the quantized amount needs more than 120 digits
+        return "InvalidOperation"
+
+
+def test_usd_amount_equals_local_context_formula():
+    # the same text, exponent included, or the same error, for values up
+    # to 2**256, any decimals up to 255 and prices of up to 61 digits
+    rng = random.Random(11)
+    outcomes = []
+    for _ in range(3000):
+        value = rng.getrandbits(rng.choice((8, 64, 160, 256)))
+        decimals = rng.randrange(256)
+        price = Decimal(rng.getrandbits(rng.choice((10, 60, 200)))).scaleb(-rng.randrange(70))
+        got = usd_text(usd_amount, value, decimals, price)
+        assert got == usd_text(usd_in_local_context, value, decimals, price)
+        outcomes.append(got)
+    assert 0 < outcomes.count("InvalidOperation") < 100
 
 
 # ---------------------------------------------------------------------------

@@ -321,6 +321,90 @@ def test_expansion_needs_a_direct_hit():
     assert report.labels == {}
 
 
+def bundle_stream(seed: int, rounds: int = 80):
+    """Multi-log transactions against a window of 5 blocks. Every victim
+    pays its recipients at block 10, long out of the window. Each round one
+    victim pays again and, two blocks on, a bundle holds a direct hit on it
+    with poisonings of sibling victims, which only the shared transaction
+    can reach. Some siblings pay their lookalike inside the bundle, in the
+    next transaction or in the next block; some bundles end their block,
+    and the stream ends with one."""
+    rng = random.Random(seed)
+
+    def addresses(n):
+        return [f"0x{rng.getrandbits(160):040x}" for _ in range(n)]
+
+    victims = addresses(24)
+    recipients = {v: addresses(3) for v in victims}
+    others = addresses(40)
+    scores = [(3, 4), (4, 5), (6, 2), (2, 4)]  # the last only nearly matches
+    sb = StreamBuilder()
+    for v in victims:
+        for r in recipients[v]:
+            sb.add(10, v, r, STABLE, rng.randrange(100, 5000) * 10**6)
+
+    def poison(block, tx, victim, look):
+        kind = rng.randrange(3)
+        if kind == 0:
+            sb.add(block, look, victim, STABLE, rng.randrange(1, 9) * 10**6, tx_hash=tx)
+        elif kind == 1:
+            sb.add(block, victim, look, STABLE, 0, tx_hash=tx)
+        else:
+            sb.add(block, victim, look, FAKE, 5, tx_hash=tx)
+
+    for i in range(rounds):
+        blk = 100 + 6 * i
+        direct, *siblings = rng.sample(victims, 1 + rng.randrange(1, 4))
+        ref = rng.choice(recipients[direct])
+        sb.add(blk, direct, ref, STABLE, 70 * 10**6)
+        tx = f"0x{'b' * 8}{seed:08x}{i:048x}"
+        paid_later = []
+        logs = [(direct, lookalike(ref, 3, 4))]
+        logs += [(w, lookalike(rng.choice(recipients[w]), *rng.choice(scores))) for w in siblings]
+        rng.shuffle(logs)
+        for victim, look in logs:
+            poison(blk + 2, tx, victim, look)
+            where = rng.randrange(4)
+            if where == 0:
+                sb.add(blk + 2, victim, look, STABLE, 900 * 10**6, tx_hash=tx)
+            elif where in (1, 2):
+                paid_later.append((blk + where + 1, victim, look))
+        if i == rounds - 1:
+            break
+        if rng.random() < 0.5:
+            # the bundle is not the last transaction of its block
+            sb.add(blk + 2, *rng.sample(others, 2), STABLE, 10**6)
+        for block, victim, look in paid_later:
+            sb.add(block, victim, look, STABLE, 800 * 10**6)
+        sb.add(blk + 4, *rng.sample(others, 2), AUTH, 10**18)
+    return sb.events()
+
+
+# sha256 of each seed's report.json: a change to the pass keeps these bytes
+BUNDLE_REPORT_SHA256 = {
+    0: "fef7449c8d0f299928e82c5946186d502d978a14f2def13895d7ea7d3983aa2f",
+    1: "8e39cbf5742edc371a1b08b271ed6a37e9a0bc563ee858d46e293221e13f824f",
+    2: "f45c6b1439867defa0ba885cb2fad4443864cf53c12212d3ac09cc4b21f277d8",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BUNDLE_REPORT_SHA256))
+def test_bundle_stream_matches_reference_and_pin(seed):
+    events = bundle_stream(seed)
+    config = ChainConfig(chain_id=1, window_blocks=5)
+    registry, prices = make_registry(), make_prices()
+    report = scan(events, config, registry, prices, history=events)
+    assert events[-1].tx_hash == events[-2].tx_hash
+    assert report.counters["collected_sibling"] > 0
+    ref = reference_detect(events, config, registry, prices)
+    assert report.labels == ref.labels
+    contexts = {(c.victim, c.intended, c.lookalike): frozenset(c.evidence) for c in report.contexts}
+    assert contexts == ref.contexts
+    assert {p.key for p in report.payoffs if p.confirmed} == ref.confirmed
+    assert report.accidental == ref.accidental
+    assert hashlib.sha256(report_bytes(report)).hexdigest() == BUNDLE_REPORT_SHA256[seed]
+
+
 # ---------------------------------------------------------------------------
 # input validation
 
