@@ -32,7 +32,7 @@ from .core import (
     usd_amount,
 )
 from .clustering import AttackGroup, AttackTransferSet
-from .detector import DetectionReport
+from .detector import DetectionReport, _resolve_token_sets
 
 __all__ = [
     "CompetitionRecord",
@@ -392,10 +392,7 @@ def targeting_correlation(
     if len(victims) < 3:
         raise AnalyticsError(f"need at least 3 victims, have {len(victims)}")
     victim_set = set(victims)
-    if report.config.stablecoins is not None:
-        stable = {s.lower() for s in report.config.stablecoins}
-    else:
-        stable = set(registry.stablecoins(report.chain_id))
+    stable, _ = _resolve_token_sets(report.config, registry)
     decimals = {}
     for address in stable:
         ref = registry.token(report.chain_id, address)

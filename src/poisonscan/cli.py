@@ -3,8 +3,7 @@
 Subcommands cover the whole workflow: simulate a labeled scenario, scan a
 transfer stream for poisoning, cluster the findings into attack groups,
 compute group economics, score predictions against planted truth, search
-for lookalike addresses, benchmark scan and parse throughput, and run
-the full report pipeline in one shot.
+for lookalike addresses, and run the full report pipeline in one shot.
 
 Every output bundle carries a manifest.json recording the tool version,
 the subcommand, its options, and content hashes of the input files, so a
@@ -22,7 +21,6 @@ import csv
 import hashlib
 import json
 import sys
-import tempfile
 import time
 from decimal import Decimal, InvalidOperation
 from functools import partial
@@ -50,6 +48,7 @@ from .clustering import (
 from .core import (
     AddressError,
     ChainConfig,
+    Label,
     ParseError,
     PoisonscanError,
     PriceTable,
@@ -61,8 +60,8 @@ from .core import (
     write_json,
 )
 from .detector import DetectionReport, birthday_filter, scan
-from .ingest import iter_events, load_account_history, write_events
-from .scenario import GroundTruth, ScenarioSpec, benign_stream, generate, score_labels
+from .ingest import iter_events, load_account_history
+from .scenario import GroundTruth, ScenarioSpec, generate, score_labels
 
 __all__ = ["main", "run", "SCHEMA_VERSION"]
 
@@ -211,10 +210,25 @@ def _read_labels(path) -> dict[str, str]:
 
 
 def _read_bytecode(path) -> dict[str, str]:
+    """Contract address -> code id from a JSON object whose values are strings."""
     raw = parse_json(Path(path).read_text(encoding="utf-8"), path)
     if not isinstance(raw, dict):
         raise ParseError("expected a JSON object mapping address to code id", path=str(path))
-    return {_address(addr, path): str(code) for addr, code in raw.items()}
+    out = {}
+    for addr, code in raw.items():
+        if not isinstance(code, str):
+            raise ParseError(f"the code id of {addr!r} must be a string", path=str(path))
+        out[_address(addr, path)] = code
+    return out
+
+
+def _emit(payload, out) -> None:
+    """Write ``payload`` as JSON to the file ``out``, or to standard output
+    when ``out`` is not given."""
+    if out:
+        write_json(Path(out), payload)
+    else:
+        print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 # ---------------------------------------------------------------------------
@@ -222,18 +236,10 @@ def _read_bytecode(path) -> dict[str, str]:
 
 
 def _load_config(args) -> ChainConfig:
-    config = ChainConfig.from_json_file(args.config)
-    overrides = {}
-    for name in ("window_blocks", "a_min", "b_min"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    tiny = getattr(args, "tiny_threshold_usd", None)
-    if tiny is not None:
-        overrides["tiny_threshold_usd"] = tiny
-    if overrides:
-        config = config.with_overrides(**overrides)
-    return config
+    # the config fields that a scan flag overrides when given
+    names = ("window_blocks", "a_min", "b_min", "tiny_threshold_usd")
+    overrides = {name: value for name in names if (value := getattr(args, name)) is not None}
+    return ChainConfig.from_json_file(args.config).with_overrides(**overrides)
 
 
 def _load_registry(path) -> TokenRegistry:
@@ -272,7 +278,7 @@ def _scan_pipeline(args):
 
 
 def _scan_options(args) -> dict:
-    tiny = getattr(args, "tiny_threshold_usd", None)
+    tiny = args.tiny_threshold_usd
     return {
         "window_blocks": args.window_blocks,
         "a_min": args.a_min,
@@ -388,10 +394,7 @@ def _cmd_scan(args) -> int:
         options=_scan_options(args),
     )
     counts = report.headline_counts()
-    poisonings = sum(
-        counts.get(label, 0)
-        for label in ("tiny_poison", "zero_value_poison", "counterfeit_poison")
-    )
+    poisonings = sum(counts.get(label, 0) for label in Label.POISONS)
     _info(
         f"scan: {report.counters['events']} events, {poisonings} poisoning transfers, "
         f"{len(report.payoffs)} payoffs"
@@ -410,7 +413,6 @@ def _cmd_cluster(args) -> int:
         sets,
         args.bot_threshold,
         ratios=ratios,
-        exclude_verified=args.exclude_verified,
         verified_contracts=verified,
         bytecode=bytecode,
     )
@@ -426,10 +428,7 @@ def _cmd_cluster(args) -> int:
             "verified_contracts": args.verified_contracts,
             "bytecode": args.bytecode,
         },
-        options={
-            "bot_threshold": args.bot_threshold,
-            "exclude_verified": args.exclude_verified,
-        },
+        options={"bot_threshold": args.bot_threshold},
     )
     _info(f"cluster: {len(sets)} transfer sets -> {len(groups)} groups")
     return 0
@@ -466,11 +465,7 @@ def _cmd_score(args) -> int:
             member: group.group_id for group in groups for member in group.members
         }
     card = score_labels(report.labels, truth, report.chain_id, predicted_groups)
-    payload = to_json(card)
-    if args.out:
-        write_json(Path(args.out), payload)
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    _emit(to_json(card), args.out)
     _info(
         f"score: precision {card.precision:.4f}, recall {card.recall:.4f} "
         f"over {card.n_truth} truth rows"
@@ -525,44 +520,10 @@ def _cmd_gen(args) -> int:
             for m in stats.matches
         ],
     }
-    if args.out:
-        write_json(Path(args.out), payload)
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    _emit(payload, args.out)
     _info(
         f"gen: {stats.trials:,} keys in {stats.elapsed_seconds:.2f}s "
         f"({stats.aps:,.0f} keys/s), {len(stats.matches)} match(es)"
-    )
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    events, registry, prices, config = benign_stream(args.n_events, seed=args.seed)
-    runs = []
-    parse_runs = []
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "events.jsonl"
-        write_events(path, events)
-        for _ in range(args.repeat):
-            started = time.perf_counter()
-            scan(events, config, registry, prices)
-            elapsed = time.perf_counter() - started
-            runs.append(args.n_events / elapsed)
-            started = time.perf_counter()
-            parsed = sum(1 for _ in iter_events(path))
-            parse_runs.append(parsed / (time.perf_counter() - started))
-    payload = {
-        "n_events": args.n_events,
-        "repeat": args.repeat,
-        "seed": args.seed,
-        "runs": runs,
-        "events_per_second": max(runs),
-        "parse_events_per_second": max(parse_runs),
-    }
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    _info(
-        f"bench: best {max(runs):,.0f} events/s scanned, {max(parse_runs):,.0f} events/s "
-        f"parsed over {args.repeat} run(s)"
     )
     return 0
 
@@ -669,8 +630,10 @@ def _build_parser() -> _Parser:
     sub.add_argument("--report", required=True, help="report.json from scan")
     sub.add_argument("--accounts", help="account history CSV for bot filtering")
     sub.add_argument("--bot-threshold", type=float, default=0.5, help="minimum attack ratio")
-    sub.add_argument("--exclude-verified", action="store_true", help="drop sets touching verified contracts")
-    sub.add_argument("--verified-contracts", help="file with one verified address per line")
+    sub.add_argument(
+        "--verified-contracts",
+        help="file with one verified address per line; sets touching one are dropped",
+    )
     sub.add_argument("--bytecode", help="JSON map from contract address to bytecode id")
     sub.add_argument("--out", required=True, help="output directory")
     sub.set_defaults(func=_cmd_cluster)
@@ -699,12 +662,6 @@ def _build_parser() -> _Parser:
     sub.add_argument("--workers", type=_positive_int, default=1, help="worker processes (default: 1)")
     sub.add_argument("--out", help="stats JSON file (default: stdout)")
     sub.set_defaults(func=_cmd_gen)
-
-    sub = commands.add_parser("bench", help="measure scan and parse throughput on a synthetic stream")
-    sub.add_argument("--n-events", type=_positive_int, default=200_000, help="stream length")
-    sub.add_argument("--repeat", type=_positive_int, default=3, help="timing runs")
-    sub.add_argument("--seed", type=int, default=0, help="stream seed")
-    sub.set_defaults(func=_cmd_bench)
 
     sub = commands.add_parser("report", help="full pipeline: scan, cluster, economics, tables")
     _add_scan_arguments(sub)

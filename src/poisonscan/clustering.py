@@ -275,27 +275,25 @@ def cluster(
     bot_threshold: float = 0.5,
     *,
     ratios: Mapping[str, float] | None = None,
-    exclude_verified: bool = False,
     verified_contracts: Iterable[str] = (),
     bytecode: Mapping[str, str] | None = None,
 ) -> tuple[AttackGroup, ...]:
     """Merge transfer sets into attack groups.
 
     Sets whose attacker ratio falls strictly below ``bot_threshold`` are
-    excluded before merging; a threshold of 0.0 excludes nothing. With
-    ``exclude_verified``, sets whose attack contract or counterfeit
-    token appears in ``verified_contracts`` are dropped as well. Groups
-    come back sorted by distinct-lookalike count, then transfer count,
-    then group id.
+    excluded before merging; a threshold of 0.0 excludes nothing. Sets
+    whose attack contract or counterfeit token is one of the
+    ``verified_contracts`` are dropped as well. Groups come back sorted
+    by distinct-lookalike count, then transfer count, then group id.
     """
     if ratios is None:
         ratios = {}
-    verified = set(verified_contracts) if exclude_verified else set()
+    verified = set(verified_contracts)
     included = []
     for s in sets:
         if ratios.get(s.attacker, 1.0) < bot_threshold:
             continue
-        if verified and (s.attack_contract in verified or s.counterfeit_token in verified):
+        if s.attack_contract in verified or s.counterfeit_token in verified:
             continue
         included.append(s)
     uf = _UnionFind()

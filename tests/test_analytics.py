@@ -37,6 +37,7 @@ from poisonscan.detector import scan
 from poisonscan.scenario import GroupSpec, ScenarioSpec, generate
 
 from helpers import (
+    AUTH,
     R1,
     R2,
     STABLE,
@@ -362,7 +363,7 @@ def test_most_imitated_targets_empty():
 # targeting correlation
 
 
-def targeting_stream(n_victims=3):
+def targeting_stream(n_victims=3, sink_token=STABLE):
     sink = "0x" + "dd" * 20
     victims = [V1, V2, V3][:n_victims]
     intendeds = [R1, R2, R3][:n_victims]
@@ -371,7 +372,7 @@ def targeting_stream(n_victims=3):
     for i, (victim, intended) in enumerate(zip(victims, intendeds)):
         sb.add(100 + i, victim, intended, STABLE, triggers[i])
         for j in range(5 * (i + 1) - 1):
-            sb.add(105 + j, victim, sink, STABLE, 1_000_000)
+            sb.add(105 + j, victim, sink, sink_token, 1_000_000)
         look = lookalike(intended, 3, 4)
         for j in range(i + 1):
             sb.add(150 + j, victim, look, STABLE, 0)
@@ -384,6 +385,20 @@ def test_targeting_correlation_monotone():
     report = scan(events, ChainConfig(chain_id=1), make_registry(), make_prices())
     rho = targeting_correlation(report, events, make_registry(), make_prices())
     assert rho == {"rho_activity": 1.0, "rho_amount": -1.0}
+
+
+def test_targeting_correlation_counts_config_stablecoins():
+    # the registry does not flag AUTH as a stablecoin; a config that names
+    # it makes its transfers count as activity
+    events = targeting_stream(sink_token=AUTH).events()
+    config = ChainConfig(chain_id=1, stablecoins=(STABLE, AUTH))
+    report = scan(events, config, make_registry(), make_prices())
+    rho = targeting_correlation(report, events, make_registry(), make_prices())
+    assert rho == {"rho_activity": 1.0, "rho_amount": -1.0}
+    # under the registry alone each victim sent one stablecoin transfer
+    report = scan(events, ChainConfig(chain_id=1), make_registry(), make_prices())
+    with pytest.raises(AnalyticsError, match="constant"):
+        targeting_correlation(report, events, make_registry(), make_prices())
 
 
 def test_targeting_correlation_needs_three_victims():

@@ -378,6 +378,15 @@ SHAPE_INPUTS = {
     "bytecode-address": (
         "bytecode.json", '{"0xzz": "c1"}', "'0xzz' (", HUGE_INPUTS["bytecode"][3],
     ),
+    # a code id is a string: two nulls once shared the id "None"
+    "bytecode-null": (
+        "bytecode.json", f'{{"{EVENT["to"]}": null, "{EVENT["from"]}": null}}',
+        f"'{EVENT['to']}' must be a string (", HUGE_INPUTS["bytecode"][3],
+    ),
+    "bytecode-list": (
+        "bytecode.json", f'{{"{EVENT["to"]}": ["c1"]}}', f"'{EVENT['to']}' must be a string (",
+        HUGE_INPUTS["bytecode"][3],
+    ),
 }
 
 
@@ -557,10 +566,32 @@ def test_cluster_verified_contract_matches_in_any_case(scan_dir, cluster_dir, tm
         verified = tmp_path / f"{case}.txt"
         verified.write_text(text + "\n", encoding="utf-8")
         out = tmp_path / case
-        argv = ["cluster", "--report", str(scan_dir / "report.json"), "--exclude-verified"]
+        argv = ["cluster", "--report", str(scan_dir / "report.json")]
         assert run([*argv, "--verified-contracts", str(verified), "--out", str(out)]) == 0
         groups[case] = (out / "groups.csv").read_bytes()
     assert groups["upper"] == groups["lower"] != groups["none"]
+
+
+def test_cluster_verified_contracts_alone_drop_their_sets(scan_dir, tmp_path):
+    # naming a file is the exclusion: there is no separate flag to forget
+    report = ["cluster", "--report", str(scan_dir / "report.json")]
+    assert run([*report, "--out", str(tmp_path / "all")]) == 0
+    sets = read_json(tmp_path / "all" / "clusters.json")["sets"]
+    token = min(s["counterfeit_token"] for s in sets if s["counterfeit_token"])
+    dropped = {s["transfer_id"] for s in sets if s["counterfeit_token"] == token}
+    verified = tmp_path / "verified.txt"
+    verified.write_text(token + "\n", encoding="utf-8")
+    out = tmp_path / "verified"
+    assert run([*report, "--verified-contracts", str(verified), "--out", str(out)]) == 0
+    kept = {m for g in read_json(out / "clusters.json")["groups"] for m in g["members"]}
+    assert dropped and not dropped & kept
+    assert kept == {s["transfer_id"] for s in sets} - dropped
+    header, *rows = (out / "groups.csv").read_text(encoding="utf-8").splitlines()
+    transfers = header.split(",").index("transfers")
+    assert sum(int(row.split(",")[transfers]) for row in rows) == len(sets) - len(dropped)
+    manifest = read_json(out / "manifest.json")
+    assert manifest["options"] == {"bot_threshold": 0.5}
+    assert "verified_contracts" in manifest["inputs"]
 
 
 def test_econ_outputs_satisfy_profit_identity(econ_dir):
@@ -619,6 +650,31 @@ def test_end_to_end_rerun_is_byte_identical(workdir, spec_path, sim_dir):
         "manifest.json",
     ):
         assert name in digests, name
+
+
+def test_report_bundle_does_not_depend_on_hash_seed(sim_dir, tmp_path):
+    # each run is a fresh process, so set and dict orders that follow
+    # string hashes would differ between the two
+    src = str(Path(poisonscan.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"seed{seed}"
+        argv = [
+            sys.executable, "-m", "poisonscan.cli", "report",
+            "--events", str(sim_dir / "events.jsonl"),
+            "--config", str(sim_dir / "config.json"),
+            "--registry", str(sim_dir / "registry.jsonl"),
+            "--prices", str(sim_dir / "prices.csv"),
+            "--accounts", str(sim_dir / "accounts.csv"),
+            "--out", str(out),
+        ]
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, check=False)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(tree_digest(out))
+    assert len(digests[0]) == 10  # every bundle file, manifest.json included
+    assert digests[0] == digests[1]
 
 
 @pytest.mark.parametrize("history", ["events.jsonl", "history.jsonl"])
@@ -704,15 +760,26 @@ def test_report_history_error_after_every_needed_event_exits_one(tmp_path, capsy
     "argv",
     [
         ["gen", "--targets", "t.txt", "--workers", "0", "--budget", "10"],
-        ["bench", "--repeat", "0"],
-        ["bench", "--repeat", "-1"],
-        ["bench", "--n-events", "-5"],
     ],
 )
 def test_non_positive_counts_are_usage_errors(capsys, argv):
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert "usage" in err.lower() and "must be >= 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["bench"], "invalid choice: 'bench'"),
+        (["cluster", "--report", "r.json", "--out", "o", "--exclude-verified"], "--exclude-verified"),
+    ],
+    ids=["bench", "exclude-verified"],
+)
+def test_removed_surfaces_are_usage_errors(capsys, argv, message):
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "usage" in err.lower() and message in err
 
 
 def test_report_summary_consistent_with_parts(workdir, sim_dir):
@@ -797,16 +864,6 @@ def test_gen_unbounded_search_rejected(tmp_path, capsys):
     code = run(["gen", "--targets", str(targets), "--matches", "0"])
     assert code == 1
     assert "budget" in capsys.readouterr().err.lower()
-
-
-def test_bench_reports_rate(capsys):
-    assert run(["bench", "--n-events", "20000", "--repeat", "1"]) == 0
-    captured = capsys.readouterr()
-    stats = json.loads(captured.out)
-    assert stats["n_events"] == 20000
-    assert stats["events_per_second"] > 0
-    assert stats["parse_events_per_second"] > 0
-    assert len(stats["runs"]) == 1
 
 
 def test_internal_error_exits_two(monkeypatch, sim_dir, scan_dir, tmp_path, capsys):

@@ -134,9 +134,7 @@ def test_verified_contract_exclusion():
         ts(3, "0xt3", "0xl9", "0xa3", counterfeit_token="0xfaketok"),
     ]
     assert len(cluster(sets)) == 2
-    groups = cluster(
-        sets, exclude_verified=True, verified_contracts={"0xverified", "0xfaketok"}
-    )
+    groups = cluster(sets, verified_contracts={"0xverified", "0xfaketok"})
     assert partition(groups) == frozenset({frozenset({"t2"})})
 
 
