@@ -34,9 +34,8 @@ def make_bundle():
 
 def main() -> None:
     bundle = make_bundle()
-    events = list(bundle.events())
     config = bundle.configs[1]
-    report = scan(events, config, bundle.registry, bundle.prices)
+    report = scan(bundle.events(), config, bundle.registry, bundle.prices)
     sets = build_transfer_sets(report)
     ratios = attack_ratio(sets, bundle.accounts[1])
 
@@ -53,14 +52,7 @@ def main() -> None:
 
     mid = (config.window_blocks * 3) + bundle.chains[1][0].block_number
     end = bundle.chains[1][-1].block_number
-    rows = temporal_clusters(
-        events,
-        [mid, end],
-        config,
-        bundle.registry,
-        bundle.prices,
-        history=bundle.accounts[1],
-    )
+    rows = temporal_clusters(sets, [mid, end], history=bundle.accounts[1])
     print("growth over time (group lineage across checkpoints):")
     for row in rows:
         print(

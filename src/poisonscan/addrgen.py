@@ -94,6 +94,9 @@ class SearchSpec:
             canonical = tuple(parse_address(t) for t in self.targets)
         except AddressError as exc:
             raise ValueError(str(exc)) from None
+        for i, target in enumerate(canonical):
+            if target in canonical[:i]:
+                raise ValueError(f"target {target} is given more than once")
         object.__setattr__(self, "targets", canonical)
         if not 0 <= self.a_min <= 40:
             raise ValueError(f"a_min must be in [0, 40], got {self.a_min}")

@@ -205,7 +205,9 @@ def _read_labels(path) -> dict[str, str]:
         for number, row in enumerate(reader, 2):
             if len(row) != 2:
                 raise ParseError(f"expected 2 columns, got {len(row)}", path=str(path), line=number)
-            out[_address(row[0], path, number)] = row[1]
+            if (addr := _address(row[0], path, number)) in out:
+                raise ParseError(f"duplicate address {addr}", path=str(path), line=number)
+            out[addr] = row[1]
     return out
 
 
@@ -218,7 +220,9 @@ def _read_bytecode(path) -> dict[str, str]:
     for addr, code in raw.items():
         if not isinstance(code, str):
             raise ParseError(f"the code id of {addr!r} must be a string", path=str(path))
-        out[_address(addr, path)] = code
+        if (canonical := _address(addr, path)) in out:
+            raise ParseError(f"duplicate address {addr!r}", path=str(path))
+        out[canonical] = code
     return out
 
 

@@ -17,9 +17,12 @@ Accounts whose on-chain history is not dominated by poisoning (attack
 ratio below a caller-chosen threshold) are therefore dropped before any
 merging happens, so a bot can never act as glue between two groups.
 
-The module also ranks group stability over time (clusters recomputed at
-increasing stream checkpoints, linked by member overlap) and measures
-lookalike and victim reuse across chains.
+The module also measures lookalike and victim reuse across chains, and
+group stability over time: one scan's transfer sets are cut at
+increasing block checkpoints and the groups linked by member overlap.
+The cut is exact because a scan fixes each poison label from the events
+up to the close of its transaction, so the sets up to a block are those
+of a scan of the stream up to that block.
 """
 
 from __future__ import annotations
@@ -30,17 +33,8 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from math import comb
 
-from .core import (
-    ChainConfig,
-    ClusteringError,
-    ConfigError,
-    Label,
-    PriceTable,
-    TokenRegistry,
-    TransferEvent,
-    event_date,
-)
-from .detector import DetectionReport, scan
+from .core import ClusteringError, ConfigError, Label, event_date
+from .detector import DetectionReport
 
 __all__ = [
     "AccountProfile",
@@ -333,23 +327,26 @@ def rand_index(a: Mapping[str, object], b: Mapping[str, object]) -> float:
     return (total + 2 * same_both - same_a - same_b) / total
 
 
+_TOP_K = 10  # temporal_clusters reports this many groups per checkpoint
+
+
 def temporal_clusters(
-    events: Iterable[TransferEvent],
+    sets: Sequence[AttackTransferSet],
     checkpoints: Sequence[int],
-    config: ChainConfig,
-    registry: TokenRegistry,
-    prices: PriceTable,
     *,
     history: Mapping[str, int] | None = None,
     bot_threshold: float = 0.5,
-    top_k: int = 10,
 ) -> tuple[dict, ...]:
-    """Recluster the stream prefix at each checkpoint and link groups.
+    """Recluster one scan's transfer sets at each checkpoint and link groups.
 
-    A checkpoint is an inclusive block-number cutoff; checkpoints must
-    be strictly increasing. Each row carries the group's rank at that
-    checkpoint and a lineage pointer: the previous checkpoint's group id
-    with the largest member overlap (ties to the smallest id), or the
+    ``sets`` come from ``build_transfer_sets`` on a scan the caller runs;
+    checkpoints are strictly increasing, inclusive block cutoffs. The sets
+    up to a checkpoint are those of a scan of the stream up to it: a scan
+    fixes each poison label from the events up to its transaction's close,
+    and finalize makes a payoff only of a key the pass made a candidate on
+    reaching it. Each row carries the group's rank among the first ten at
+    that checkpoint and a lineage pointer: the previous checkpoint's group
+    id with the largest member overlap (ties to the smallest id), or the
     group's own id when it has no predecessor.
     """
     checkpoints = list(checkpoints)
@@ -357,15 +354,12 @@ def temporal_clusters(
         raise ConfigError("at least one checkpoint is required")
     if any(b <= a for a, b in zip(checkpoints, checkpoints[1:])):
         raise ConfigError(f"checkpoints must be strictly increasing, got {checkpoints}")
-    stream = sorted(events, key=lambda e: (e.block_number, e.log_index))
     rows = []
     previous: tuple[AttackGroup, ...] = ()
     for checkpoint in checkpoints:
-        prefix = [e for e in stream if e.block_number <= checkpoint]
-        report = scan(prefix, config, registry, prices)
-        sets = build_transfer_sets(report)
-        groups = cluster(sets, bot_threshold, ratios=attack_ratio(sets, history))
-        for rank, group in enumerate(groups[:top_k], 1):
+        cut = [s for s in sets if s.block_number <= checkpoint]
+        groups = cluster(cut, bot_threshold, ratios=attack_ratio(cut, history))
+        for rank, group in enumerate(groups[:_TOP_K], 1):
             members = set(group.members)
             lineage = group.group_id
             best = 0

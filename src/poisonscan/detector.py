@@ -507,6 +507,23 @@ def scan(
         if ref is not None:
             refs.add(ref)
 
+    def poison_label(ev: TransferEvent, incoming: bool) -> str | None:
+        # the poison label of a transfer between a victim and a lookalike, or
+        # None; incoming when the lookalike sends, and then an authentic
+        # positive transfer without a price is marked unpriced
+        if incoming:
+            if ev.token not in auth_set or ev.value <= 0:
+                return None
+            usd = priced(ev)
+            if usd is None:
+                unpriced[ev.key] = None
+            elif 0 < usd < tiny_cut:
+                return Label.TINY
+            return None
+        if ev.token not in auth_set:
+            return Label.COUNTERFEIT
+        return Label.ZERO if ev.value == 0 else None
+
     def consider(ev, victim, look, ref, incoming, sibling) -> bool:
         """Score one candidate pair; returns True when a poisoning was
         collected directly (used for shared-transaction eligibility)."""
@@ -526,22 +543,12 @@ def scan(
             if a + b >= d_min:
                 n_near += 1
             return False
-        if incoming:
-            usd = priced(ev)
-            if usd is None:
-                unpriced[ev.key] = None
-                return False
-            if 0 < usd < tiny_cut:
-                collect(ev, victim, ref, look, Label.TINY, a, b, sibling)
-                return not sibling
-            return False
-        if ev.token not in auth_set:
-            collect(ev, victim, ref, look, Label.COUNTERFEIT, a, b, sibling)
+        label = poison_label(ev, incoming)
+        if label is not None:
+            collect(ev, victim, ref, look, label, a, b, sibling)
             return not sibling
-        if ev.value == 0:
-            collect(ev, victim, ref, look, Label.ZERO, a, b, sibling)
-            return not sibling
-        add_candidate(ev, ref)
+        if not incoming:
+            add_candidate(ev, ref)
         return False
 
     def fold_anchors(victims: set[str] | None = None) -> None:
@@ -862,21 +869,10 @@ def scan(
             hi = (row.block_number, row.log_index)
             hits: list[TransferEvent] = []
             for h in involving.get(look, ()):
-                if not lo < h.order < hi:
+                # a transfer between the victim and the lookalike, either way
+                if not lo < h.order < hi or {h.from_addr, h.to_addr} != {look, victim}:
                     continue
-                label = None
-                if h.from_addr == look and h.to_addr == victim:
-                    if h.token in auth_set and h.value > 0:
-                        usd = priced(h)
-                        if usd is None:
-                            unpriced[h.key] = None
-                        elif 0 < usd < tiny_cut:
-                            label = Label.TINY
-                elif h.from_addr == victim and h.to_addr == look:
-                    if h.token not in auth_set:
-                        label = Label.COUNTERFEIT
-                    elif h.value == 0:
-                        label = Label.ZERO
+                label = poison_label(h, incoming=h.from_addr == look)
                 if label is not None:
                     hits.append(h)
                     details.setdefault(h.key, EventDetail.from_event(h, usd_of(h, label)))

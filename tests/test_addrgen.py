@@ -279,6 +279,15 @@ def test_search_spec_validation():
         SearchSpec(targets=("nothex",), a_min=1, b_min=0, max_matches=1)
 
 
+def test_search_spec_rejects_a_repeated_target():
+    # given twice, one target once made search report one key as two matches
+    twice = (TARGET, "0x" + TARGET[2:].upper())
+    with pytest.raises(ValueError, match=f"target {TARGET} is given more than once"):
+        SearchSpec(targets=twice, a_min=1, b_min=0, max_matches=2)
+    once = search(SearchSpec(targets=(TARGET,), a_min=1, b_min=0, max_matches=2), seed=3)
+    assert len({m.address for m in once.matches}) == 2
+
+
 def test_search_crypto_random_flag_still_matches():
     spec = SearchSpec(targets=(TARGET,), a_min=1, b_min=0, max_matches=1, crypto_random=True)
     stats = search(spec, seed=0)

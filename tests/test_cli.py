@@ -183,6 +183,7 @@ EVENT = {
     "log_index": 0, "token": "0x" + "a1" * 20, "from": "0x" + "b2" * 20, "to": "0x" + "c3" * 20,
     "value": "5",
 }
+UPPER_TO = "0x" + EVENT["to"][2:].upper()
 TOKEN = {"chain_id": 1, "address": "0x" + "a1" * 20, "symbol": "T", "decimals": 6,
          "authentic": True, "stablecoin": False}
 
@@ -377,6 +378,22 @@ SHAPE_INPUTS = {
     ),
     "bytecode-address": (
         "bytecode.json", '{"0xzz": "c1"}', "'0xzz' (", HUGE_INPUTS["bytecode"][3],
+    ),
+    # a repeated address, in any case, once kept its last copy without a message
+    "labels-duplicate": (
+        "labels.csv", f"address,label\n{EVENT['to']},exchange\n{UPPER_TO},bridge",
+        "labels.csv:3", [
+            "report", "--labels", "{bad}", "--events", "{sim}/events.jsonl",
+            "--config", "{sim}/config.json", "--out", "{out}",
+        ],
+    ),
+    "bytecode-duplicate": (
+        "bytecode.json", f'{{"{EVENT["to"]}": "c1", "{UPPER_TO}": "c2"}}',
+        f"duplicate address '{UPPER_TO}' (", HUGE_INPUTS["bytecode"][3],
+    ),
+    "targets-duplicate": (
+        "targets.txt", f"{EVENT['to']}\n{UPPER_TO}", f"target {EVENT['to']} is given more than once",
+        ["gen", "--targets", "{bad}", "--budget", "10", "--out", "{out}"],
     ),
     # a code id is a string: two nulls once shared the id "None"
     "bytecode-null": (

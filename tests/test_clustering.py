@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from functools import partial
 
 import pytest
 
@@ -31,7 +32,7 @@ from poisonscan.core import (
     TransactionRecord,
 )
 from poisonscan.ingest import load_account_history
-from poisonscan.detector import scan
+from poisonscan.detector import birthday_filter, scan
 from poisonscan.scenario import BotSpec, GroupSpec, ScenarioSpec, generate
 
 from reference import reference_components
@@ -47,6 +48,7 @@ from helpers import (
     lookalike,
     make_prices,
     make_registry,
+    rich_spec,
 )
 
 
@@ -488,13 +490,11 @@ def temporal_stream():
     return sb.events()
 
 
-def temporal_rows(events, threshold):
+def temporal_rows(events, threshold, checkpoints=(170, 300)):
+    report = scan(events, ChainConfig(chain_id=1), make_registry(), make_prices())
     return temporal_clusters(
-        events,
-        [170, 300],
-        ChainConfig(chain_id=1),
-        make_registry(),
-        make_prices(),
+        build_transfer_sets(report),
+        checkpoints,
         history={"0xbot": 20},
         bot_threshold=threshold,
     )
@@ -534,15 +534,7 @@ def test_temporal_identity_links():
 
 def test_temporal_single_checkpoint_is_plain_clustering():
     events = temporal_stream()
-    rows = temporal_clusters(
-        events,
-        [300],
-        ChainConfig(chain_id=1),
-        make_registry(),
-        make_prices(),
-        history={"0xbot": 20},
-        bot_threshold=0.5,
-    )
+    rows = temporal_rows(events, 0.5, checkpoints=[300])
     prefix = [e for e in events if e.block_number <= 300]
     report = scan(prefix, ChainConfig(chain_id=1), make_registry(), make_prices())
     sets = build_transfer_sets(report)
@@ -553,13 +545,127 @@ def test_temporal_single_checkpoint_is_plain_clustering():
 
 def test_temporal_checkpoints_must_increase():
     with pytest.raises(ConfigError):
-        temporal_clusters(
-            temporal_stream(),
-            [300, 170],
-            ChainConfig(chain_id=1),
-            make_registry(),
-            make_prices(),
-        )
+        temporal_rows(temporal_stream(), 0.5, checkpoints=[300, 170])
+
+
+def rescan_temporal_clusters(
+    events, checkpoints, config, registry, prices, *, history=None, bot_threshold=0.5, top_k=10
+):
+    """The prefix-rescan form of ``temporal_clusters``: a fresh scan of the
+    stream up to each checkpoint. The oracle for cutting one scan's sets."""
+    stream = sorted(events, key=lambda e: (e.block_number, e.log_index))
+    rows = []
+    previous = ()
+    for checkpoint in checkpoints:
+        prefix = [e for e in stream if e.block_number <= checkpoint]
+        sets = build_transfer_sets(scan(prefix, config, registry, prices))
+        groups = cluster(sets, bot_threshold, ratios=attack_ratio(sets, history))
+        for rank, group in enumerate(groups[:top_k], 1):
+            members = set(group.members)
+            lineage = group.group_id
+            best = 0
+            for prev in sorted(previous, key=lambda g: g.group_id):
+                overlap = len(members.intersection(prev.members))
+                if overlap > best:
+                    best = overlap
+                    lineage = prev.group_id
+            rows.append(
+                {
+                    "checkpoint": checkpoint,
+                    "rank": rank,
+                    "group_id": group.group_id,
+                    "lineage": lineage,
+                    "lookalikes": group.lookalikes,
+                    "transfers": group.transfers,
+                }
+            )
+        previous = groups
+    return tuple(rows)
+
+
+def demo_bot_spec():
+    """The scenario of demos/cluster_attack_groups.py."""
+    return ScenarioSpec(
+        seed=5,
+        n_blocks=700,
+        groups=(
+            GroupSpec(
+                n_attacks=4, n_attackers=1, strategies=("zero",), scores=((4, 5),), payoff_rate=0.0
+            ),
+            GroupSpec(
+                n_attacks=4,
+                n_attackers=1,
+                strategies=("counterfeit",),
+                scores=((3, 4),),
+                payoff_rate=0.0,
+            ),
+        ),
+        bots=(BotSpec(copies=(0, 1), n_copies=2),),
+    )
+
+
+def spread_checkpoints(sets, k):
+    """Up to ``k`` checkpoints spread over the blocks of ``sets``, the last
+    on the last such block; going back from it, they alternate between a
+    set's block and the block just before one."""
+    blocks = sorted({s.block_number for s in sets})
+    return sorted({blocks[(len(blocks) - 1) * i // k] - (k - i) % 2 for i in range(1, k + 1)})
+
+
+@pytest.mark.parametrize(
+    "make_spec, chain_id",
+    [pytest.param(partial(rich_spec, seed), 1, id=f"rich_spec{seed}") for seed in range(12)]
+    + [
+        pytest.param(demo_bot_spec, 1, id="demo"),
+        pytest.param(lambda: cross_spec(), 56, id="cross_spec-56"),
+    ],
+)
+def test_temporal_cut_matches_prefix_rescan(make_spec, chain_id):
+    bundle = generate(make_spec())
+    events = bundle.events(chain_id)
+    config = bundle.configs[chain_id]
+    accounts = bundle.accounts[chain_id]
+    plain = scan(events, config, bundle.registry, bundle.prices)
+    full = birthday_filter(
+        scan(events, config, bundle.registry, bundle.prices, history=events), config
+    )
+    for k in (1, 2, 5, 10):
+        checkpoints = spread_checkpoints(build_transfer_sets(plain), k)
+        for threshold in (0.5, 0.0):
+            for top_k in (10, 2):
+                want = rescan_temporal_clusters(
+                    events,
+                    checkpoints,
+                    config,
+                    bundle.registry,
+                    bundle.prices,
+                    history=accounts,
+                    bot_threshold=threshold,
+                    top_k=top_k,
+                )
+                assert want
+                for report in (plain, full):
+                    rows = temporal_clusters(
+                        build_transfer_sets(report),
+                        checkpoints,
+                        history=accounts,
+                        bot_threshold=threshold,
+                    )
+                    assert tuple(r for r in rows if r["rank"] <= top_k) == want
+
+
+def test_temporal_checkpoint_before_first_set_and_set_order():
+    bundle = generate(rich_spec(7))
+    events = bundle.events()
+    report = scan(events, bundle.configs[1], bundle.registry, bundle.prices)
+    sets = build_transfer_sets(report)
+    history = bundle.accounts[1]
+    first = min(s.block_number for s in sets)
+    assert temporal_clusters(sets, [first - 1], history=history) == ()
+    checkpoints = [first - 1, *spread_checkpoints(sets, 5)]
+    rows = temporal_clusters(sets, checkpoints, history=history)
+    assert rows and rows[0]["checkpoint"] > first - 1
+    assert temporal_clusters(sets[::-1], checkpoints, history=history) == rows
 
 
 # ---------------------------------------------------------------------------
