@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import AddressError, parse_address
+from .core import address_at
 from .keccak import keccak256_many
 from .secp256k1 import CURVE_ORDER, scalar_base_mult_many
 from .similarity import score
@@ -90,10 +90,7 @@ class SearchSpec:
     def __post_init__(self):
         if not self.targets:
             raise ValueError("search needs at least one target address")
-        try:
-            canonical = tuple(parse_address(t) for t in self.targets)
-        except AddressError as exc:
-            raise ValueError(str(exc)) from None
+        canonical = tuple(address_at(t, ValueError) for t in self.targets)
         for i, target in enumerate(canonical):
             if target in canonical[:i]:
                 raise ValueError(f"target {target} is given more than once")

@@ -46,14 +46,14 @@ from .clustering import (
     groups_to_csv,
 )
 from .core import (
-    AddressError,
     ChainConfig,
     Label,
     ParseError,
     PoisonscanError,
     PriceTable,
     TokenRegistry,
-    parse_address,
+    address_at,
+    csv_rows,
     parse_json,
     read_fields,
     to_json,
@@ -140,6 +140,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _ratio(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0 <= value <= 1:  # NaN fails this too
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
+    return value
+
+
 def _ensure_outdir(path: str) -> Path:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
@@ -178,36 +188,20 @@ def _write_manifest(outdir: Path, subcommand: str, inputs: dict, options: dict, 
     write_json(outdir / "manifest.json", manifest)
 
 
-def _address(text: str, path, line: int | None = None) -> str:
-    """``text`` as a canonical address; a bad one is a ParseError naming
-    ``path`` and ``line``, and its message quotes the text."""
-    try:
-        return parse_address(text)
-    except AddressError as exc:
-        raise ParseError(str(exc), path=str(path), line=line) from None
-
-
 def _read_addresses(path) -> list[str]:
     """The canonical addresses of a file with one address per line."""
     with open(path, encoding="utf-8") as fh:
         lines = [raw.strip() for raw in fh]
-    return [_address(line, path, number) for number, line in enumerate(lines, 1) if line]
+    return [address_at(line, partial(ParseError, path=path, line=n)) for n, line in enumerate(lines, 1) if line]
 
 
 def _read_labels(path) -> dict[str, str]:
-    """Address display labels from a two-column CSV with header address,label."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["address", "label"]:
-            raise ParseError("expected header address,label", path=str(path), line=1)
-        out = {}
-        for number, row in enumerate(reader, 2):
-            if len(row) != 2:
-                raise ParseError(f"expected 2 columns, got {len(row)}", path=str(path), line=number)
-            if (addr := _address(row[0], path, number)) in out:
-                raise ParseError(f"duplicate address {addr}", path=str(path), line=number)
-            out[addr] = row[1]
+    """Address display labels from a CSV with columns address and label."""
+    out = {}
+    for error, row in csv_rows(path, ("address", "label")):
+        if (addr := address_at(row["address"], error)) in out:
+            raise error(f"duplicate address {addr}")
+        out[addr] = row["label"]
     return out
 
 
@@ -220,7 +214,7 @@ def _read_bytecode(path) -> dict[str, str]:
     for addr, code in raw.items():
         if not isinstance(code, str):
             raise ParseError(f"the code id of {addr!r} must be a string", path=str(path))
-        if (canonical := _address(addr, path)) in out:
+        if (canonical := address_at(addr, partial(ParseError, path=path))) in out:
             raise ParseError(f"duplicate address {addr!r}", path=str(path))
         out[canonical] = code
     return out
@@ -633,7 +627,7 @@ def _build_parser() -> _Parser:
     sub = commands.add_parser("cluster", help="group detected attacks by shared infrastructure")
     sub.add_argument("--report", required=True, help="report.json from scan")
     sub.add_argument("--accounts", help="account history CSV for bot filtering")
-    sub.add_argument("--bot-threshold", type=float, default=0.5, help="minimum attack ratio")
+    sub.add_argument("--bot-threshold", type=_ratio, default=0.5, help="minimum attack ratio")
     sub.add_argument(
         "--verified-contracts",
         help="file with one verified address per line; sets touching one are dropped",
@@ -670,7 +664,7 @@ def _build_parser() -> _Parser:
     sub = commands.add_parser("report", help="full pipeline: scan, cluster, economics, tables")
     _add_scan_arguments(sub)
     sub.add_argument("--accounts", help="account history CSV for bot filtering")
-    sub.add_argument("--bot-threshold", type=float, default=0.5, help="minimum attack ratio")
+    sub.add_argument("--bot-threshold", type=_ratio, default=0.5, help="minimum attack ratio")
     sub.add_argument("--labels", help="address display labels CSV")
     sub.add_argument("--out", required=True, help="output directory")
     sub.set_defaults(func=_cmd_report)

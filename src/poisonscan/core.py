@@ -396,13 +396,67 @@ def check_fields(record, error: Callable[[str], Exception]) -> None:
             raise error(f"field {name!r} must be {annotation}, got {reprlib.repr(value)}")
 
 
-def parse_json(text: str, path: str | Path, line: int | None = None):
-    """``json.loads(text)``, with its ValueError (invalid JSON, or an integer
-    past int()'s digit limit) raised as a ParseError at ``path`` and ``line``."""
+def _distinct_keys(pairs: list) -> dict:
+    """A decoded JSON object; json.loads would keep the last value of a repeated key."""
+    if len(obj := dict(pairs)) < len(pairs):
+        seen = set()
+        raise ValueError(f"repeated key {next(k for k, _ in pairs if k in seen or seen.add(k))!r}")
+    return obj
+
+
+def parse_json(text: str, path: str | Path, line: int | None = None, *, distinct_keys: bool = True):
+    """``json.loads(text)``, with its ValueError (invalid JSON, an integer
+    past int()'s digit limit or, unless ``distinct_keys`` is false, a
+    repeated key) raised as a ParseError at ``path`` and ``line``."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_distinct_keys if distinct_keys else None)
     except ValueError as exc:
         raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", path=path, line=line) from None
+
+
+def address_at(text: str, error: Callable[[str], Exception]) -> Address:
+    """``parse_address(text)``, with its error raised as ``error(message)``."""
+    try:
+        return parse_address(text)
+    except AddressError as exc:
+        raise error(str(exc)) from None
+
+
+def jsonl_objects(path: str | Path) -> Iterator[tuple[Callable[[str], ParseError], dict]]:
+    """``(error, obj)`` for the JSON object on each non-blank line of a JSON Lines
+    file, where ``error(message)`` makes a ParseError at ``path`` and the line."""
+    with open(path, encoding="utf-8") as handle:
+        for number, line in enumerate(handle, start=1):
+            if line.strip():
+                obj = parse_json(line, path, number)
+                error = partial(ParseError, path=path, line=number)
+                if type(obj) is not dict:
+                    raise error("each line must be a JSON object")
+                yield error, obj
+
+
+def csv_rows(path: str | Path, columns: tuple[str, ...]) -> Iterator[tuple[Callable[[str], ParseError], dict]]:
+    """``(error, row)`` for each non-blank row of a CSV file after its
+    header: ``row`` maps the header's columns to the row's values, and
+    ``error(message)`` makes a ParseError at ``path`` and the row's line.
+    The header names no column twice, and ``columns`` among others in any order."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        rows = (
+            (partial(ParseError, path=path, line=reader.line_num), row)
+            for row in reader
+            if len(row) > 1 or "".join(row).strip()
+        )
+        try:
+            error, header = next(rows, (partial(ParseError, path=path, line=1), []))
+            if len(set(header)) < len(header) or not set(columns) <= set(header):
+                raise error(f"the header must name {', '.join(columns)}, each column once: {','.join(header)!r}")
+            for error, row in rows:
+                if len(row) != len(header):
+                    raise error(f"expected {len(header)} values, got {len(row)}")
+                yield error, dict(zip(header, row))
+        except csv.Error as exc:  # such as a field past csv.field_size_limit()
+            raise ParseError(f"bad CSV: {exc}", path=path, line=reader.line_num) from None
 
 
 def write_json(path: str | Path, payload) -> None:
@@ -421,50 +475,35 @@ class TokenRegistry:
     """
 
     def __init__(self, entries: Iterable[RegistryEntry]):
-        table: dict[tuple[int, Address], RegistryEntry] = {}
-        for entry in entries:
-            token = entry.token
-            if not 0 <= token.decimals <= 255:
-                raise RegistryError(
-                    f"decimals out of range for {token.symbol} on chain {token.chain_id}: "
-                    f"{token.decimals}"
-                )
-            if entry.stablecoin and not entry.authentic:
-                raise RegistryError(
-                    f"stablecoin flag requires authentic=true: {token.address} "
-                    f"on chain {token.chain_id}"
-                )
-            key = (token.chain_id, token.address)
-            if key in table:
-                raise RegistryError(
-                    f"duplicate registry entry for {token.address} on chain {token.chain_id}"
-                )
-            table[key] = entry
-        self._table = table
+        self._table: dict[tuple[int, Address], RegistryEntry] = {}
         self._stable: dict[int, frozenset[Address]] = {}
         self._authentic: dict[int, frozenset[Address]] = {}
+        for entry in entries:
+            self._add(entry, RegistryError)
+
+    def _add(self, entry: RegistryEntry, error: Callable[[str], Exception]) -> None:
+        """Check ``entry`` and add it, or raise ``error(message)``."""
+        token = entry.token
+        if not 0 <= token.decimals <= 255:
+            raise error(f"decimals out of range for {token.symbol} on chain {token.chain_id}: {token.decimals}")
+        if entry.stablecoin and not entry.authentic:
+            raise error(f"stablecoin flag requires authentic=true: {token.address} on chain {token.chain_id}")
+        key = (token.chain_id, token.address)
+        if key in self._table:
+            raise error(f"duplicate registry entry for {token.address} on chain {token.chain_id}")
+        self._table[key] = entry
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "TokenRegistry":
-        entries = []
-        with open(path, "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                row = parse_json(line, path, lineno)
-                error = partial(ParseError, path=path, line=lineno)
-                chain_id, address, symbol, decimals, authentic, stablecoin = read_fields(
-                    row, error, chain_id=int, address=str, symbol=str, decimals=int,
-                    authentic=bool, stablecoin=bool,
-                )
-                try:
-                    address = parse_address(address)
-                except AddressError as exc:
-                    raise error(str(exc)) from None
-                token = TokenRef(chain_id, address, symbol, decimals)
-                entries.append(RegistryEntry(token, authentic, stablecoin))
-        return cls(entries)
+        registry = cls(())
+        for error, row in jsonl_objects(path):
+            chain_id, address, symbol, decimals, authentic, stablecoin = read_fields(
+                row, error, chain_id=int, address=str, symbol=str, decimals=int,
+                authentic=bool, stablecoin=bool,
+            )
+            token = TokenRef(chain_id, address_at(address, error), symbol, decimals)
+            registry._add(RegistryEntry(token, authentic, stablecoin), error)
+        return registry
 
     def to_jsonl(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as handle:
@@ -572,38 +611,25 @@ class PriceTable:
         self._one = Decimal("1")
 
     @classmethod
-    def from_csv(
-        cls, path: str | Path, parity_assets: Iterable[str] = frozenset()
-    ) -> "PriceTable":
+    def from_csv(cls, path: str | Path, parity_assets: Iterable[str] = frozenset()) -> "PriceTable":
         prices: dict[tuple[str, date], Decimal] = {}
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            reader = csv.DictReader(handle)
-            required = {"asset", "date", "usd_price"}
-            if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-                raise ParseError(
-                    f"price CSV needs columns {sorted(required)}, got {reader.fieldnames}",
-                    path=path,
-                )
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    asset = row["asset"].strip()
-                    day = date.fromisoformat(row["date"].strip())
-                    price = Decimal(row["usd_price"].strip())
-                except Exception as exc:
-                    raise ParseError(f"bad price row: {exc}", path=path, line=lineno) from None
-                if not asset:
-                    raise ParseError("empty asset id", path=path, line=lineno)
-                # NaN would make the comparison below raise, and Infinity pass it
-                if not price.is_finite():
-                    raise ParseError(f"price must be finite, got {price}", path=path, line=lineno)
-                if price <= 0:
-                    raise ParseError(f"price must be positive, got {price}", path=path, line=lineno)
-                key = (asset, day)
-                if key in prices:
-                    raise ParseError(
-                        f"duplicate price row for {asset} on {day}", path=path, line=lineno
-                    )
-                prices[key] = price
+        for error, row in csv_rows(path, ("asset", "date", "usd_price")):
+            asset = row["asset"].strip()
+            if asset[:2] in ("0x", "0X"):
+                asset = address_at(asset, error)
+            try:
+                day = date.fromisoformat(row["date"].strip())
+                price = Decimal(row["usd_price"].strip())
+            except (ValueError, InvalidOperation) as exc:
+                raise error(f"bad price row: {exc}") from None
+            if not asset:
+                raise error("empty asset id")
+            # NaN would make the comparison raise, and Infinity pass it
+            if not price.is_finite() or price <= 0:
+                raise error(f"price must be finite and positive, got {price}")
+            if (asset, day) in prices:
+                raise error(f"duplicate price row for {asset} on {day}")
+            prices[asset, day] = price
         return cls(prices, parity_assets=frozenset(parity_assets))
 
     def write_csv(self, path: str | Path) -> None:

@@ -43,6 +43,8 @@ from .core import (
     ParseError,
     TransactionRecord,
     TransferEvent,
+    address_at,
+    csv_rows,
     parse_address,
     parse_json,
 )
@@ -202,7 +204,9 @@ def _parse(path: Path) -> Iterator[tuple[int, TransferEvent]]:
             except (StopIteration, ValueError):
                 end = -1
             if end != len(raw):
-                obj = parse_json(raw, name, line_no)
+                # the scanner keeps the last value of a repeated key, and so
+                # must the message of a line it rejects
+                obj = parse_json(raw, name, line_no, distinct_keys=False)
             if type(obj) is not dict:
                 raise ParseError("each line must be a JSON object", path=name, line=line_no)
             get = obj.get
@@ -304,34 +308,20 @@ def write_events(path: str | Path, events: Iterable[TransferEvent]) -> int:
 
 
 def load_account_history(path: str | Path) -> dict[str, int]:
-    """Load per-account lifetime transaction counts from a two-column CSV."""
-    path = Path(path)
+    """Per-account lifetime transaction counts from a CSV with columns account and total_txs."""
     history: dict[str, int] = {}
-    with path.open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["account", "total_txs"]:
-            raise ParseError(f"expected header 'account,total_txs', got {header}", path=str(path), line=1)
-        for line_no, fields in enumerate(reader, start=2):
-            if not fields:
-                continue
-            if len(fields) != 2:
-                raise ParseError(f"expected 2 columns, got {len(fields)}", path=str(path), line=line_no)
-            try:
-                account = parse_address(fields[0])
-            except Exception as exc:
-                raise ParseError(str(exc), path=str(path), line=line_no) from None
-            raw = fields[1]
-            # as for an event's value: int() would also take "١٢", "1_0", "+5", " 5" and "-4"
-            if not (raw.isascii() and raw.isdigit()):
-                raise ParseError(f"bad count {raw!r}", path=str(path), line=line_no)
-            try:
-                count = int(raw)
-            except ValueError:  # past int()'s digit limit
-                raise ParseError(f"count of {len(raw)} digits out of range", path=str(path), line=line_no) from None
-            if account in history:
-                raise ParseError(f"duplicate account {account}", path=str(path), line=line_no)
-            history[account] = count
+    for error, row in csv_rows(path, ("account", "total_txs")):
+        account, raw = address_at(row["account"], error), row["total_txs"]
+        # as for an event's value: int() would also take "١٢", "1_0", "+5", " 5" and "-4"
+        if not (raw.isascii() and raw.isdigit()):
+            raise error(f"bad count {raw!r}")
+        try:
+            count = int(raw)
+        except ValueError:  # past int()'s digit limit
+            raise error(f"count of {len(raw)} digits out of range") from None
+        if account in history:
+            raise error(f"duplicate account {account}")
+        history[account] = count
     return history
 
 

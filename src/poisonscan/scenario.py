@@ -19,13 +19,11 @@ import string
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from decimal import Decimal
-from functools import partial
 from pathlib import Path
 
 from .core import (
     ChainConfig,
     Label,
-    ParseError,
     PriceTable,
     RegistryEntry,
     ScenarioError,
@@ -38,6 +36,7 @@ from .core import (
     event_date,
     from_json,
     hex_digits,
+    jsonl_objects,
     parse_json,
     read_fields,
     to_json,
@@ -320,13 +319,7 @@ class GroundTruth:
     @classmethod
     def read_jsonl(cls, path: str | Path) -> "GroundTruth":
         rows, bots = [], []
-        for line, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-            if not raw.strip():
-                continue
-            obj = parse_json(raw, path, line)
-            if not isinstance(obj, dict):
-                raise ParseError("each line must be a JSON object", path=path, line=line)
-            error = partial(ParseError, path=path, line=line)
+        for error, obj in jsonl_objects(path):
             kind = obj.pop("kind", None)
             if kind == "bot":
                 bots += read_fields(obj, error, account=str)

@@ -404,6 +404,36 @@ SHAPE_INPUTS = {
         "bytecode.json", f'{{"{EVENT["to"]}": ["c1"]}}', f"'{EVENT['to']}' must be a string (",
         HUGE_INPUTS["bytecode"][3],
     ),
+    # a field past csv's size limit was once an internal error
+    "labels-huge-field": (
+        "labels.csv", f"address,label\n{EVENT['to']},{'x' * 200_000}", "labels.csv:2", [
+            "report", "--labels", "{bad}", "--events", "{out}/none.jsonl",
+            "--config", "{sim}/config.json", "--out", "{out}",
+        ],
+    ),
+    # a repeated JSON key once kept its last value without a message
+    "config-repeated-key": (
+        "config.json", '{"chain_id": 1, "window_blocks": 100, "window_blocks": 1}',
+        "repeated key 'window_blocks' (", SCAN_CONFIG,
+    ),
+    "bytecode-repeated-key": (
+        "bytecode.json", f'{{"{EVENT["to"]}": "c1", "{EVENT["to"]}": "c2"}}',
+        f"repeated key '{EVENT['to']}' (", HUGE_INPUTS["bytecode"][3],
+    ),
+    # a registry entry check names the line, counted past blank lines
+    "registry-duplicate": (
+        "registry.jsonl", f"{json.dumps(TOKEN)}\n\n{json.dumps(TOKEN)}", "registry.jsonl:3",
+        ["scan", "--registry", "{bad}", "--events", "{sim}/events.jsonl", "--config", "{sim}/config.json",
+         "--out", "{out}"],
+    ),
+    # a price asset that is an address is compared in canonical form
+    "prices-case-duplicate": (
+        "prices.csv", f"asset,date,usd_price\n0x{'AB' * 20},2023-11-14,1\n0x{'ab' * 20},2023-11-14,2",
+        "prices.csv:3", [
+            "scan", "--prices", "{bad}", "--events", "{sim}/events.jsonl",
+            "--config", "{sim}/config.json", "--out", "{out}",
+        ],
+    ),
 }
 
 
@@ -411,6 +441,42 @@ SHAPE_INPUTS = {
 def test_wrong_shape_input_exits_one(case, sim_dir, scan_dir, cluster_dir, tmp_path, capsys):
     dirs = {"sim": sim_dir, "scan": scan_dir, "cluster": cluster_dir}
     assert_input_error(SHAPE_INPUTS[case], dirs, tmp_path, capsys)
+
+
+def test_labels_blank_rows_and_column_order(tmp_path):
+    plain, other = tmp_path / "plain.csv", tmp_path / "other.csv"
+    plain.write_text(f"address,label\n{EVENT['to']},exchange\n{EVENT['from']},bridge\n", encoding="utf-8")
+    # blank rows anywhere, and the columns in another order among others
+    other.write_text(
+        f"\nlabel,note,address\n\nexchange,x,{UPPER_TO}\n  \nbridge,,{EVENT['from']}\n\n", encoding="utf-8"
+    )
+    want = {EVENT["to"]: "exchange", EVENT["from"]: "bridge"}
+    assert cli_mod._read_labels(plain) == cli_mod._read_labels(other) == want
+
+
+def test_upper_case_price_assets_scan_as_canonical(sim_dir, scan_dir, tmp_path):
+    text = (sim_dir / "prices.csv").read_text(encoding="utf-8")
+    rows = [line.split(",", 1) for line in text.splitlines()]
+    upper = [
+        [("0X" if i % 2 else "0x") + asset[2:].upper() if asset.startswith("0x") else asset, rest]
+        for i, (asset, rest) in enumerate(rows)
+    ]
+    assert upper != rows
+    prices = tmp_path / "prices.csv"
+    prices.write_text("".join(",".join(row) + "\n" for row in upper), encoding="utf-8")
+    code = run([
+        "scan",
+        "--events", str(sim_dir / "events.jsonl"),
+        "--config", str(sim_dir / "config.json"),
+        "--registry", str(sim_dir / "registry.jsonl"),
+        "--prices", str(prices),
+        "--out", str(tmp_path / "scan"),
+    ])
+    assert code == 0
+    canonical = (scan_dir / "report.json").read_bytes()
+    assert (tmp_path / "scan" / "report.json").read_bytes() == canonical
+    # the prices decide labels: tiny poisonings are priced in USD
+    assert DetectionReport.read_json(scan_dir / "report.json").headline_counts()[Label.TINY] > 0
 
 
 def test_simulate_writes_bundle_and_manifest(sim_dir):
@@ -783,6 +849,25 @@ def test_non_positive_counts_are_usage_errors(capsys, argv):
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert "usage" in err.lower() and "must be >= 1" in err
+
+
+@pytest.mark.parametrize("value,message", [
+    ("nan", "must be in [0, 1], got nan"),
+    ("inf", "must be in [0, 1], got inf"),
+    ("2", "must be in [0, 1], got 2.0"),
+    ("-0.1", "must be in [0, 1], got -0.1"),
+    ("half", "not a number: 'half'"),
+], ids=["nan", "inf", "two", "negative", "text"])
+@pytest.mark.parametrize("command", [
+    ["cluster", "--report", "r.json"],
+    ["report", "--events", "e.jsonl", "--config", "c.json"],
+], ids=["cluster", "report"])
+def test_bot_threshold_outside_unit_interval_is_usage_error(capsys, command, value, message):
+    # NaN once excluded nothing and was written to the bundle as NaN,
+    # which is no JSON; inf and 2 excluded every set
+    assert run([*command, "--bot-threshold", value, "--out", "o"]) == 1
+    err = capsys.readouterr().err
+    assert "usage" in err.lower() and f"--bot-threshold: {message}" in err
 
 
 @pytest.mark.parametrize(

@@ -161,11 +161,23 @@ def test_registry_jsonl_roundtrip(tmp_path):
 
 
 def test_registry_jsonl_reports_bad_line(tmp_path):
+    good = {"chain_id": 1, "address": USDT, "symbol": "USDT", "decimals": 6,
+            "authentic": True, "stablecoin": True}
     path = tmp_path / "registry.jsonl"
-    for line in ('{"chain_id": 1, "address": "0x123"}', "[1, 2]"):
-        path.write_text(line + "\n")
-        with pytest.raises((RegistryError, ParseError)):
+    # the file's lines, and the one the error must name; the entry checks
+    # name it as the field checks do
+    cases = [
+        (['{"chain_id": 1, "address": "0x123"}'], 1),
+        (["[1, 2]"], 1),
+        ([good, "", {**good, "address": USDT.upper().replace("0X", "0x")}], 3),
+        ([good, {**good, "address": USDC, "decimals": 300}], 2),
+        ([good, {**good, "address": USDC, "authentic": False}], 2),
+    ]
+    for lines, number in cases:
+        path.write_text("".join((x if isinstance(x, str) else json.dumps(x)) + "\n" for x in lines))
+        with pytest.raises(ParseError) as exc:
             TokenRegistry.from_jsonl(path)
+        assert (exc.value.path, exc.value.line) == (str(path), number), lines
 
 
 def test_registry_jsonl_huge_integer_is_parse_error(tmp_path):

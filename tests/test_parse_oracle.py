@@ -162,6 +162,10 @@ def test_first_bad_field_reported(tmp_path, first, second):
         json.dumps(good_row(1))[:-1],
         '{"a": NaN}',
         '{"a": "\\ud800"}',
+        # event lines keep json's last-wins rule for a repeated key, in the
+        # message of a bad line too
+        '{"value": "7", ' + json.dumps(good_row(1))[1:],
+        '{"a": 1, "a": 2} x',
     ],
 )
 def test_json_level_errors_match_oracle(tmp_path, line):
