@@ -10,8 +10,6 @@ fixed-base multiply and the many-message Keccak, and then tested in order.
 
 from __future__ import annotations
 
-import hashlib
-import secrets
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -51,6 +49,10 @@ def derive_address(private_key: int) -> str:
 
 
 def _prf_key(seed: int, counter: int) -> int:
+    # imported here, not at module level: hashlib loads OpenSSL, about 5 ms
+    # that a process which only derives addresses does not need
+    import hashlib
+
     material = hashlib.sha256(
         _PRF_TAG + seed.to_bytes(8, "big", signed=True) + counter.to_bytes(8, "big")
     ).digest()
@@ -60,6 +62,9 @@ def _prf_key(seed: int, counter: int) -> int:
 def _draw_keys(seed: int, counter: int, want: int, crypto_random: bool) -> list[int]:
     """The next `want` valid keys from stream position counter. A key
     outside [1, n-1] is skipped, not a trial."""
+    if crypto_random:  # imported here for the reason given in _prf_key
+        import secrets
+
     keys = []
     while len(keys) < want:
         if crypto_random:

@@ -52,6 +52,8 @@ from .core import (
     PoisonscanError,
     PriceTable,
     TokenRegistry,
+    _array_pieces,
+    _writer,
     address_at,
     csv_rows,
     parse_json,
@@ -172,27 +174,33 @@ def _sha256_file(path) -> str:
 
 
 def _write_manifest(outdir: Path, subcommand: str, inputs: dict, options: dict, seed=None) -> None:
+    paths = {name: str(path) for name, path in sorted(inputs.items()) if path is not None}
+    # one file named by two inputs, such as --history naming the events, is hashed once
+    digests = {path: _sha256_file(path) for path in set(paths.values())}
     manifest = {
         "tool": "poisonscan",
         "version": __version__,
         "schema": SCHEMA_VERSION,
         "subcommand": subcommand,
         "seed": seed,
-        "inputs": {
-            name: {"path": str(path), "sha256": _sha256_file(path)}
-            for name, path in sorted(inputs.items())
-            if path is not None
-        },
+        "inputs": {name: {"path": path, "sha256": digests[path]} for name, path in paths.items()},
         "options": options,
     }
     write_json(outdir / "manifest.json", manifest)
 
 
-def _read_addresses(path) -> list[str]:
-    """The canonical addresses of a file with one address per line."""
+def _read_addresses(path, noun: str) -> list[str]:
+    """The canonical addresses of a file with one ``noun`` per line. One
+    given twice, in any case, is an error at its second line."""
+    out = {}
     with open(path, encoding="utf-8") as fh:
-        lines = [raw.strip() for raw in fh]
-    return [address_at(line, partial(ParseError, path=path, line=n)) for n, line in enumerate(lines, 1) if line]
+        for number, line in enumerate(fh, 1):
+            if text := line.strip():
+                error = partial(ParseError, path=path, line=number)
+                if (address := address_at(text, error)) in out:
+                    raise error(f"{noun} {address} is given more than once")
+                out[address] = None
+    return list(out)
 
 
 def _read_labels(path) -> dict[str, str]:
@@ -291,13 +299,15 @@ def _scan_options(args) -> dict:
 
 
 def _write_clusters(path: Path, sets, groups, bot_threshold: float) -> None:
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "bot_threshold": bot_threshold,
-        "sets": [to_json(s) for s in sets],
-        "groups": [to_json(g) for g in groups],
-    }
-    write_json(path, payload)
+    """The bytes ``write_json`` gives for the fields bot_threshold, groups,
+    schema and sets, with each record written as it comes by its
+    ``core._writer``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f'{{\n  "bot_threshold": {json.dumps(bot_threshold)},\n  "groups": ')
+        fh.writelines(_array_pieces(groups, _writer(AttackGroup, 2), 1))
+        fh.write(f',\n  "schema": {json.dumps(SCHEMA_VERSION)},\n  "sets": ')
+        fh.writelines(_array_pieces(sets, _writer(AttackTransferSet, 2), 1))
+        fh.write("\n}\n")
 
 
 def _read_clusters(path):
@@ -405,7 +415,7 @@ def _cmd_cluster(args) -> int:
     sets = build_transfer_sets(report)
     history = load_account_history(args.accounts) if args.accounts else None
     ratios = attack_ratio(sets, history)
-    verified = tuple(_read_addresses(args.verified_contracts)) if args.verified_contracts else ()
+    verified = tuple(_read_addresses(args.verified_contracts, "contract")) if args.verified_contracts else ()
     bytecode = _read_bytecode(args.bytecode) if args.bytecode else None
     groups = cluster(
         sets,
@@ -472,7 +482,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    targets = _read_addresses(args.targets)
+    targets = _read_addresses(args.targets, "target")
     if not targets:
         raise ParseError("no target addresses", path=str(args.targets))
     if args.matches < 0:

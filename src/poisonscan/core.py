@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import reprlib
 from binascii import unhexlify
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from datetime import date, datetime, timezone
 from decimal import ROUND_HALF_EVEN, Context, Decimal, InvalidOperation
 from functools import cache, partial
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import NoneType, UnionType
 from typing import (
@@ -304,8 +306,8 @@ def _codec(hint) -> tuple:
 @cache
 def _fields(cls: type) -> tuple:
     """Per field of the dataclass ``cls``: its name, its JSON key, ``kind``,
-    ``read`` and ``write`` (see _codec), whether it is required, and its
-    annotation as written."""
+    ``read`` and ``write`` (see _codec), whether it is required, its
+    annotation as written and as resolved."""
     hints = get_type_hints(cls)
     out = []
     for f in fields(cls):
@@ -314,7 +316,8 @@ def _fields(cls: type) -> tuple:
         else:
             kind, read, write = _codec(hints[f.name])
         required = f.default is MISSING and f.default_factory is MISSING
-        out.append((f.name, _JSON_NAMES.get(f.name, f.name), kind, read, write, required, f.type))
+        key = _JSON_NAMES.get(f.name, f.name)
+        out.append((f.name, key, kind, read, write, required, f.type, hints[f.name]))
     return tuple(out)
 
 
@@ -323,7 +326,7 @@ def _read_record(cls: type, raw):
         raise _wrong("an object", raw)
     kwargs = {}
     try:
-        for name, key, kind, read, _, required, _ in _fields(cls):
+        for name, key, kind, read, _, required, _, _ in _fields(cls):
             value = raw.get(key, _ABSENT)
             if type(value) is kind:
                 kwargs[name] = value
@@ -343,10 +346,75 @@ def to_json(record) -> dict:
     """The JSON object of the dataclass ``record``; ``from_json`` reads it
     back."""
     out = {}
-    for name, key, _, _, write, _, _ in _fields(type(record)):
+    for name, key, _, _, write, _, _, _ in _fields(type(record)):
         value = getattr(record, name)
         out[key] = value if write is None else write(value)
     return out
+
+
+def _pad(depth: int | None) -> str:
+    """The line break and indent that json's ``indent=2`` puts before an
+    item at ``depth``; nothing in compact text."""
+    return "" if depth is None else "\n" + "  " * depth
+
+
+def _text(hint, x: str, depth: int | None, names: dict) -> tuple[str, str]:
+    """``(piece, arg)``: the %-format piece and the expression over ``x``
+    that give json's text for a value annotated ``hint`` at ``depth``. A
+    nested record's writer goes into ``names``."""
+    if hint is bool:
+        return "%s", f"('true' if {x} else 'false')"
+    if hint is int:
+        return "%d", x
+    if hint is str:
+        return "%s", f"_enc({x})"
+    if hint is Decimal:  # its str needs no escaping
+        return '"%s"', x
+    if is_dataclass(hint):
+        name = f"_w{len(names)}"
+        names[name] = _writer(hint, depth)
+        return "%s", f"{name}({x})"
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, UnionType) and len(args) == 2 and NoneType in args:
+        piece, arg = _text(args[0] if args[1] is NoneType else args[1], x, depth, names)
+        return "%s", f"('null' if {x} is None else {arg if piece == '%s' else f'{piece!r} % {arg}'})"
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        deeper = None if depth is None else depth + 1
+        piece, arg = _text(args[0], "v", deeper, names)
+        item = arg if piece == "%s" else f"{piece!r} % v"
+        opening, inner, close = "[" + _pad(deeper), "," + _pad(deeper), _pad(depth) + "]"
+        return "%s", f"({opening!r} + {inner!r}.join([{item} for v in {x}]) + {close!r} if {x} else '[]')"
+    raise TypeError(f"no JSON writer for {hint!r}")
+
+
+@cache
+def _writer(cls: type, indent: int | None = None) -> Callable[[object], str]:
+    """The function giving the JSON text of a record of the dataclass ``cls``:
+    the bytes json writes for ``to_json(record)`` with sorted keys, compact,
+    or with ``indent=2`` for a record nested ``indent`` levels deep. It is one
+    %-format over the fields, generated from the same ``_fields`` table."""
+    names = {"_enc": encode_basestring_ascii}
+    depth = None if indent is None else indent + 1
+    pieces, args = [], []
+    for name, key, _, _, write, _, _, hint in sorted(_fields(cls), key=lambda f: f[1]):
+        # a token value or a Decimal is written as its str, which needs no escaping
+        piece, arg = ('"%s"', f"r.{name}") if write is str else _text(hint, f"r.{name}", depth, names)
+        pieces.append(encode_basestring_ascii(key) + (":" if indent is None else ": ") + piece)
+        args.append(arg)
+    template = "{" + _pad(depth) + ("," + _pad(depth)).join(pieces) + _pad(indent) + "}"
+    exec(f"def write(r):\n    return {template!r} % ({', '.join(args)},)\n", names)
+    return names["write"]
+
+
+def _array_pieces(records: Iterable, write, indent: int | None = None) -> Iterator[str]:
+    """A JSON array of records, one per piece, laid out as ``_writer`` lays
+    out a record ``indent`` levels deep; ``write`` gives a record's text."""
+    inner = _pad(None if indent is None else indent + 1)
+    sep = "[" + inner
+    for record in records:
+        yield sep + write(record)
+        sep = "," + inner
+    yield _pad(indent) + "]" if sep[0] == "," else "[]"
 
 
 def from_json(cls: type, raw, error: Callable[[str], Exception]):
@@ -381,7 +449,7 @@ def check_fields(record, error: Callable[[str], Exception]) -> None:
     in Python, holds exactly the type its annotation names. That holds when
     the value reads back from its JSON form as itself: 2.5, "5" and True are
     no int, and a list is no tuple."""
-    for name, _, _, read, write, _, annotation in _fields(type(record)):
+    for name, _, _, read, write, _, annotation, _ in _fields(type(record)):
         value = getattr(record, name)
         try:
             back = read(value if write is None else write(value))
@@ -420,6 +488,16 @@ def address_at(text: str, error: Callable[[str], Exception]) -> Address:
         return parse_address(text)
     except AddressError as exc:
         raise error(str(exc)) from None
+
+
+def decimal_at(text: str, error: Callable[[str], Exception]) -> Decimal:
+    """The Decimal that ``text`` spells as ``str(Decimal)`` writes a finite
+    number: ASCII digits with an optional minus, point and ``E`` exponent.
+    Any other spelling, such as ``1_0``, ``+5``, ``1e3``, ``NaN`` or a
+    non-ASCII digit, raises ``error(message)``."""
+    if re.fullmatch(r"-?[0-9]+(?:\.[0-9]+)?(?:E[+-][0-9]+)?", text) is None:
+        raise error(f"not a decimal number: {reprlib.repr(text)}")
+    return Decimal(text)
 
 
 def jsonl_objects(path: str | Path) -> Iterator[tuple[Callable[[str], ParseError], dict]]:
@@ -619,14 +697,13 @@ class PriceTable:
                 asset = address_at(asset, error)
             try:
                 day = date.fromisoformat(row["date"].strip())
-                price = Decimal(row["usd_price"].strip())
-            except (ValueError, InvalidOperation) as exc:
+            except ValueError as exc:
                 raise error(f"bad price row: {exc}") from None
+            price = decimal_at(row["usd_price"].strip(), error)
             if not asset:
                 raise error("empty asset id")
-            # NaN would make the comparison raise, and Infinity pass it
-            if not price.is_finite() or price <= 0:
-                raise error(f"price must be finite and positive, got {price}")
+            if price <= 0:
+                raise error(f"price must be positive, got {price}")
             if (asset, day) in prices:
                 raise error(f"duplicate price row for {asset} on {day}")
             prices[asset, day] = price

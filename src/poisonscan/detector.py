@@ -53,6 +53,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from functools import partial
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
@@ -65,6 +66,8 @@ from .core import (
     PriceTable,
     TokenRegistry,
     TransferEvent,
+    _array_pieces,
+    _writer,
     event_date,
     from_json,
     parse_json,
@@ -171,25 +174,15 @@ class PayoffRecord:
     edit_distance: int | None = None
 
 
-def _object_pieces(encode, mapping: Mapping, write=None) -> Iterable[str]:
-    """A JSON object in sorted key order, one entry per piece."""
+def _object_pieces(mapping: Mapping, write) -> Iterable[str]:
+    """A JSON object in sorted key order, one entry per piece; ``write``
+    gives a value's text."""
     yield "{"
     sep = ""
     for key in sorted(mapping):
-        value = mapping[key]
-        yield sep + encode(key) + ":" + encode(value if write is None else write(value))
+        yield sep + encode_basestring_ascii(key) + ":" + write(mapping[key])
         sep = ","
     yield "}"
-
-
-def _array_pieces(encode, records: Iterable) -> Iterable[str]:
-    """A JSON array of report records, one record per piece."""
-    yield "["
-    sep = ""
-    for record in records:
-        yield sep + encode(to_json(record))
-        sep = ","
-    yield "]"
 
 
 @dataclass(frozen=True)
@@ -237,19 +230,21 @@ class DetectionReport:
         """Write report.json: every field in one JSON object with sorted keys,
         no spaces and a closing newline, which ``read_json`` reads back.
 
-        Each record is written by ``to_json``. The file is streamed: labels
-        and events go out entry by entry, contexts and payoffs record by
-        record, so neither a copy of the records nor the whole text is ever
-        held in memory.
+        The bytes are json's for ``to_json(self)``. Events, contexts and
+        payoffs are written by ``core._writer``, the per-class template that
+        gives each record's text in one %-format. The file is streamed:
+        labels and events go out entry by entry, contexts and payoffs record
+        by record, so neither a copy of the records nor the whole text is
+        ever held in memory.
         """
         encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
         # the fields that hold no per-event records go out whole
         head = to_json(replace(self, labels={}, events={}, contexts=(), payoffs=()))
         body = {key: (encode(value),) for key, value in head.items()}
-        body["labels"] = _object_pieces(encode, self.labels)
-        body["events"] = _object_pieces(encode, self.events, to_json)
-        body["contexts"] = _array_pieces(encode, self.contexts)
-        body["payoffs"] = _array_pieces(encode, self.payoffs)
+        body["labels"] = _object_pieces(self.labels, encode_basestring_ascii)
+        body["events"] = _object_pieces(self.events, _writer(EventDetail))
+        body["contexts"] = _array_pieces(self.contexts, _writer(AttackContext))
+        body["payoffs"] = _array_pieces(self.payoffs, _writer(PayoffRecord))
         with open(path, "w", encoding="utf-8") as fh:
             sep = "{"
             for key in sorted(body):

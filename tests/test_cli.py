@@ -434,6 +434,21 @@ SHAPE_INPUTS = {
             "--config", "{sim}/config.json", "--out", "{out}",
         ],
     ),
+    # a price in a spelling str(Decimal) never writes, once read as 10, 3 and 5
+    **{
+        f"prices-{name}": (
+            "prices.csv", f"asset,date,usd_price\nETH,2023-11-14,1\nETH,2023-11-15,{price}", "prices.csv:3", [
+                "scan", "--prices", "{bad}", "--events", "{sim}/events.jsonl",
+                "--config", "{sim}/config.json", "--out", "{out}",
+            ],
+        )
+        for name, price in (("underscore", "1_0"), ("arabic-indic-digit", "\u0663"), ("plus", "+5"))
+    },
+    # a repeated target, once an error naming no file
+    "targets-duplicate-line": (
+        "targets.txt", f"{EVENT['to']}\n\n{UPPER_TO}", "targets.txt:3",
+        ["gen", "--targets", "{bad}", "--budget", "10", "--out", "{out}"],
+    ),
 }
 
 
@@ -513,6 +528,29 @@ def test_scan_bundle_contents(scan_dir, sim_dir):
 def test_manifest_does_not_embed_output_path(scan_dir):
     text = (scan_dir / "manifest.json").read_text(encoding="utf-8")
     assert str(scan_dir) not in text
+
+
+def test_manifest_hashes_each_distinct_input_once(sim_dir, tmp_path, monkeypatch):
+    hashed = []
+    sha256_file = cli_mod._sha256_file
+    monkeypatch.setattr(cli_mod, "_sha256_file", lambda path: hashed.append(path) or sha256_file(path))
+    events = sim_dir / "events.jsonl"
+    inputs = {"events": events, "history": events, "config": sim_dir / "config.json"}
+    out = tmp_path / "rep"
+    argv = ["report", "--out", str(out)]
+    assert run(argv + [arg for name, path in inputs.items() for arg in (f"--{name}", str(path))]) == 0
+    assert sorted(hashed) == sorted({str(path) for path in inputs.values()})
+    # the bytes of a manifest that hashes every input apart
+    options = read_json(out / "manifest.json")["options"]
+    expected = {
+        "tool": "poisonscan", "version": poisonscan.__version__, "schema": cli_mod.SCHEMA_VERSION,
+        "subcommand": "report", "seed": None, "options": options,
+        "inputs": {
+            name: {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+            for name, path in inputs.items()
+        },
+    }
+    assert (out / "manifest.json").read_text(encoding="utf-8") == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
 def test_manifest_does_not_depend_on_core_count(workdir, sim_dir, scan_dir, tmp_path, monkeypatch):

@@ -1,21 +1,28 @@
 """The JSON record codec of ``poisonscan.core``: every record class survives
 a round trip through JSON text, every annotation form rejects a value of
-the wrong JSON type and names the field, and no second codec grows back
-elsewhere in the package."""
+the wrong JSON type and names the field, the per-class writer gives json's
+own bytes, and no second codec grows back elsewhere in the package."""
 
 from __future__ import annotations
 
 import ast
 import dataclasses
 import json
+import typing
+from decimal import Decimal
 from pathlib import Path
+from types import NoneType
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import poisonscan
-from poisonscan.clustering import build_transfer_sets, cluster
-from poisonscan.core import ChainConfig, ConfigError, ScenarioError, from_json, to_json
-from poisonscan.detector import birthday_filter, scan
+from poisonscan.clustering import AttackGroup, AttackTransferSet, build_transfer_sets, cluster
+from poisonscan.core import (
+    ChainConfig, ConfigError, ScenarioError, TransferEvent, _writer, from_json, to_json,
+)
+from poisonscan.detector import AttackContext, EventDetail, PayoffRecord, birthday_filter, scan
 from poisonscan.scenario import BotSpec, GroupSpec, ScenarioSpec, generate, score_labels
 
 from helpers import rich_spec
@@ -165,3 +172,72 @@ def test_one_codec():
         "_TRUTH_TYPES", "_BOT_TYPES", "_SCALAR_TYPES", "_DECODERS",
     }
     assert defined & gone == set()
+
+
+# the record classes written by ``core._writer``, and a value of each field
+# type that json must escape, write as null or carry past 64 bits
+WRITTEN = (EventDetail, AttackContext, PayoffRecord, AttackTransferSet, AttackGroup)
+ODD_TEXT = 'q"b\\%s %d é€\U0001f600\n'
+EDGES = {bool: True, int: 2**64 + 1, str: ODD_TEXT, Decimal: Decimal("-0.000000")}
+
+
+def assert_written_as_json(record):
+    """The writer's text is json's, compact and at every depth up to 3."""
+    raw = to_json(record)
+    assert _writer(type(record))(record) == json.dumps(raw, sort_keys=True, separators=(",", ":"))
+    for depth in range(4):
+        nested = raw
+        for _ in range(depth):
+            nested = [nested]
+        head = "".join("[\n" + "  " * (level + 1) for level in range(depth))
+        tail = "".join("\n" + "  " * level + "]" for level in reversed(range(depth)))
+        assert head + _writer(type(record), depth)(record) + tail == json.dumps(nested, indent=2, sort_keys=True)
+
+
+def edge(hint):
+    """The odd value of a field annotated ``hint``: None for an optional,
+    ``()`` for a tuple, else its ``EDGES`` entry."""
+    if NoneType in typing.get_args(hint):
+        return None
+    return () if typing.get_origin(hint) is tuple else EDGES[hint]
+
+
+@pytest.mark.parametrize("name", ["event", "context", "payoff", "typo_payoff", "set", "group"])
+def test_writer_gives_json_bytes(records, name):
+    record = records[name]
+    assert type(record) in WRITTEN
+    assert_written_as_json(record)
+    hints = typing.get_type_hints(type(record))
+    assert_written_as_json(dataclasses.replace(record, **{key: edge(hint) for key, hint in hints.items()}))
+
+
+def test_writer_gives_json_bytes_for_every_report_record(records):
+    report = records["report"]
+    for record in (*report.events.values(), *report.contexts, *report.payoffs):
+        assert_written_as_json(record)
+
+
+def built(cls) -> st.SearchStrategy:
+    return st.builds(cls, **{key: values(hint) for key, hint in typing.get_type_hints(cls).items()})
+
+
+def values(hint) -> st.SearchStrategy:
+    if dataclasses.is_dataclass(hint):
+        return built(hint)
+    if typing.get_origin(hint) is tuple:
+        return st.lists(values(typing.get_args(hint)[0]), max_size=3).map(tuple)
+    if NoneType in typing.get_args(hint):
+        return st.none() | values(typing.get_args(hint)[0])
+    return {
+        bool: st.booleans(),
+        int: st.integers() | st.integers(min_value=-(2**260), max_value=2**260),
+        str: st.text(max_size=6) | st.text(st.sampled_from(ODD_TEXT), max_size=6),
+        Decimal: st.just(Decimal("-0.000000")) | st.decimals(allow_nan=False, allow_infinity=False),
+    }[hint]
+
+
+# a TransferEvent nests a record, which its writer writes by the nested class's
+@given(st.one_of([built(cls) for cls in (*WRITTEN, TransferEvent)]))
+@settings(max_examples=300, deadline=None)
+def test_writer_gives_json_bytes_for_any_record(record):
+    assert_written_as_json(record)
