@@ -22,7 +22,7 @@ import hashlib
 import json
 import sys
 import time
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from functools import partial
 from itertools import islice
 from pathlib import Path
@@ -56,6 +56,7 @@ from .core import (
     _writer,
     address_at,
     csv_rows,
+    decimal_at,
     parse_json,
     read_fields,
     to_json,
@@ -125,25 +126,24 @@ def _tracked(events, progress: _Progress):
         yield from batch
 
 
-def _decimal_arg(text: str) -> Decimal:
-    try:
-        return Decimal(text)
-    except InvalidOperation:
-        raise argparse.ArgumentTypeError(f"not a decimal number: {text!r}") from None
+def _int_arg(text: str) -> int:
+    # as an input file's counts: int() would also take "٣", "1_0", "+3" and " 4"
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
+    if (value := _int_arg(text)) < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
 def _ratio(text: str) -> float:
     try:
+        # float() would also take "٠.٥" and "0_5e-1"
+        if not text.isascii() or "_" in text:
+            raise ValueError(text)
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
@@ -603,15 +603,17 @@ def _add_scan_arguments(sub) -> None:
     sub.add_argument("--registry", help="token registry JSONL")
     sub.add_argument("--prices", help="daily price CSV")
     sub.add_argument("--history", help="full-history events JSONL for payoff confirmation")
-    sub.add_argument("--window-blocks", type=int, help="override candidate window length")
-    sub.add_argument("--a-min", type=int, help="override prefix match bound")
-    sub.add_argument("--b-min", type=int, help="override suffix match bound")
+    sub.add_argument("--window-blocks", type=_int_arg, help="override candidate window length")
+    sub.add_argument("--a-min", type=_int_arg, help="override prefix match bound")
+    sub.add_argument("--b-min", type=_int_arg, help="override suffix match bound")
     sub.add_argument(
-        "--tiny-threshold-usd", type=_decimal_arg, help="override tiny-transfer ceiling"
+        "--tiny-threshold-usd",
+        type=partial(decimal_at, error=argparse.ArgumentTypeError),
+        help="override tiny-transfer ceiling",
     )
     sub.add_argument(
         "--workers",
-        type=int,
+        type=_int_arg,
         default=1,
         help="recorded in the manifest; scanning runs in one process (default: 1)",
     )
@@ -662,11 +664,11 @@ def _build_parser() -> _Parser:
 
     sub = commands.add_parser("gen", help="search for lookalike addresses")
     sub.add_argument("--targets", required=True, help="file with one target address per line")
-    sub.add_argument("--a-min", type=int, default=3, help="required prefix digits")
-    sub.add_argument("--b-min", type=int, default=4, help="required suffix digits")
-    sub.add_argument("--matches", type=int, default=1, help="stop after this many matches (0: no limit)")
-    sub.add_argument("--budget", type=int, help="stop after this many candidate keys")
-    sub.add_argument("--seed", type=int, default=0, help="deterministic stream seed")
+    sub.add_argument("--a-min", type=_int_arg, default=3, help="required prefix digits")
+    sub.add_argument("--b-min", type=_int_arg, default=4, help="required suffix digits")
+    sub.add_argument("--matches", type=_int_arg, default=1, help="stop after this many matches (0: no limit)")
+    sub.add_argument("--budget", type=_int_arg, help="stop after this many candidate keys")
+    sub.add_argument("--seed", type=_int_arg, default=0, help="deterministic stream seed")
     sub.add_argument("--workers", type=_positive_int, default=1, help="worker processes (default: 1)")
     sub.add_argument("--out", help="stats JSON file (default: stdout)")
     sub.set_defaults(func=_cmd_gen)

@@ -9,19 +9,15 @@ transfers re-evaluated against the full trigger history; payoffs confirm
 when a poisoning binding the same victim and lookalike sits strictly
 between the intended transfer and the payoff.
 
-scan() is the whole stream layer, one pass whose candidate state is pruned
-to the window; the first intended transfer per (victim, recipient) pair is
-retained for the whole run because it anchors confirmation and the
-shared-transaction path. The pass only logs each trigger that brings a pair
-into the window, and folds the log into per-victim anchors when the
-shared-transaction path needs them and at finalize, then only for the
-victims the report names: a dict entry per pair, made per event, would
-be the costliest step of a mostly benign pass. Its finalize step builds the
-payoff rows, walks a full history once when given one to upgrade
-unconfirmed rows, keeping only the history events that touch those rows'
-lookalikes, and flags typo payments to addresses that never spent an
-authentic token in the stream.
-birthday_filter() then runs on the finished report.
+scan() is the whole stream layer, three phases over one state record. The
+pass walks the stream once, its candidate state pruned to the window. Each
+pair's first trigger anchors confirmation and the shared-transaction path,
+but the pass only logs the triggers that bring a pair into the window: a
+dict entry per pair, made per event, would be a benign pass's costliest step.
+Finalize builds the payoff rows, contexts and event details. The history
+walk, in strictly increasing (block, log index), upgrades unconfirmed rows;
+the typo rule flags payments to addresses that never spent an authentic
+token in the stream. birthday_filter() then runs on the finished report.
 
 Each event probes its victim's active refs (its recent recipients) for a
 lookalike. A victim with fewer than IX_MIN active refs is walked: every ref
@@ -47,15 +43,13 @@ matches, not work done.
 
 from __future__ import annotations
 
-import itertools
 import json
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from functools import partial
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
@@ -74,7 +68,7 @@ from .core import (
     to_json,
     usd_amount,
 )
-from .ingest import ordered
+from .ingest import increasing, ordered
 from .similarity import (
     birthday_collision_prob,
     osa_distance,
@@ -110,26 +104,6 @@ class EventDetail:
     target: str | None = None
     gas_used: int | None = None
     gas_price: int | None = None
-
-    @classmethod
-    def from_event(cls, event: TransferEvent, usd: Decimal | None) -> "EventDetail":
-        tx = event.tx
-        return cls(
-            key=event.key,
-            block_number=event.block_number,
-            timestamp=event.timestamp,
-            log_index=event.log_index,
-            tx_hash=event.tx_hash,
-            token=event.token,
-            from_addr=event.from_addr,
-            to_addr=event.to_addr,
-            value=event.value,
-            usd=usd,
-            initiator=tx.initiator if tx else None,
-            target=tx.target if tx else None,
-            gas_used=tx.gas_used if tx else None,
-            gas_price=tx.gas_price if tx else None,
-        )
 
     @property
     def order(self) -> tuple[int, int]:
@@ -273,10 +247,6 @@ def _resolve_token_sets(
 # a victim with this many active refs is probed through a keyed index
 IX_MIN = 32
 
-# follows scan's last event: its tx_hash equals no event's, so it closes the
-# last transaction
-_END = SimpleNamespace(tx_hash=object())
-
 # a ref's (first digit, last digit) pair as an index into a 256-slot tally
 _HEX = "0123456789abcdef"
 _DIGIT_PAIR = {a + b: 16 * i + j for i, a in enumerate(_HEX) for j, b in enumerate(_HEX)}
@@ -385,6 +355,526 @@ class _KeyedRefs(dict):
         return out, n
 
 
+class _Scan:
+    """One scan's state, which each phase leaves for the next: ``run`` (the
+    pass), ``finalize``, and ``upgrade`` (the history walk and typo rule).
+    ``priced``, ``poison_label`` and ``fold_anchors`` serve every phase; a
+    fold keeps each pair's first trigger from ``anchor_log`` in ``anchors``.
+    The pass hands over, by their roles in finalize: ``labels`` (the poison
+    labels, to which finalize and upgrade add), ``detail_ev`` (the event of
+    each labelled key and payoff candidate), ``ctx_map`` (the contexts),
+    ``pair_ev`` (victim -> lookalike -> {poison key: order}, what a payoff
+    can cite), ``cands`` (payoff candidate key -> the refs its lookalike
+    matched; none when only ``pair_ev`` made it one) and ``counts``. The
+    keys of ``active`` and ``keyed``, and ``spenders``, are the senders of
+    authentic positive-value transfers, which the typo rule reads.
+    """
+
+    def __init__(self, config: ChainConfig, registry: TokenRegistry, prices: PriceTable) -> None:
+        self.config = config
+        self.registry = registry
+        self.prices = prices
+        self.stable, self.authentic = _resolve_token_sets(config, registry)
+        self.usd_map: dict[str, Decimal | None] = {}
+        self.unpriced: dict[str, None] = {}  # keys in first-seen order
+        self.anchors: dict[str, dict[str, TransferEvent]] = {}
+        self.anchor_log: list[TransferEvent] = []
+
+    def priced(self, ev: TransferEvent) -> Decimal | None:
+        key = ev.key
+        if key in self.usd_map:
+            return self.usd_map[key]
+        # every event priced here has an authentic token
+        ref = self.registry.token(self.config.chain_id, ev.token)
+        price = self.prices.get_or_none(ev.token, event_date(ev.timestamp))
+        usd = usd_amount(ev.value, ref.decimals, price) if ref is not None and price is not None else None
+        self.usd_map[key] = usd
+        return usd
+
+    def poison_label(self, ev: TransferEvent, incoming: bool) -> str | None:
+        # the poison label of a transfer between a victim and a lookalike, or
+        # None; incoming when the lookalike sends, and then an authentic
+        # positive transfer without a price is marked unpriced
+        if incoming:
+            if ev.token not in self.authentic or ev.value <= 0:
+                return None
+            usd = self.priced(ev)
+            if usd is None:
+                self.unpriced[ev.key] = None
+            elif 0 < usd < self.config.tiny_threshold_usd:
+                return Label.TINY
+            return None
+        if ev.token not in self.authentic:
+            return Label.COUNTERFEIT
+        return Label.ZERO if ev.value == 0 else None
+
+    def fold_anchors(self, victims: set[str] | None = None) -> None:
+        # a logged trigger anchors its pair unless an earlier one did; with
+        # victims, the other senders' triggers are dropped
+        for ev in self.anchor_log:
+            if victims is None or ev.from_addr in victims:
+                self.anchors.setdefault(ev.from_addr, {}).setdefault(ev.to_addr, ev)
+        self.anchor_log.clear()
+
+    def detail(self, ev: TransferEvent, label: str) -> EventDetail:
+        """``ev`` as the report keeps it: $0 if a zero-value poisoning, no USD if counterfeit."""
+        if label == Label.ZERO:
+            usd = Decimal("0.000000")
+        elif label == Label.COUNTERFEIT:
+            usd = None
+        else:
+            usd = self.priced(ev)
+        tx = ev.tx
+        return EventDetail(
+            key=ev.key,
+            block_number=ev.block_number,
+            timestamp=ev.timestamp,
+            log_index=ev.log_index,
+            tx_hash=ev.tx_hash,
+            token=ev.token,
+            from_addr=ev.from_addr,
+            to_addr=ev.to_addr,
+            value=ev.value,
+            usd=usd,
+            initiator=tx.initiator if tx else None,
+            target=tx.target if tx else None,
+            gas_used=tx.gas_used if tx else None,
+            gas_price=tx.gas_price if tx else None,
+        )
+
+    def run(self, events: Iterable[TransferEvent]) -> None:
+        """The pass over ``events``, whose loop keeps its state in locals."""
+        config = self.config
+        chain = config.chain_id
+        m = config.window_blocks
+        a_min = config.a_min
+        b_min = config.b_min
+        d_min = a_min + b_min
+        stable_set, auth_set = self.stable, self.authentic
+
+        active = self.active = {}
+        # (block, [active dict, recipient, ...]) for each block's trigger updates
+        recent: deque[tuple[int, list]] = deque()
+
+        labels = self.labels = {}
+        detail_ev = self.detail_ev = {}
+        ctx_map = self.ctx_map = {}
+        # a payment from a victim to one of its lookalikes is a payoff candidate
+        pair_ev = self.pair_ev = {}
+        cands = self.cands = {}
+        spenders = self.spenders = set()
+
+        n_events = 0
+        n_triggers = 0
+        n_probes = 0
+        n_near = 0
+        n_direct = 0
+        n_sibling = 0
+
+        def add_candidate(ev: TransferEvent, ref: str | None) -> None:
+            key = ev.key
+            refs = cands.get(key)
+            if refs is None:
+                refs = cands[key] = set()
+                detail_ev[key] = ev
+            if ref is not None:
+                refs.add(ref)
+
+        def consider(ev, victim, look, ref, incoming, sibling) -> None:
+            """Score one candidate pair, and collect its poisoning or payoff
+            candidate; one collected directly makes its transaction eligible
+            for the shared-transaction path."""
+            nonlocal n_probes, n_near, n_direct, n_sibling, tx_direct
+            n_probes += 1
+            # score(look, ref) without its checks: both are canonical
+            # addresses and look != ref, so each walk stops inside the digits
+            a = 2
+            while look[a] == ref[a]:
+                a += 1
+            a -= 2
+            b = 41
+            while look[b] == ref[b]:
+                b -= 1
+            b = 41 - b
+            if a < a_min or b < b_min:
+                if a + b >= d_min:
+                    n_near += 1
+                return
+            label = self.poison_label(ev, incoming)
+            if label is None:
+                if not incoming:
+                    add_candidate(ev, ref)
+                return
+            key = ev.key
+            labels[key] = label
+            detail_ev[key] = ev
+            ckey = (victim, ref, look)
+            ctx = ctx_map.get(ckey)
+            if ctx is None:
+                ctx = ctx_map[ckey] = {"a": a, "b": b, "evidence": {}, "sibling": sibling}
+            if key not in ctx["evidence"]:
+                ctx["evidence"][key] = ev.order
+                if sibling:
+                    n_sibling += 1
+                else:
+                    n_direct += 1
+            pair_ev.setdefault(victim, {}).setdefault(look, {}).setdefault(key, ev.order)
+            if not sibling:
+                tx_direct = True
+
+        def expand_tx(tx_events: list[TransferEvent]) -> None:
+            # pair_ev is not needed here: a payment in the transaction to a
+            # lookalike whose evidence this walk collects is scored against the
+            # ref that evidence matched, which makes it a candidate
+            if self.anchor_log:
+                self.fold_anchors()
+            for ev in tx_events:
+                sides = [(ev.from_addr, ev.to_addr, False)]
+                if ev.token in stable_set and ev.value > 0:
+                    sides.append((ev.to_addr, ev.from_addr, True))
+                for victim, look, incoming in sides:
+                    full = self.anchors.get(victim)
+                    if full:
+                        l2, l41 = look[2], look[41]
+                        for ref, anchor in full.items():
+                            if (
+                                (ref[2] == l2 or ref[41] == l41)
+                                and ref != look
+                                and anchor.block_number < ev.block_number
+                            ):
+                                consider(ev, victim, look, ref, incoming, sibling=True)
+
+        def promote_victims() -> None:
+            # each promoted victim moves from active to keyed, and its expiry
+            # entries to its keyed form; the emptied plain dict makes its old
+            # entries no-ops
+            entries_of = {b: entries for b, entries in recent}
+            for victim in promote:
+                plain = active.pop(victim, None)
+                if plain is None:
+                    continue
+                refs = keyed[victim] = _KeyedRefs(plain, a_min, b_min, dirty)
+                plain.clear()
+                for ref, lbs in refs.items():
+                    for b in lbs:
+                        entries = entries_of.get(b)
+                        if entries is not None:
+                            entries += (refs, ref)
+            promote.clear()
+
+        # the open transaction is tx_head plus tx_more; it is re-walked by
+        # expand_tx only when it has a direct poisoning and more than one log.
+        # ordered() ends a transaction with its block, so every block starts
+        # with a new one, and the last one is closed after the loop.
+        tx_head: TransferEvent | None = None
+        tx_more: list[TransferEvent] = []
+        tx_direct = False
+
+        # the first event starts a block, which sets blk, bound0, bucket and first_lbs
+        last_block = -1
+        cur_tx: str | None = None
+        # a victim's refs live in active, or in keyed once a walk over it met
+        # ix_min or more; the check runs only on refs that pass the walk's
+        # one-digit test, and a victim not in active is looked up in keyed only
+        # when keyed is not empty, so small victims pay for neither
+        keyed = self.keyed = {}
+        ix_min = IX_MIN
+        # victims to key at the next block start, and keyed victims with refs
+        # pending there
+        promote: list[str] = []
+        dirty: list[_KeyedRefs] = []
+        active_get = active.get
+        keyed_get = keyed.get
+        recent_append = recent.append
+        recent_pop = recent.popleft
+        spenders_add = spenders.add
+        anchor_log_append = self.anchor_log.append
+
+        for ev in ordered(enumerate(events, start=1), "<stream>"):
+            txh = ev.tx_hash
+            if txh != cur_tx:
+                if tx_more:
+                    if tx_direct:
+                        expand_tx([tx_head, *tx_more])
+                    tx_more = []
+                tx_direct = False
+                tx_head = ev
+                cur_tx = txh
+                blk = ev.block_number
+                if blk != last_block:
+                    bound = blk - m - 1
+                    if dirty:
+                        for av in dirty:
+                            av.flush()
+                        dirty.clear()
+                    while recent and recent[0][0] < bound:
+                        nb, expired = recent_pop()
+                        for av, r in zip(expired[::2], expired[1::2]):
+                            cur = av.get(r)
+                            if cur is not None:
+                                if cur[0] == nb:
+                                    del av[r]
+                                elif cur[1] == nb:
+                                    av[r] = (cur[0], -1)
+                    bound0 = bound if bound > 0 else 0
+                    last_block = blk
+                    bucket = []
+                    recent_append((blk, bucket))
+                    first_lbs = (blk, -1)  # shared by the block's new pairs
+                    if promote:
+                        promote_victims()
+            else:
+                tx_more.append(ev)
+            if ev.chain_id != chain:
+                raise ConfigError(
+                    f"event chain_id {ev.chain_id} does not match configured chain {chain}"
+                )
+            n_events += 1
+
+            frm = ev.from_addr
+            to = ev.to_addr
+            tok = ev.token
+
+            av_frm = active_get(frm)
+            if av_frm:
+                l2, l41 = to[2], to[41]
+                for ref, lbs in av_frm.items():
+                    if (ref[2] == l2 or ref[41] == l41) and ref != to:
+                        if len(av_frm) >= ix_min:
+                            promote.append(frm)
+                        # pruning keeps lb1 inside the window, so only the
+                        # same-block case needs the second trigger block
+                        lb1 = lbs[0]
+                        if lb1 < blk or (lb1 == blk and lbs[1] >= bound0):
+                            consider(ev, frm, to, ref, incoming=False, sibling=False)
+            elif keyed:
+                av_frm = keyed_get(frm, av_frm)
+                if av_frm:
+                    refs, n = av_frm.probe(to)
+                    n_probes += n - len(refs)
+                    for ref in refs:
+                        consider(ev, frm, to, ref, incoming=False, sibling=False)
+
+            if ev.value > 0 and tok in auth_set:
+                if frm in pair_ev and to in pair_ev[frm]:
+                    add_candidate(ev, None)
+                if tok in stable_set:
+                    av = active_get(to)
+                    if av:
+                        l2, l41 = frm[2], frm[41]
+                        for ref, lbs in av.items():
+                            if (ref[2] == l2 or ref[41] == l41) and ref != frm:
+                                lb1 = lbs[0]
+                                if lb1 < blk or (lb1 == blk and lbs[1] >= bound0):
+                                    consider(ev, to, frm, ref, incoming=True, sibling=False)
+                    elif keyed:
+                        av = keyed_get(to)
+                        if av:
+                            refs, n = av.probe(frm)
+                            n_probes += n - len(refs)
+                            for ref in refs:
+                                consider(ev, to, frm, ref, incoming=True, sibling=False)
+                    n_triggers += 1
+                    if av_frm is None:
+                        active[frm] = av_frm = {}
+                    if to not in av_frm:
+                        anchor_log_append(ev)
+                        av_frm[to] = first_lbs
+                    elif (lb1 := av_frm[to][0]) != blk:
+                        av_frm[to] = (blk, lb1)
+                    else:
+                        continue
+                    bucket.append(av_frm)
+                    bucket.append(to)
+                else:
+                    spenders_add(frm)
+        if tx_more and tx_direct:
+            expand_tx([tx_head, *tx_more])
+
+        self.counts = {
+            "events": n_events,
+            "triggers": n_triggers,
+            "probes": n_probes,
+            "near_misses": n_near,
+            "collected_direct": n_direct,
+            "collected_sibling": n_sibling,
+        }
+
+    def finalize(self) -> None:
+        """The payoff rows, contexts, recipient counts and event details."""
+        anchors, labels, detail_ev = self.anchors, self.labels, self.detail_ev
+        ctx_map, pair_ev, cands = self.ctx_map, self.pair_ev, self.cands
+        self.fold_anchors({victim for victim, _, _ in ctx_map} | {detail_ev[k].from_addr for k in cands})
+
+        def label_anchor(anchor: TransferEvent) -> TransferEvent:
+            detail_ev.setdefault(anchor.key, anchor)
+            labels.setdefault(anchor.key, Label.INTENDED)
+            return anchor
+
+        pair_refs: dict[tuple[str, str], set[str]] = {}
+        for (victim, ref, look) in ctx_map:
+            pair_refs.setdefault((victim, look), set()).add(ref)
+
+        rows = self.rows = []
+        for key in sorted(cands, key=lambda k: detail_ev[k].order):
+            ev = detail_ev[key]
+            victim = ev.from_addr
+            look = ev.to_addr
+            ev_order = ev.order
+            evidence = pair_ev.get(victim, {}).get(look, {})
+            if not cands[key] and not any(o < ev_order for o in evidence.values()):
+                continue
+            refs = cands[key] | pair_refs.get((victim, look), set())
+            victim_anchors = anchors.get(victim, {})
+            anchor_events = [victim_anchors[r] for r in refs if r in victim_anchors]
+            anchor = label_anchor(min(anchor_events, key=lambda t: t.order)) if anchor_events else None
+            a_order = anchor.order if anchor is not None else ev_order  # no anchor, no evidence
+            picked = sorted((k for k, o in evidence.items() if a_order < o < ev_order), key=evidence.get)
+            confirmed = bool(picked)
+            intended = max(sorted(refs), key=lambda r: positional_matches(look, r)) if refs else None
+            usd = self.priced(ev)
+            if usd is None:
+                self.unpriced[key] = None
+            labels[key] = Label.PAYOFF_CONFIRMED if confirmed else Label.PAYOFF_UNCONFIRMED
+            rows.append(
+                PayoffRecord(
+                    key=key,
+                    victim=victim,
+                    lookalike=look,
+                    intended=intended,
+                    anchor_key=anchor.key if anchor is not None else None,
+                    anchor_block=anchor.block_number if anchor is not None else None,
+                    anchor_log_index=anchor.log_index if anchor is not None else None,
+                    block_number=ev.block_number,
+                    log_index=ev.log_index,
+                    token=ev.token,
+                    value=ev.value,
+                    usd=usd,
+                    confirmed=confirmed,
+                    via_history=False,
+                    evidence=tuple(picked),
+                )
+            )
+
+        contexts = self.contexts = []
+        for (victim, ref, look) in sorted(ctx_map):
+            ctx = ctx_map[(victim, ref, look)]
+            anchor = label_anchor(anchors[victim][ref])
+            evidence = sorted(ctx["evidence"], key=ctx["evidence"].get)
+            contexts.append(
+                AttackContext(
+                    victim=victim,
+                    intended=ref,
+                    lookalike=look,
+                    a=ctx["a"],
+                    b=ctx["b"],
+                    anchor_key=anchor.key,
+                    anchor_block=anchor.block_number,
+                    anchor_log_index=anchor.log_index,
+                    via_sibling=ctx["sibling"],
+                    evidence=tuple(evidence),
+                )
+            )
+
+        self.victim_recipients = {
+            victim: len(anchors.get(victim, ()))
+            for victim in [*(v for v, _, _ in ctx_map), *(row.victim for row in rows)]
+        }
+        self.details = {key: self.detail(detail_ev[key], label) for key, label in labels.items()}
+
+    def upgrade(self, history: Iterable[TransferEvent] | None) -> None:
+        """The history walk, then the typo rule, over the unconfirmed rows."""
+        chain = self.config.chain_id
+        rows, labels, details = self.rows, self.labels, self.details
+        # the history events that touch a lookalike of an unconfirmed anchored
+        # row, per lookalike in stream order; the walk runs to the end even when
+        # nothing is needed, so that a lazily validated history is checked in full
+        involving: dict[str, list[TransferEvent]] = {}
+        if history is not None:
+            need = {r.lookalike for r in rows if not r.confirmed and r.anchor_key is not None}
+            for h in increasing(enumerate(history, start=1), "<history>"):
+                if h.chain_id != chain:
+                    raise ConfigError(
+                        f"history event chain_id {h.chain_id} does not match configured chain {chain}"
+                    )
+                frm = h.from_addr
+                to = h.to_addr
+                if frm in need:
+                    involving.setdefault(frm, []).append(h)
+                if to != frm and to in need:
+                    involving.setdefault(to, []).append(h)
+
+        # one walk in row order keeps unpriced in the order history meets them
+        accidental = self.accidental = set()
+        for i, row in enumerate(rows):
+            if row.confirmed:
+                continue
+            victim, look = row.victim, row.lookalike
+            if row.anchor_key is not None:
+                lo = (row.anchor_block, row.anchor_log_index)
+                hi = (row.block_number, row.log_index)
+                hits: list[TransferEvent] = []
+                for h in involving.get(look, ()):
+                    # a transfer between the victim and the lookalike, either way
+                    if not lo < h.order < hi or {h.from_addr, h.to_addr} != {look, victim}:
+                        continue
+                    label = self.poison_label(h, incoming=h.from_addr == look)
+                    if label is not None:
+                        hits.append(h)
+                        details.setdefault(h.key, self.detail(h, label))
+                # in history order, which the walk checked
+                if hits:
+                    rows[i] = replace(
+                        row, confirmed=True, via_history=True, evidence=tuple(e.key for e in hits)
+                    )
+                    labels[row.key] = Label.PAYOFF_CONFIRMED
+                    continue
+            if (
+                row.intended is not None
+                and look not in self.active
+                and look not in self.keyed
+                and look not in self.spenders
+                and positional_matches(look, row.intended) > self.config.typo_match_bound
+            ):
+                rows[i] = replace(row, edit_distance=osa_distance(look, row.intended))
+                accidental.add(row.key)
+                labels[row.key] = Label.ACCIDENTAL
+
+    def report(self) -> DetectionReport:
+        label_counts = Counter(self.labels.values())
+        counters = {
+            **self.counts,
+            "contexts": len(self.contexts),
+            "victims": len(self.victim_recipients),
+            "lookalikes": len(
+                {c.lookalike for c in self.contexts} | {r.lookalike for r in self.rows}
+            ),
+            "tiny": label_counts.get(Label.TINY, 0),
+            "zero_value": label_counts.get(Label.ZERO, 0),
+            "counterfeit": label_counts.get(Label.COUNTERFEIT, 0),
+            "intended": label_counts.get(Label.INTENDED, 0),
+            "payoffs_confirmed": label_counts.get(Label.PAYOFF_CONFIRMED, 0),
+            "payoffs_unconfirmed": label_counts.get(Label.PAYOFF_UNCONFIRMED, 0),
+            "accidental": len(self.accidental),
+            "unpriced": len(self.unpriced),
+            "excluded_victims": 0,
+        }
+        return DetectionReport(
+            chain_id=self.config.chain_id,
+            config=self.config,
+            labels=self.labels,
+            events=self.details,
+            contexts=tuple(self.contexts),
+            payoffs=tuple(self.rows),
+            victim_recipients=self.victim_recipients,
+            excluded_victims={},
+            accidental=frozenset(self.accidental),
+            unpriced=tuple(self.unpriced),
+            authentic_tokens=self.authentic,
+            counters=counters,
+        )
+
+
 def scan(
     events: Iterable[TransferEvent],
     config: ChainConfig,
@@ -393,7 +883,9 @@ def scan(
     *,
     history: Iterable[TransferEvent] | None = None,
 ) -> DetectionReport:
-    """Single-pass detection over one chain's ordered transfer stream.
+    """Single-pass detection over one chain's ordered transfer stream, in
+    three phases over one ``_Scan``: the pass over ``events``, finalize, and
+    the history walk with the typo rule.
 
     ``events`` pass through ``ingest.ordered`` as they are consumed, so a
     stream out of order raises the OrderingError that ``validate_stream``
@@ -407,529 +899,18 @@ def scan(
     order, a one-shot iterator included (but not the one given as
     ``events``, which the pass has used up); it is walked once, in full,
     after the pass, and only the events that touch a lookalike of an
-    unconfirmed row are kept. A payoff still unconfirmed is flagged accidental
+    unconfirmed row are kept. Its ``(block_number, log_index)`` must
+    strictly increase, or the walk raises OrderingError as
+    ``<history>:N: ...``. A payoff still unconfirmed is flagged accidental
     when its destination shares more than the configured positional bound
     with the intended address and never sent an authentic positive-value
     transfer in ``events``.
     """
-    chain = config.chain_id
-    m = config.window_blocks
-    a_min = config.a_min
-    b_min = config.b_min
-    d_min = a_min + b_min
-    tiny_cut = config.tiny_threshold_usd
-    stable_set, auth_set = _resolve_token_sets(config, registry)
-
-    decimals: dict[str, int | None] = {}
-    for addr in auth_set:
-        ref = registry.token(chain, addr)
-        decimals[addr] = ref.decimals if ref is not None else None
-
-    # windowed trigger state; anchors keep the first trigger per pair forever,
-    # folded in from anchor_log, which holds each trigger that brought its
-    # pair into the window since the last fold
-    anchors: dict[str, dict[str, TransferEvent]] = {}
-    anchor_log: list[TransferEvent] = []
-    active: dict[str, dict[str, tuple[int, int]]] = {}
-    # (block, [active dict, recipient, ...]) for each block's trigger updates
-    recent: deque[tuple[int, list]] = deque()
-
-    # the poison labels as collected; finalize adds the intended and payoff ones
-    labels: dict[str, str] = {}
-    detail_ev: dict[str, TransferEvent] = {}
-    usd_map: dict[str, Decimal | None] = {}
-    ctx_map: dict[tuple[str, str, str], dict] = {}
-    # victim -> lookalike -> {poison key: order}, in first-seen order; a
-    # payment from a victim to one of its lookalikes is a payoff candidate
-    pair_ev: dict[str, dict[str, dict[str, tuple[int, int]]]] = {}
-    # payoff candidate key -> the refs its lookalike matched in a probe;
-    # empty when only pair_ev made it a candidate, which then needs earlier
-    # evidence. The victim and lookalike are the event's sender and receiver.
-    cands: dict[str, set[str]] = {}
-    # senders of authentic positive-value transfers; stablecoin senders are
-    # the keys of active and keyed, so only the other tokens need this set
-    spenders: set[str] = set()
-    # keys in first-seen order; the values are unused
-    unpriced: dict[str, None] = {}
-
-    n_events = 0
-    n_triggers = 0
-    n_probes = 0
-    n_near = 0
-    n_direct = 0
-    n_sibling = 0
-
-    def priced(ev: TransferEvent) -> Decimal | None:
-        key = ev.key
-        if key in usd_map:
-            return usd_map[key]
-        dec = decimals.get(ev.token)
-        price = prices.get_or_none(ev.token, event_date(ev.timestamp))
-        usd = usd_amount(ev.value, dec, price) if dec is not None and price is not None else None
-        usd_map[key] = usd
-        return usd
-
-    def usd_of(ev: TransferEvent, label: str) -> Decimal | None:
-        if label == Label.ZERO:
-            return Decimal("0.000000")
-        if label == Label.COUNTERFEIT:
-            return None
-        return priced(ev)
-
-    def collect(ev, victim, ref, look, label, a, b, sibling) -> None:
-        nonlocal n_direct, n_sibling
-        key = ev.key
-        labels[key] = label
-        detail_ev[key] = ev
-        ckey = (victim, ref, look)
-        ctx = ctx_map.get(ckey)
-        if ctx is None:
-            ctx = ctx_map[ckey] = {"a": a, "b": b, "evidence": {}, "sibling": sibling}
-        if key not in ctx["evidence"]:
-            ctx["evidence"][key] = ev.order
-            if sibling:
-                n_sibling += 1
-            else:
-                n_direct += 1
-        pair_ev.setdefault(victim, {}).setdefault(look, {}).setdefault(key, ev.order)
-
-    def add_candidate(ev: TransferEvent, ref: str | None) -> None:
-        key = ev.key
-        refs = cands.get(key)
-        if refs is None:
-            refs = cands[key] = set()
-            detail_ev[key] = ev
-        if ref is not None:
-            refs.add(ref)
-
-    def poison_label(ev: TransferEvent, incoming: bool) -> str | None:
-        # the poison label of a transfer between a victim and a lookalike, or
-        # None; incoming when the lookalike sends, and then an authentic
-        # positive transfer without a price is marked unpriced
-        if incoming:
-            if ev.token not in auth_set or ev.value <= 0:
-                return None
-            usd = priced(ev)
-            if usd is None:
-                unpriced[ev.key] = None
-            elif 0 < usd < tiny_cut:
-                return Label.TINY
-            return None
-        if ev.token not in auth_set:
-            return Label.COUNTERFEIT
-        return Label.ZERO if ev.value == 0 else None
-
-    def consider(ev, victim, look, ref, incoming, sibling) -> bool:
-        """Score one candidate pair; returns True when a poisoning was
-        collected directly (used for shared-transaction eligibility)."""
-        nonlocal n_probes, n_near
-        n_probes += 1
-        # score(look, ref) without its checks: both are canonical
-        # addresses and look != ref, so each walk stops inside the digits
-        a = 2
-        while look[a] == ref[a]:
-            a += 1
-        a -= 2
-        b = 41
-        while look[b] == ref[b]:
-            b -= 1
-        b = 41 - b
-        if a < a_min or b < b_min:
-            if a + b >= d_min:
-                n_near += 1
-            return False
-        label = poison_label(ev, incoming)
-        if label is not None:
-            collect(ev, victim, ref, look, label, a, b, sibling)
-            return not sibling
-        if not incoming:
-            add_candidate(ev, ref)
-        return False
-
-    def fold_anchors(victims: set[str] | None = None) -> None:
-        # a logged trigger anchors its pair unless an earlier one did; with
-        # victims, the other senders' triggers are dropped
-        for ev in anchor_log:
-            frm = ev.from_addr
-            if victims is None or frm in victims:
-                full = anchors.get(frm)
-                if full is None:
-                    anchors[frm] = {ev.to_addr: ev}
-                else:
-                    full.setdefault(ev.to_addr, ev)
-        anchor_log.clear()
-
-    def expand_tx(tx_events: list[TransferEvent]) -> None:
-        # pair_ev is not needed here: a payment in the transaction to a
-        # lookalike whose evidence this walk collects is scored against the
-        # ref that evidence matched, which makes it a candidate
-        if anchor_log:
-            fold_anchors()
-        for ev in tx_events:
-            blk = ev.block_number
-            frm = ev.from_addr
-            to = ev.to_addr
-            sides = [(frm, to, False)]
-            if ev.token in stable_set and ev.value > 0:
-                sides.append((to, frm, True))
-            for victim, look, incoming in sides:
-                full = anchors.get(victim)
-                if full:
-                    l2, l41 = look[2], look[41]
-                    for ref, anchor in full.items():
-                        if (
-                            (ref[2] == l2 or ref[41] == l41)
-                            and ref != look
-                            and anchor.block_number < blk
-                        ):
-                            consider(ev, victim, look, ref, incoming, sibling=True)
-
-    def promote_victims() -> None:
-        # each promoted victim moves from active to keyed, and its expiry
-        # entries to its keyed form; the emptied plain dict makes its old
-        # entries no-ops
-        entries_of = {b: entries for b, entries in recent}
-        for victim in promote:
-            plain = active.pop(victim, None)
-            if plain is None:
-                continue
-            refs = keyed[victim] = _KeyedRefs(plain, a_min, b_min, dirty)
-            plain.clear()
-            for ref, lbs in refs.items():
-                for b in lbs:
-                    entries = entries_of.get(b)
-                    if entries is not None:
-                        entries += (refs, ref)
-        promote.clear()
-
-    # the open transaction is tx_head plus tx_more; it is re-walked by
-    # expand_tx only when it has a direct poisoning and more than one log.
-    # ordered() ends a transaction with its block, so every block starts
-    # with a new one, and _END closes the last.
-    tx_head: TransferEvent | None = None
-    tx_more: list[TransferEvent] = []
-    tx_direct = False
-
-    last_block = -1
-    cur_tx: str | None = None
-    bound0 = 0
-    bucket: list = []
-    first_lbs = (-1, -1)
-    # a victim's refs live in active, or in keyed once a walk over it met
-    # ix_min or more; the check runs only on refs that pass the walk's
-    # one-digit test, and a victim not in active is looked up in keyed only
-    # when keyed is not empty, so small victims pay for neither
-    keyed: dict[str, _KeyedRefs] = {}
-    ix_min = IX_MIN
-    # victims to key at the next block start, and keyed victims with refs
-    # pending there
-    promote: list[str] = []
-    dirty: list[_KeyedRefs] = []
-    active_get = active.get
-    keyed_get = keyed.get
-    recent_append = recent.append
-    recent_pop = recent.popleft
-    spenders_add = spenders.add
-    anchor_log_append = anchor_log.append
-
-    for ev in itertools.chain(ordered(enumerate(events, start=1), "<stream>"), (_END,)):
-        txh = ev.tx_hash
-        if txh != cur_tx:
-            if tx_more:
-                if tx_direct:
-                    expand_tx([tx_head, *tx_more])
-                tx_more = []
-            if ev is _END:
-                break
-            tx_direct = False
-            tx_head = ev
-            cur_tx = txh
-            blk = ev.block_number
-            if blk != last_block:
-                bound = blk - m - 1
-                if dirty:
-                    for av in dirty:
-                        av.flush()
-                    dirty.clear()
-                while recent and recent[0][0] < bound:
-                    nb, expired = recent_pop()
-                    for av, r in zip(expired[::2], expired[1::2]):
-                        cur = av.get(r)
-                        if cur is not None:
-                            if cur[0] == nb:
-                                del av[r]
-                            elif cur[1] == nb:
-                                av[r] = (cur[0], -1)
-                bound0 = bound if bound > 0 else 0
-                last_block = blk
-                bucket = []
-                recent_append((blk, bucket))
-                first_lbs = (blk, -1)  # shared by the block's new pairs
-                if promote:
-                    promote_victims()
-        else:
-            tx_more.append(ev)
-        if ev.chain_id != chain:
-            raise ConfigError(
-                f"event chain_id {ev.chain_id} does not match configured chain {chain}"
-            )
-        n_events += 1
-
-        frm = ev.from_addr
-        to = ev.to_addr
-        val = ev.value
-        tok = ev.token
-
-        av_frm = active_get(frm)
-        if av_frm:
-            l2, l41 = to[2], to[41]
-            for ref, lbs in av_frm.items():
-                if (ref[2] == l2 or ref[41] == l41) and ref != to:
-                    if len(av_frm) >= ix_min:
-                        promote.append(frm)
-                    # pruning keeps lb1 inside the window, so only the
-                    # same-block case needs the second trigger block
-                    lb1 = lbs[0]
-                    if lb1 < blk or (lb1 == blk and lbs[1] >= bound0):
-                        if consider(ev, frm, to, ref, incoming=False, sibling=False):
-                            tx_direct = True
-        elif keyed:
-            av_frm = keyed_get(frm, av_frm)
-            if av_frm:
-                refs, n = av_frm.probe(to)
-                n_probes += n - len(refs)
-                for ref in refs:
-                    if consider(ev, frm, to, ref, incoming=False, sibling=False):
-                        tx_direct = True
-
-        if val > 0 and tok in auth_set:
-            if frm in pair_ev and to in pair_ev[frm]:
-                add_candidate(ev, None)
-            if tok in stable_set:
-                av = active_get(to)
-                if av:
-                    l2, l41 = frm[2], frm[41]
-                    for ref, lbs in av.items():
-                        if (ref[2] == l2 or ref[41] == l41) and ref != frm:
-                            lb1 = lbs[0]
-                            if lb1 < blk or (lb1 == blk and lbs[1] >= bound0):
-                                if consider(ev, to, frm, ref, incoming=True, sibling=False):
-                                    tx_direct = True
-                elif keyed:
-                    av = keyed_get(to)
-                    if av:
-                        refs, n = av.probe(frm)
-                        n_probes += n - len(refs)
-                        for ref in refs:
-                            if consider(ev, to, frm, ref, incoming=True, sibling=False):
-                                tx_direct = True
-                n_triggers += 1
-                if av_frm is None:
-                    anchor_log_append(ev)
-                    active[frm] = av_frm = {to: first_lbs}
-                    bucket.append(av_frm)
-                    bucket.append(to)
-                elif to not in av_frm:
-                    anchor_log_append(ev)
-                    av_frm[to] = first_lbs
-                    bucket.append(av_frm)
-                    bucket.append(to)
-                else:
-                    lb1 = av_frm[to][0]
-                    if lb1 != blk:
-                        av_frm[to] = (blk, lb1)
-                        bucket.append(av_frm)
-                        bucket.append(to)
-            else:
-                spenders_add(frm)
-
-    # ------------------------------------------------------------------
-    # finalize
-
-    fold_anchors({victim for victim, _, _ in ctx_map} | {detail_ev[k].from_addr for k in cands})
-
-    pair_refs: dict[tuple[str, str], set[str]] = {}
-    for (victim, ref, look) in ctx_map:
-        pair_refs.setdefault((victim, look), set()).add(ref)
-
-    payoff_rows: list[PayoffRecord] = []
-    for key in sorted(cands, key=lambda k: detail_ev[k].order):
-        ev = detail_ev[key]
-        victim = ev.from_addr
-        look = ev.to_addr
-        ev_order = ev.order
-        evidence = pair_ev.get(victim, {}).get(look, {})
-        if not cands[key] and not any(o < ev_order for o in evidence.values()):
-            continue
-        refs = cands[key] | pair_refs.get((victim, look), set())
-        victim_anchors = anchors.get(victim, {})
-        anchor_events = [victim_anchors[r] for r in refs if r in victim_anchors]
-        anchor = min(anchor_events, key=lambda t: t.order) if anchor_events else None
-        picked: list[str] = []
-        if anchor is not None:
-            a_order = anchor.order
-            picked = [k for k, order in evidence.items() if a_order < order < ev_order]
-            picked.sort(key=lambda k: detail_ev[k].order)
-        confirmed = bool(picked)
-        intended = None
-        if refs:
-            intended = max(sorted(refs), key=lambda r: positional_matches(look, r))
-        usd = priced(ev)
-        if usd is None:
-            unpriced[key] = None
-        if anchor is not None:
-            detail_ev.setdefault(anchor.key, anchor)
-            labels.setdefault(anchor.key, Label.INTENDED)
-        labels[key] = Label.PAYOFF_CONFIRMED if confirmed else Label.PAYOFF_UNCONFIRMED
-        payoff_rows.append(
-            PayoffRecord(
-                key=key,
-                victim=victim,
-                lookalike=look,
-                intended=intended,
-                anchor_key=anchor.key if anchor is not None else None,
-                anchor_block=anchor.block_number if anchor is not None else None,
-                anchor_log_index=anchor.log_index if anchor is not None else None,
-                block_number=ev.block_number,
-                log_index=ev.log_index,
-                token=ev.token,
-                value=ev.value,
-                usd=usd,
-                confirmed=confirmed,
-                via_history=False,
-                evidence=tuple(picked),
-            )
-        )
-
-    contexts: list[AttackContext] = []
-    for (victim, ref, look) in sorted(ctx_map):
-        ctx = ctx_map[(victim, ref, look)]
-        anchor = anchors[victim][ref]
-        detail_ev.setdefault(anchor.key, anchor)
-        labels.setdefault(anchor.key, Label.INTENDED)
-        evidence = sorted(ctx["evidence"], key=lambda k: ctx["evidence"][k])
-        contexts.append(
-            AttackContext(
-                victim=victim,
-                intended=ref,
-                lookalike=look,
-                a=ctx["a"],
-                b=ctx["b"],
-                anchor_key=anchor.key,
-                anchor_block=anchor.block_number,
-                anchor_log_index=anchor.log_index,
-                via_sibling=ctx["sibling"],
-                evidence=tuple(evidence),
-            )
-        )
-
-    victim_recipients = {
-        victim: len(anchors.get(victim, ()))
-        for victim in [*(v for v, _, _ in ctx_map), *(row.victim for row in payoff_rows)]
-    }
-
-    details = {
-        key: EventDetail.from_event(detail_ev[key], usd_of(detail_ev[key], label))
-        for key, label in labels.items()
-    }
-
-    # the history events that touch a lookalike of an unconfirmed anchored
-    # row, per lookalike in stream order; the walk runs to the end even when
-    # nothing is needed, so that a lazily validated history is checked in full
-    involving: dict[str, list[TransferEvent]] = {}
-    if history is not None:
-        need = {r.lookalike for r in payoff_rows if not r.confirmed and r.anchor_key is not None}
-        for h in history:
-            if h.chain_id != chain:
-                raise ConfigError(
-                    f"history event chain_id {h.chain_id} does not match configured chain {chain}"
-                )
-            frm = h.from_addr
-            to = h.to_addr
-            if frm in need:
-                involving.setdefault(frm, []).append(h)
-            if to != frm and to in need:
-                involving.setdefault(to, []).append(h)
-
-    # unconfirmed payoffs: the full-history upgrade, then the typo rule;
-    # one walk in row order keeps unpriced in the order history meets them
-    typo_bound = config.typo_match_bound
-    accidental: set[str] = set()
-    for i, row in enumerate(payoff_rows):
-        if row.confirmed:
-            continue
-        victim, look = row.victim, row.lookalike
-        if row.anchor_key is not None:
-            lo = (row.anchor_block, row.anchor_log_index)
-            hi = (row.block_number, row.log_index)
-            hits: list[TransferEvent] = []
-            for h in involving.get(look, ()):
-                # a transfer between the victim and the lookalike, either way
-                if not lo < h.order < hi or {h.from_addr, h.to_addr} != {look, victim}:
-                    continue
-                label = poison_label(h, incoming=h.from_addr == look)
-                if label is not None:
-                    hits.append(h)
-                    details.setdefault(h.key, EventDetail.from_event(h, usd_of(h, label)))
-            if hits:
-                hits.sort(key=lambda e: e.order)
-                payoff_rows[i] = replace(
-                    row, confirmed=True, via_history=True, evidence=tuple(e.key for e in hits)
-                )
-                labels[row.key] = Label.PAYOFF_CONFIRMED
-                continue
-        if (
-            row.intended is not None
-            and look not in active
-            and look not in keyed
-            and look not in spenders
-            and positional_matches(look, row.intended) > typo_bound
-        ):
-            payoff_rows[i] = replace(row, edit_distance=osa_distance(look, row.intended))
-            accidental.add(row.key)
-            labels[row.key] = Label.ACCIDENTAL
-
-    label_counts: dict[str, int] = {}
-    for lab in labels.values():
-        label_counts[lab] = label_counts.get(lab, 0) + 1
-
-    counters = {
-        "events": n_events,
-        "triggers": n_triggers,
-        "probes": n_probes,
-        "near_misses": n_near,
-        "collected_direct": n_direct,
-        "collected_sibling": n_sibling,
-        "contexts": len(contexts),
-        "victims": len(victim_recipients),
-        "lookalikes": len(
-            {c.lookalike for c in contexts} | {r.lookalike for r in payoff_rows}
-        ),
-        "tiny": label_counts.get(Label.TINY, 0),
-        "zero_value": label_counts.get(Label.ZERO, 0),
-        "counterfeit": label_counts.get(Label.COUNTERFEIT, 0),
-        "intended": label_counts.get(Label.INTENDED, 0),
-        "payoffs_confirmed": label_counts.get(Label.PAYOFF_CONFIRMED, 0),
-        "payoffs_unconfirmed": label_counts.get(Label.PAYOFF_UNCONFIRMED, 0),
-        "accidental": len(accidental),
-        "unpriced": len(unpriced),
-        "excluded_victims": 0,
-    }
-
-    return DetectionReport(
-        chain_id=chain,
-        config=config,
-        labels=labels,
-        events=details,
-        contexts=tuple(contexts),
-        payoffs=tuple(payoff_rows),
-        victim_recipients=victim_recipients,
-        excluded_victims={},
-        accidental=frozenset(accidental),
-        unpriced=tuple(unpriced),
-        authentic_tokens=auth_set,
-        counters=counters,
-    )
+    state = _Scan(config, registry, prices)
+    state.run(events)
+    state.finalize()
+    state.upgrade(history)
+    return state.report()
 
 
 def birthday_filter(report: DetectionReport, config: ChainConfig) -> DetectionReport:

@@ -5,8 +5,9 @@ Events live in JSON Lines files, one transfer per line, ordered by
 consumed: its fields, that order, and that each transaction's logs form
 one uninterrupted run, so a bad line surfaces with its ``path:line``.
 ``ordered`` is the one implementation of that ordering contract:
-``iter_events`` runs it over a file's lines, and ``validate_stream`` and
-``scan`` over the positions of an in-memory stream.
+``iter_events`` runs it over a file's lines, ``validate_stream`` and
+``scan`` over an in-memory stream, and ``increasing``, its order rule
+alone, serves ``scan``'s history walk.
 
 ``iter_events`` checks every line on one path, built for speed because
 it runs once per event:
@@ -175,6 +176,21 @@ def ordered(numbered: Iterable[tuple[int, TransferEvent]], name: str) -> Iterato
             if current_tx is not None:
                 closed_txs.add(current_tx)
             current_tx = tx_hash
+        yield event
+
+
+def increasing(numbered: Iterable[tuple[int, TransferEvent]], name: str) -> Iterator[TransferEvent]:
+    """``ordered`` without its transaction rules, and so without the set of
+    closed transactions they keep: ``(block_number, log_index)`` must
+    strictly increase, and a violation raises ``ordered``'s message."""
+    prev_block = prev_log = -1
+    for where, event in numbered:
+        block, log = event.block_number, event.log_index
+        if block < prev_block:
+            raise OrderingError(f"{name}:{where}: block {block} after block {prev_block}")
+        if block == prev_block and log <= prev_log:
+            raise OrderingError(f"{name}:{where}: log index {log} after {prev_log} in block {block}")
+        prev_block, prev_log = block, log
         yield event
 
 

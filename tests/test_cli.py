@@ -895,7 +895,9 @@ def test_non_positive_counts_are_usage_errors(capsys, argv):
     ("2", "must be in [0, 1], got 2.0"),
     ("-0.1", "must be in [0, 1], got -0.1"),
     ("half", "not a number: 'half'"),
-], ids=["nan", "inf", "two", "negative", "text"])
+    ("٠.٥", "not a number: '٠.٥'"),
+    ("0_5e-1", "not a number: '0_5e-1'"),
+], ids=["nan", "inf", "two", "negative", "text", "arabic-indic", "underscore"])
 @pytest.mark.parametrize("command", [
     ["cluster", "--report", "r.json"],
     ["report", "--events", "e.jsonl", "--config", "c.json"],
@@ -906,6 +908,31 @@ def test_bot_threshold_outside_unit_interval_is_usage_error(capsys, command, val
     assert run([*command, "--bot-threshold", value, "--out", "o"]) == 1
     err = capsys.readouterr().err
     assert "usage" in err.lower() and f"--bot-threshold: {message}" in err
+
+
+SCAN_ARGV = ["scan", "--events", "e.jsonl", "--config", "c.json", "--out", "o"]
+GEN_ARGV = ["gen", "--targets", "t.txt"]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (SCAN_ARGV + ["--window-blocks", "٣"], "--window-blocks: not an integer: '٣'"),
+        (SCAN_ARGV + ["--tiny-threshold-usd", "1_0"], "--tiny-threshold-usd: not a decimal number: '1_0'"),
+        (SCAN_ARGV + ["--a-min", "+3"], "--a-min: not an integer: '+3'"),
+        (SCAN_ARGV + ["--b-min", " 4"], "--b-min: not an integer: ' 4'"),
+        (GEN_ARGV + ["--budget", "2_048"], "--budget: not an integer: '2_048'"),
+        (GEN_ARGV + ["--seed", "٧"], "--seed: not an integer: '٧'"),
+        (GEN_ARGV + ["--workers", "٢", "--budget", "10"], "--workers: not an integer: '٢'"),
+    ],
+    ids=["window-digit", "tiny-underscore", "plus", "space", "budget-underscore", "seed-digit", "workers-digit"],
+)
+def test_number_options_take_only_input_file_spellings(capsys, argv, message):
+    # int(), Decimal() and float() take spellings no input file accepts,
+    # such as non-ASCII digits, "_", "+" and spaces
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "usage" in err.lower() and message in err
 
 
 @pytest.mark.parametrize(

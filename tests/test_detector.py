@@ -388,12 +388,19 @@ BUNDLE_REPORT_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("seed", sorted(BUNDLE_REPORT_SHA256))
-def test_bundle_stream_matches_reference_and_pin(seed):
+@pytest.mark.parametrize(
+    "seed,one_shot",
+    [pytest.param(seed, False, id=str(seed)) for seed in sorted(BUNDLE_REPORT_SHA256)]
+    + [pytest.param(seed, True, id=f"{seed}-iterators") for seed in sorted(BUNDLE_REPORT_SHA256)],
+)
+def test_bundle_stream_matches_reference_and_pin(seed, one_shot):
+    # as one-shot iterators, the stream and the history are each read once,
+    # so no phase can read the events again
     events = bundle_stream(seed)
     config = ChainConfig(chain_id=1, window_blocks=5)
     registry, prices = make_registry(), make_prices()
-    report = scan(events, config, registry, prices, history=events)
+    stream, history = (iter(events), iter(events)) if one_shot else (events, events)
+    report = scan(stream, config, registry, prices, history=history)
     assert events[-1].tx_hash == events[-2].tx_hash
     assert report.counters["collected_sibling"] > 0
     ref = reference_detect(events, config, registry, prices)
@@ -609,6 +616,27 @@ def test_history_from_another_chain_rejected():
     other = [replace(ev, chain_id=56) for ev in events]
     with pytest.raises(ConfigError, match="history event chain_id 56 does not match configured chain 1"):
         scan(events, bundle.configs[1], bundle.registry, bundle.prices, history=other)
+
+
+@pytest.mark.parametrize(
+    "reorder,message",
+    [
+        pytest.param(lambda ev: ev + ev, "<history>:5: block 100 after block 305", id="repeated"),
+        pytest.param(lambda ev: ev[::-1], "<history>:2: block 300 after block 305", id="reversed"),
+        pytest.param(
+            lambda ev: [ev[0], replace(ev[0], tx_hash="0x" + "e" * 64)],
+            "<history>:2: log index 0 after 0 in block 100",
+            id="log-index",
+        ),
+    ],
+)
+def test_history_out_of_stream_order_rejected(reorder, message):
+    # a repeated history once gave a payoff that cites one event twice, and
+    # a reversed one was accepted silently
+    events = history_upgrade_stream(lambda sb, look: sb.add(250, V1, look, FAKE, 5))
+    with pytest.raises(OrderingError) as raised:
+        scan(events, ChainConfig(chain_id=1), make_registry(), make_prices(), history=iter(reorder(events)))
+    assert str(raised.value) == message
 
 
 def history_upgrade_stream(poison):
