@@ -22,6 +22,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import dataclass
 from decimal import Decimal
 from functools import partial
 from itertools import islice
@@ -52,15 +53,14 @@ from .core import (
     PoisonscanError,
     PriceTable,
     TokenRegistry,
-    _array_pieces,
-    _writer,
     address_at,
     csv_rows,
     decimal_at,
+    from_json,
     parse_json,
-    read_fields,
     to_json,
     write_json,
+    write_record,
 )
 from .detector import DetectionReport, birthday_filter, scan
 from .ingest import iter_events, load_account_history
@@ -130,7 +130,10 @@ def _int_arg(text: str) -> int:
     # as an input file's counts: int() would also take "٣", "1_0", "+3" and " 4"
     if not (text.isascii() and text.removeprefix("-").isdigit()):
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # past int()'s digit limit
+        raise argparse.ArgumentTypeError(f"out of range: {len(text.removeprefix('-'))} digits") from None
 
 
 def _positive_int(text: str) -> int:
@@ -298,22 +301,20 @@ def _scan_options(args) -> dict:
 # clusters.json round trip
 
 
-def _write_clusters(path: Path, sets, groups, bot_threshold: float) -> None:
-    """The bytes ``write_json`` gives for the fields bot_threshold, groups,
-    schema and sets, with each record written as it comes by its
-    ``core._writer``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f'{{\n  "bot_threshold": {json.dumps(bot_threshold)},\n  "groups": ')
-        fh.writelines(_array_pieces(groups, _writer(AttackGroup, 2), 1))
-        fh.write(f',\n  "schema": {json.dumps(SCHEMA_VERSION)},\n  "sets": ')
-        fh.writelines(_array_pieces(sets, _writer(AttackTransferSet, 2), 1))
-        fh.write("\n}\n")
+@dataclass(frozen=True)
+class Clusters:
+    """The record of clusters.json. Its fields are read, and so checked,
+    in the order declared here."""
+
+    sets: tuple[AttackTransferSet, ...]
+    groups: tuple[AttackGroup, ...]
+    schema: int
+    bot_threshold: float
 
 
-def _read_clusters(path):
+def _read_clusters(path) -> Clusters:
     raw = parse_json(Path(path).read_text(encoding="utf-8"), path)
-    error = partial(ParseError, path=path)
-    return read_fields(raw, error, sets=tuple[AttackTransferSet, ...], groups=tuple[AttackGroup, ...])
+    return from_json(Clusters, raw, partial(ParseError, path=path))
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +427,8 @@ def _cmd_cluster(args) -> int:
     )
     outdir = _ensure_outdir(args.out)
     groups_to_csv(groups, outdir / "groups.csv")
-    _write_clusters(outdir / "clusters.json", sets, groups, args.bot_threshold)
+    clusters = Clusters(sets, groups, SCHEMA_VERSION, args.bot_threshold)
+    write_record(outdir / "clusters.json", clusters, indented=True)
     _write_manifest(
         outdir,
         "cluster",
@@ -444,10 +446,10 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_econ(args) -> int:
     report = DetectionReport.read_json(args.report)
-    sets, groups = _read_clusters(args.clusters)
+    clusters = _read_clusters(args.clusters)
     prices = PriceTable.from_csv(args.prices)
-    econ_rows = group_economics(groups, sets, report, prices)
-    records = build_competitions(report, sets, groups)
+    econ_rows = group_economics(clusters.groups, clusters.sets, report, prices)
+    records = build_competitions(report, clusters.sets, clusters.groups)
     matrix = win_loss_matrix(records)
     outdir = _ensure_outdir(args.out)
     _write_economics_csv(outdir / "economics.csv", econ_rows)
@@ -468,7 +470,7 @@ def _cmd_score(args) -> int:
     truth = GroundTruth.read_jsonl(args.truth)
     predicted_groups = None
     if args.clusters:
-        _, groups = _read_clusters(args.clusters)
+        groups = _read_clusters(args.clusters).groups
         predicted_groups = {
             member: group.group_id for group in groups for member in group.members
         }
@@ -551,7 +553,8 @@ def _cmd_report(args) -> int:
     outdir = _ensure_outdir(args.out)
     report.write_json(outdir / "report.json")
     groups_to_csv(groups, outdir / "groups.csv")
-    _write_clusters(outdir / "clusters.json", sets, groups, args.bot_threshold)
+    clusters = Clusters(sets, groups, SCHEMA_VERSION, args.bot_threshold)
+    write_record(outdir / "clusters.json", clusters, indented=True)
     _write_economics_csv(outdir / "economics.csv", econ_rows)
     _write_win_loss_csv(outdir / "win_loss.csv", win_loss_matrix(records))
     write_json(outdir / "success_ranks.json", _ranks_payload(records))

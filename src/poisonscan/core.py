@@ -22,6 +22,7 @@ from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from datetime import date, datetime, timezone
 from decimal import ROUND_HALF_EVEN, Context, Decimal, InvalidOperation
 from functools import cache, partial
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import NoneType, UnionType
@@ -307,12 +308,13 @@ def _codec(hint) -> tuple:
 def _fields(cls: type) -> tuple:
     """Per field of the dataclass ``cls``: its name, its JSON key, ``kind``,
     ``read`` and ``write`` (see _codec), whether it is required, its
-    annotation as written and as resolved."""
+    annotation as written, and the resolved type its JSON text is written as."""
     hints = get_type_hints(cls)
     out = []
     for f in fields(cls):
         if f.name == "value" and hints[f.name] is int:
-            kind, read, write = None, _read_amount, str
+            # a token value is written as a Decimal is: its str in quotes
+            kind, read, write, hints[f.name] = None, _read_amount, str, Decimal
         else:
             kind, read, write = _codec(hints[f.name])
         required = f.default is MISSING and f.default_factory is MISSING
@@ -358,63 +360,91 @@ def _pad(depth: int | None) -> str:
     return "" if depth is None else "\n" + "  " * depth
 
 
-def _text(hint, x: str, depth: int | None, names: dict) -> tuple[str, str]:
-    """``(piece, arg)``: the %-format piece and the expression over ``x``
-    that give json's text for a value annotated ``hint`` at ``depth``. A
-    nested record's writer goes into ``names``."""
+def _text(hint, x: str, depth: int | None) -> tuple[str, str]:
+    """``(piece, args)``: the %-format piece and the comma-separated
+    expressions over ``x`` that give json's text for a value annotated
+    ``hint`` at ``depth``. A record's fields are laid out in sorted key
+    order, and a record nested in it is inlined."""
     if hint is bool:
         return "%s", f"('true' if {x} else 'false')"
     if hint is int:
         return "%d", x
+    if hint is float:  # json writes a float as its repr
+        return "%r", x
     if hint is str:
         return "%s", f"_enc({x})"
     if hint is Decimal:  # its str needs no escaping
         return '"%s"', x
+    deeper = None if depth is None else depth + 1
     if is_dataclass(hint):
-        name = f"_w{len(names)}"
-        names[name] = _writer(hint, depth)
-        return "%s", f"{name}({x})"
+        pieces, args = [], []
+        for name, key, *_, field_hint in sorted(_fields(hint), key=lambda f: f[1]):
+            piece, arg = _text(field_hint, f"{x}.{name}", deeper)
+            pieces.append(encode_basestring_ascii(key) + (":" if depth is None else ": ") + piece)
+            args.append(arg)
+        template = "{" + _pad(deeper) + ("," + _pad(deeper)).join(pieces) + _pad(depth) + "}"
+        return template, ", ".join(args)
     origin, args = get_origin(hint), get_args(hint)
     if origin in (Union, UnionType) and len(args) == 2 and NoneType in args:
-        piece, arg = _text(args[0] if args[1] is NoneType else args[1], x, depth, names)
-        return "%s", f"('null' if {x} is None else {arg if piece == '%s' else f'{piece!r} % {arg}'})"
+        piece, arg = _text(args[0] if args[1] is NoneType else args[1], x, depth)
+        return "%s", f"('null' if {x} is None else {arg if piece == '%s' else f'{piece!r} % ({arg},)'})"
     if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
-        deeper = None if depth is None else depth + 1
-        piece, arg = _text(args[0], "v", deeper, names)
-        item = arg if piece == "%s" else f"{piece!r} % v"
+        piece, arg = _text(args[0], "v", deeper)
+        item = arg if piece == "%s" else f"{piece!r} % ({arg},)"
         opening, inner, close = "[" + _pad(deeper), "," + _pad(deeper), _pad(depth) + "]"
         return "%s", f"({opening!r} + {inner!r}.join([{item} for v in {x}]) + {close!r} if {x} else '[]')"
     raise TypeError(f"no JSON writer for {hint!r}")
 
 
 @cache
-def _writer(cls: type, indent: int | None = None) -> Callable[[object], str]:
-    """The function giving the JSON text of a record of the dataclass ``cls``:
-    the bytes json writes for ``to_json(record)`` with sorted keys, compact,
-    or with ``indent=2`` for a record nested ``indent`` levels deep. It is one
-    %-format over the fields, generated from the same ``_fields`` table."""
+def _writer(hint, indent: int | None = None) -> Callable[[object], str]:
+    """The function giving the JSON text of a value annotated ``hint``: the
+    bytes json writes for its JSON form with sorted keys, compact, or with
+    ``indent=2`` for a value nested ``indent`` levels deep. It is one
+    %-format, generated for a record from its ``_fields`` table."""
     names = {"_enc": encode_basestring_ascii}
-    depth = None if indent is None else indent + 1
-    pieces, args = [], []
-    for name, key, _, _, write, _, _, hint in sorted(_fields(cls), key=lambda f: f[1]):
-        # a token value or a Decimal is written as its str, which needs no escaping
-        piece, arg = ('"%s"', f"r.{name}") if write is str else _text(hint, f"r.{name}", depth, names)
-        pieces.append(encode_basestring_ascii(key) + (":" if indent is None else ": ") + piece)
-        args.append(arg)
-    template = "{" + _pad(depth) + ("," + _pad(depth)).join(pieces) + _pad(indent) + "}"
-    exec(f"def write(r):\n    return {template!r} % ({', '.join(args)},)\n", names)
+    piece, args = _text(hint, "v", indent)
+    exec(f"def write(v):\n    return {args if piece == '%s' else f'{piece!r} % ({args},)'}\n", names)
     return names["write"]
 
 
-def _array_pieces(records: Iterable, write, indent: int | None = None) -> Iterator[str]:
-    """A JSON array of records, one per piece, laid out as ``_writer`` lays
-    out a record ``indent`` levels deep; ``write`` gives a record's text."""
-    inner = _pad(None if indent is None else indent + 1)
-    sep = "[" + inner
-    for record in records:
-        yield sep + write(record)
+def _pieces(hint, value, depth: int | None) -> Iterator[str]:
+    """The JSON text of ``value``, annotated ``hint``, at ``depth``, in
+    pieces: a tuple, frozenset or dict item by item, each item by its
+    ``_writer``, and any other value whole."""
+    origin, args = get_origin(hint), get_args(hint)
+    deeper = None if depth is None else depth + 1
+    if origin is dict:
+        keys, colon = sorted(value), (":" if depth is None else ": ")
+        heads = (encode_basestring_ascii(k) + colon for k in keys)
+        items, brackets = map(value.get, keys), "{}"
+    elif origin is frozenset or origin is tuple and args[1:] == (Ellipsis,):
+        heads, items, brackets = repeat(""), sorted(value) if origin is frozenset else value, "[]"
+    else:
+        yield _writer(hint, depth)(value)
+        return
+    write, inner = _writer(args[1] if origin is dict else args[0], deeper), _pad(deeper)
+    sep = brackets[0] + inner
+    for head, item in zip(heads, items):
+        yield sep + head + write(item)
         sep = "," + inner
-    yield _pad(indent) + "]" if sep[0] == "," else "[]"
+    yield _pad(depth) + brackets[1] if sep[0] == "," else brackets
+
+
+def write_record(path: str | Path, record, indented: bool = False) -> None:
+    """Write the dataclass ``record`` to ``path`` as the bytes json.dump
+    gives for ``to_json(record)`` with sorted keys, compact or with
+    ``indent=2``, and a closing newline. The file is streamed: each tuple,
+    frozenset and dict field goes out item by item, so neither the file's
+    text nor a container's is ever held whole."""
+    depth = 1 if indented else None
+    with open(path, "w", encoding="utf-8") as fh:
+        sep = "{"
+        for name, key, *_, hint in sorted(_fields(type(record)), key=lambda f: f[1]):
+            fh.write(sep + _pad(depth) + encode_basestring_ascii(key) + (": " if indented else ":"))
+            fh.writelines(_pieces(hint, getattr(record, name), depth))
+            sep = ","
+        fh.write(("\n}" if indented else "}") + "\n")
 
 
 def from_json(cls: type, raw, error: Callable[[str], Exception]):

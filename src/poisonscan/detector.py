@@ -43,14 +43,12 @@ matches, not work done.
 
 from __future__ import annotations
 
-import json
 from collections import Counter, deque
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from functools import partial
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     ChainConfig,
@@ -60,13 +58,11 @@ from .core import (
     PriceTable,
     TokenRegistry,
     TransferEvent,
-    _array_pieces,
-    _writer,
     event_date,
     from_json,
     parse_json,
-    to_json,
     usd_amount,
+    write_record,
 )
 from .ingest import increasing, ordered
 from .similarity import (
@@ -148,17 +144,6 @@ class PayoffRecord:
     edit_distance: int | None = None
 
 
-def _object_pieces(mapping: Mapping, write) -> Iterable[str]:
-    """A JSON object in sorted key order, one entry per piece; ``write``
-    gives a value's text."""
-    yield "{"
-    sep = ""
-    for key in sorted(mapping):
-        yield sep + encode_basestring_ascii(key) + ":" + write(mapping[key])
-        sep = ","
-    yield "}"
-
-
 @dataclass(frozen=True)
 class DetectionReport:
     """Everything one scan produced, serializable and order-stable."""
@@ -201,31 +186,9 @@ class DetectionReport:
         return out
 
     def write_json(self, path: str | Path) -> None:
-        """Write report.json: every field in one JSON object with sorted keys,
-        no spaces and a closing newline, which ``read_json`` reads back.
-
-        The bytes are json's for ``to_json(self)``. Events, contexts and
-        payoffs are written by ``core._writer``, the per-class template that
-        gives each record's text in one %-format. The file is streamed:
-        labels and events go out entry by entry, contexts and payoffs record
-        by record, so neither a copy of the records nor the whole text is
-        ever held in memory.
-        """
-        encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-        # the fields that hold no per-event records go out whole
-        head = to_json(replace(self, labels={}, events={}, contexts=(), payoffs=()))
-        body = {key: (encode(value),) for key, value in head.items()}
-        body["labels"] = _object_pieces(self.labels, encode_basestring_ascii)
-        body["events"] = _object_pieces(self.events, _writer(EventDetail))
-        body["contexts"] = _array_pieces(self.contexts, _writer(AttackContext))
-        body["payoffs"] = _array_pieces(self.payoffs, _writer(PayoffRecord))
-        with open(path, "w", encoding="utf-8") as fh:
-            sep = "{"
-            for key in sorted(body):
-                fh.write(sep + encode(key) + ":")
-                fh.writelines(body[key])
-                sep = ","
-            fh.write("}\n")
+        """Write report.json, which ``read_json`` reads back, in the compact
+        layout of ``core.write_record``, which streams it."""
+        write_record(path, self)
 
     @classmethod
     def read_json(cls, path: str | Path) -> "DetectionReport":
@@ -896,8 +859,8 @@ def scan(
     stablecoins), zero-value transfer, or counterfeit transfer binding
     (victim, lookalike) strictly between the intended transfer and the
     payoff confirms it. ``history`` is any iterable of events in stream
-    order, a one-shot iterator included (but not the one given as
-    ``events``, which the pass has used up); it is walked once, in full,
+    order, a one-shot iterator included (the one given as ``events``, which
+    the pass uses up, raises ValueError); it is walked once, in full,
     after the pass, and only the events that touch a lookalike of an
     unconfirmed row are kept. Its ``(block_number, log_index)`` must
     strictly increase, or the walk raises OrderingError as
@@ -906,6 +869,8 @@ def scan(
     with the intended address and never sent an authentic positive-value
     transfer in ``events``.
     """
+    if history is events and iter(events) is events:
+        raise ValueError("history must not be the iterator given as events, which the pass uses up")
     state = _Scan(config, registry, prices)
     state.run(events)
     state.finalize()

@@ -7,6 +7,7 @@ import importlib
 import json
 import os
 import pkgutil
+import shutil
 import subprocess
 import sys
 from decimal import Decimal
@@ -17,7 +18,7 @@ import pytest
 import poisonscan
 import poisonscan.cli as cli_mod
 from poisonscan.cli import run
-from poisonscan.core import Label
+from poisonscan.core import Label, write_record
 from poisonscan.detector import DetectionReport
 from poisonscan.scenario import BotSpec, GroupSpec, ScenarioSpec, generate
 
@@ -359,6 +360,15 @@ SHAPE_INPUTS = {
     "clusters-set-block-score": (
         "clusters.json", SET_BLOCK_TEXT, "sets.block_number", [*SCORE, "--clusters", "{bad}"],
     ),
+    # clusters.json is a record file: only its two lists were once read
+    "clusters-unknown-key": (
+        "clusters.json", '{"sets": [], "groups": [], "schema": 1, "bot_threshold": 0.5, "bogus": 1}',
+        "field 'bogus' is unknown", HUGE_INPUTS["clusters"][3],
+    ),
+    "clusters-schema-string": (
+        "clusters.json", '{"sets": [], "groups": [], "schema": "x", "bot_threshold": 0.5}',
+        "field 'schema' must be an integer", HUGE_INPUTS["clusters"][3],
+    ),
     # a bad address in a small input file names the file and its line
     "verified-address": (
         "verified.txt", f"{EVENT['to']}\n\n0xzz", "verified.txt:3",
@@ -645,12 +655,13 @@ def test_cluster_outputs(cluster_dir):
 
 @pytest.mark.parametrize("empty", [False, True], ids=["groups", "empty"])
 def test_clusters_json_matches_asdict_form(cluster_dir, tmp_path, empty):
-    sets, groups = cli_mod._read_clusters(cluster_dir / "clusters.json")
+    clusters = cli_mod._read_clusters(cluster_dir / "clusters.json")
+    sets, groups = clusters.sets, clusters.groups
     assert sets and groups
     if empty:
         sets, groups = (), ()
     path = tmp_path / "clusters.json"
-    cli_mod._write_clusters(path, sets, groups, 0.5)
+    write_record(path, cli_mod.Clusters(sets, groups, cli_mod.SCHEMA_VERSION, 0.5), indented=True)
     payload = {
         "schema": cli_mod.SCHEMA_VERSION,
         "bot_threshold": 0.5,
@@ -798,6 +809,53 @@ def test_report_bundle_does_not_depend_on_hash_seed(sim_dir, tmp_path):
     assert digests[0] == digests[1]
 
 
+# a report bundle and a gen match list, made under each interpreter
+CROSS_ARGV = (
+    [
+        "report", "--events", "{sim}/events.jsonl", "--config", "{sim}/config.json",
+        "--registry", "{sim}/registry.jsonl", "--prices", "{sim}/prices.csv",
+        "--accounts", "{sim}/accounts.csv", "--out", "{out}/report",
+    ],
+    [
+        "gen", "--targets", "{work}/cross_targets.txt", "--a-min", "1", "--b-min", "0",
+        "--matches", "0", "--budget", "100", "--seed", "7", "--out", "{out}/gen.json",
+    ],
+)
+
+
+@pytest.fixture(scope="module")
+def cross_digests(workdir, sim_dir):
+    """The digest of every file CROSS_ARGV writes, run in this process."""
+    (workdir / "cross_targets.txt").write_text("0x" + "ab" * 20 + "\n", encoding="utf-8")
+    out = workdir / "cross"
+    for argv in CROSS_ARGV:
+        assert run([arg.format(sim=sim_dir, work=workdir, out=out) for arg in argv]) == 0
+    return tree_digest(out)
+
+
+@pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
+def test_bundle_bytes_match_across_interpreters(python, workdir, sim_dir, cross_digests, tmp_path):
+    # pyproject admits CPython 3.10 and later, and the CLI needs only the
+    # standard library, so it runs under interpreters that have no pytest
+    exe = shutil.which(python)
+    if exe is None or subprocess.run([exe, "-c", ""], capture_output=True, check=False).returncode:
+        pytest.skip(f"{python} is not installed")
+    env = {**os.environ, "PYTHONPATH": str(Path(poisonscan.__file__).parents[1])}
+    procs = [
+        subprocess.Popen(
+            [exe, "-m", "poisonscan.cli", *(arg.format(sim=sim_dir, work=workdir, out=tmp_path) for arg in argv)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        )
+        for argv in CROSS_ARGV
+    ]
+    for proc in procs:
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+    digests = tree_digest(tmp_path)
+    assert len(digests) == 11  # ten bundle files and the match list
+    assert digests == cross_digests
+
+
 @pytest.mark.parametrize("history", ["events.jsonl", "history.jsonl"])
 def test_report_with_history_bytes_pinned(tmp_path, history):
     # the events file itself as history is parsed once; a copy is parsed apart
@@ -924,8 +982,12 @@ GEN_ARGV = ["gen", "--targets", "t.txt"]
         (GEN_ARGV + ["--budget", "2_048"], "--budget: not an integer: '2_048'"),
         (GEN_ARGV + ["--seed", "٧"], "--seed: not an integer: '٧'"),
         (GEN_ARGV + ["--workers", "٢", "--budget", "10"], "--workers: not an integer: '٢'"),
+        (SCAN_ARGV + ["--window-blocks", "1" * 5000], "--window-blocks: out of range: 5000 digits"),
     ],
-    ids=["window-digit", "tiny-underscore", "plus", "space", "budget-underscore", "seed-digit", "workers-digit"],
+    ids=[
+        "window-digit", "tiny-underscore", "plus", "space", "budget-underscore", "seed-digit",
+        "workers-digit", "window-past-int-limit",
+    ],
 )
 def test_number_options_take_only_input_file_spellings(capsys, argv, message):
     # int(), Decimal() and float() take spellings no input file accepts,

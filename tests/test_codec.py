@@ -1,13 +1,15 @@
 """The JSON record codec of ``poisonscan.core``: every record class survives
 a round trip through JSON text, every annotation form rejects a value of
-the wrong JSON type and names the field, the per-class writer gives json's
-own bytes, and no second codec grows back elsewhere in the package."""
+the wrong JSON type and names the field, the per-class writer and the
+streamed record-file writer give json's own bytes, and no second codec
+grows back elsewhere in the package."""
 
 from __future__ import annotations
 
 import ast
 import dataclasses
 import json
+import tempfile
 import typing
 from decimal import Decimal
 from pathlib import Path
@@ -18,9 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import poisonscan
+from poisonscan.cli import SCHEMA_VERSION, Clusters
 from poisonscan.clustering import AttackGroup, AttackTransferSet, build_transfer_sets, cluster
 from poisonscan.core import (
-    ChainConfig, ConfigError, ScenarioError, TransferEvent, _writer, from_json, to_json,
+    ChainConfig, ConfigError, ScenarioError, TransferEvent, _writer, from_json, to_json, write_record,
 )
 from poisonscan.detector import AttackContext, EventDetail, PayoffRecord, birthday_filter, scan
 from poisonscan.scenario import BotSpec, GroupSpec, ScenarioSpec, generate, score_labels
@@ -41,8 +44,17 @@ def records() -> dict[str, object]:
     groups = cluster(sets, bytecode=bytecode)
     entry = next(iter(bundle.registry))
     payoffs = sorted(report.payoffs, key=lambda p: p.edit_distance is not None)
+    # a threshold this low excludes every victim, each with its probability
+    low = config.with_overrides(birthday_alpha=1e-12)
     return {
         "report": report,
+        "excluded_report": birthday_filter(report, low),
+        "odd_report": dataclasses.replace(
+            report, labels={ODD_TEXT: ODD_TEXT, "": ""}, victim_recipients={ODD_TEXT: 2**64 + 1},
+            excluded_victims=dict(zip(ODD_TEXT, FLOATS)), accidental=frozenset(ODD_TEXT),
+            unpriced=(ODD_TEXT, ""), authentic_tokens=frozenset({ODD_TEXT}), counters={ODD_TEXT: -1},
+        ),
+        "clusters": Clusters(sets, groups, SCHEMA_VERSION, 0.5),
         "config": config,
         "event": next(iter(report.events.values())),
         "context": report.contexts[0],
@@ -66,8 +78,9 @@ def through_text(record) -> object:
 @pytest.mark.parametrize(
     "name",
     [
-        "report", "config", "event", "context", "payoff", "typo_payoff", "set",
-        "group", "spec", "group_spec", "bot_spec", "score_card", "token", "registry_entry",
+        "report", "excluded_report", "odd_report", "clusters", "config", "event", "context",
+        "payoff", "typo_payoff", "set", "group", "spec", "group_spec", "bot_spec", "score_card",
+        "token", "registry_entry",
     ],
 )
 def test_every_record_survives_a_round_trip(records, name):
@@ -81,6 +94,8 @@ def test_the_records_hold_both_sides_of_an_optional(records):
     assert any(d.usd is None for d in records["report"].events.values())
     assert any(d.usd is not None for d in records["report"].events.values())
     assert records["group"].ct_bytecodes is not None
+    excluded = records["excluded_report"].excluded_victims
+    assert excluded and all(type(p) is float and 0 < p < 1 for p in excluded.values())
 
 
 # per annotation form: the record, the field set to a value of the wrong
@@ -175,15 +190,26 @@ def test_one_codec():
 
 
 # the record classes written by ``core._writer``, and a value of each field
-# type that json must escape, write as null or carry past 64 bits
+# type that json must escape, write as null, carry past 64 bits or write
+# at repr's full precision
 WRITTEN = (EventDetail, AttackContext, PayoffRecord, AttackTransferSet, AttackGroup)
 ODD_TEXT = 'q"b\\%s %d é€\U0001f600\n'
-EDGES = {bool: True, int: 2**64 + 1, str: ODD_TEXT, Decimal: Decimal("-0.000000")}
+FLOATS = (0.1, 1e-300, 0.9999999999999999)
+EDGES = {bool: True, int: 2**64 + 1, str: ODD_TEXT, Decimal: Decimal("-0.000000"), float: FLOATS[2]}
 
 
 def assert_written_as_json(record):
-    """The writer's text is json's, compact and at every depth up to 3."""
+    """The file ``write_record`` streams is json's, compact and indented;
+    a record of ``WRITTEN`` has the writer's text of json's, compact and at
+    every depth up to 3."""
     raw = to_json(record)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "record.json"
+        for indented, layout in ((False, {"separators": (",", ":")}), (True, {"indent": 2})):
+            write_record(path, record, indented)
+            assert path.read_text(encoding="utf-8") == json.dumps(raw, sort_keys=True, **layout) + "\n"
+    if type(record) not in WRITTEN:
+        return
     assert _writer(type(record))(record) == json.dumps(raw, sort_keys=True, separators=(",", ":"))
     for depth in range(4):
         nested = raw
@@ -196,19 +222,27 @@ def assert_written_as_json(record):
 
 def edge(hint):
     """The odd value of a field annotated ``hint``: None for an optional,
-    ``()`` for a tuple, else its ``EDGES`` entry."""
+    an empty tuple, frozenset or dict, else its ``EDGES`` entry."""
     if NoneType in typing.get_args(hint):
         return None
-    return () if typing.get_origin(hint) is tuple else EDGES[hint]
+    origin = typing.get_origin(hint)
+    return origin() if origin in (tuple, frozenset, dict) else EDGES[hint]
 
 
-@pytest.mark.parametrize("name", ["event", "context", "payoff", "typo_payoff", "set", "group"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "event", "context", "payoff", "typo_payoff", "set", "group",
+        "report", "excluded_report", "odd_report", "clusters",
+    ],
+)
 def test_writer_gives_json_bytes(records, name):
     record = records[name]
-    assert type(record) in WRITTEN
     assert_written_as_json(record)
+    # every container empty, every other field but a nested record odd
     hints = typing.get_type_hints(type(record))
-    assert_written_as_json(dataclasses.replace(record, **{key: edge(hint) for key, hint in hints.items()}))
+    odd = {key: edge(hint) for key, hint in hints.items() if not dataclasses.is_dataclass(hint)}
+    assert_written_as_json(dataclasses.replace(record, **odd))
 
 
 def test_writer_gives_json_bytes_for_every_report_record(records):

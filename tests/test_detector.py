@@ -610,6 +610,14 @@ def test_history_iterator_equals_list():
         assert hashlib.sha256(data).hexdigest() == REPORT_JSON_SHA256
 
 
+def test_one_iterator_as_events_and_history_rejected():
+    # the pass would use it up and leave the history walk nothing to read
+    bundle = generate(rich_spec(7))
+    events = iter(bundle.events())
+    with pytest.raises(ValueError, match="history must not be the iterator given as events"):
+        scan(events, bundle.configs[1], bundle.registry, bundle.prices, history=events)
+
+
 def test_history_from_another_chain_rejected():
     bundle = generate(rich_spec(7))
     events = list(bundle.events())
