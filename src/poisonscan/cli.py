@@ -25,7 +25,6 @@ import time
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import partial
-from itertools import islice
 from pathlib import Path
 
 from . import __version__
@@ -115,15 +114,6 @@ class _Progress:
 
 def _info(message: str) -> None:
     print(message, file=sys.stderr)
-
-
-def _tracked(events, progress: _Progress):
-    # hand events on a batch at a time: the parser and scan each run
-    # faster over a batch than when they alternate on every event
-    events = iter(events)
-    while batch := list(islice(events, 4096)):
-        progress.update(len(batch))
-        yield from batch
 
 
 def _int_arg(text: str) -> int:
@@ -274,14 +264,13 @@ def _scan_pipeline(args):
     config = _load_config(args)
     registry = _load_registry(args.registry)
     prices = _load_prices(args.prices, config, registry)
+    events = iter_events(args.events, progress=_Progress("scan").update)
     if args.history == args.events:
         # a history that is the events file itself is parsed once
-        stream = history = list(iter_events(args.events))
+        events = history = list(events)
     else:
         # scan reads a separate history lazily, after its pass
-        stream = iter_events(args.events)
         history = iter_events(args.history) if args.history else None
-    events = _tracked(stream, _Progress("scan"))
     report = scan(events, config, registry, prices, history=history)
     return birthday_filter(report, config), prices
 
@@ -313,8 +302,15 @@ class Clusters:
 
 
 def _read_clusters(path) -> Clusters:
+    """clusters.json, refused when another format version wrote it or its
+    threshold is one that no run could have used."""
     raw = parse_json(Path(path).read_text(encoding="utf-8"), path)
-    return from_json(Clusters, raw, partial(ParseError, path=path))
+    clusters = from_json(Clusters, raw, partial(ParseError, path=path))
+    if clusters.schema != SCHEMA_VERSION:
+        raise ParseError(f"schema {clusters.schema} is not this version's {SCHEMA_VERSION}", path=path)
+    if not 0 <= clusters.bot_threshold <= 1:  # NaN fails this too
+        raise ParseError(f"bot_threshold must be in [0, 1], got {clusters.bot_threshold}", path=path)
+    return clusters
 
 
 # ---------------------------------------------------------------------------

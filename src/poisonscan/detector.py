@@ -11,13 +11,14 @@ between the intended transfer and the payoff.
 
 scan() is the whole stream layer, three phases over one state record. The
 pass walks the stream once, its candidate state pruned to the window. Each
-pair's first trigger anchors confirmation and the shared-transaction path,
-but the pass only logs the triggers that bring a pair into the window: a
-dict entry per pair, made per event, would be a benign pass's costliest step.
-Finalize builds the payoff rows, contexts and event details. The history
-walk, in strictly increasing (block, log index), upgrades unconfirmed rows;
-the typo rule flags payments to addresses that never spent an authentic
-token in the stream. birthday_filter() then runs on the finished report.
+pair's first trigger anchors confirmation and the shared-transaction path;
+the pass keeps it as a stream position, written when the pair enters the
+window, so that the events themselves are not held. Finalize fetches the
+few anchor events it reports in one read, then builds the payoff rows,
+contexts and event details. The history walk, in strictly increasing
+(block, log index), upgrades unconfirmed rows; the typo rule flags payments
+to addresses that never spent an authentic token in the stream.
+birthday_filter() then runs on the finished report.
 
 Each event probes its victim's active refs (its recent recipients) for a
 lookalike. A victim with fewer than IX_MIN active refs is walked: every ref
@@ -48,7 +49,7 @@ from dataclasses import dataclass, replace
 from decimal import Decimal
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     ChainConfig,
@@ -64,7 +65,7 @@ from .core import (
     usd_amount,
     write_record,
 )
-from .ingest import increasing, ordered
+from .ingest import EventReader, increasing, ordered
 from .similarity import (
     birthday_collision_prob,
     osa_distance,
@@ -321,16 +322,19 @@ class _KeyedRefs(dict):
 class _Scan:
     """One scan's state, which each phase leaves for the next: ``run`` (the
     pass), ``finalize``, and ``upgrade`` (the history walk and typo rule).
-    ``priced``, ``poison_label`` and ``fold_anchors`` serve every phase; a
-    fold keeps each pair's first trigger from ``anchor_log`` in ``anchors``.
-    The pass hands over, by their roles in finalize: ``labels`` (the poison
-    labels, to which finalize and upgrade add), ``detail_ev`` (the event of
-    each labelled key and payoff candidate), ``ctx_map`` (the contexts),
+    ``priced`` and ``poison_label`` serve every phase. The pass hands over,
+    by their roles in finalize: ``anchors`` (victim -> recipient -> stream
+    position of the pair's first trigger), ``labels`` (the poison labels,
+    to which finalize and upgrade add), ``detail_ev`` (the event of each
+    labelled key and payoff candidate), ``ctx_map`` (the contexts),
     ``pair_ev`` (victim -> lookalike -> {poison key: order}, what a payoff
     can cite), ``cands`` (payoff candidate key -> the refs its lookalike
-    matched; none when only ``pair_ev`` made it one) and ``counts``. The
-    keys of ``active`` and ``keyed``, and ``spenders``, are the senders of
-    authentic positive-value transfers, which the typo rule reads.
+    matched; none when only ``pair_ev`` made it one) and ``counts``.
+    ``spenders`` holds the senders of authentic positive-value transfers,
+    which the typo rule reads. The window state stays in the pass: its
+    ``active`` (victim -> recipient -> last two trigger blocks) drops a
+    victim once its last recipient leaves the window, so that it follows
+    the window, not the stream.
     """
 
     def __init__(self, config: ChainConfig, registry: TokenRegistry, prices: PriceTable) -> None:
@@ -340,8 +344,6 @@ class _Scan:
         self.stable, self.authentic = _resolve_token_sets(config, registry)
         self.usd_map: dict[str, Decimal | None] = {}
         self.unpriced: dict[str, None] = {}  # keys in first-seen order
-        self.anchors: dict[str, dict[str, TransferEvent]] = {}
-        self.anchor_log: list[TransferEvent] = []
 
     def priced(self, ev: TransferEvent) -> Decimal | None:
         key = ev.key
@@ -371,14 +373,6 @@ class _Scan:
             return Label.COUNTERFEIT
         return Label.ZERO if ev.value == 0 else None
 
-    def fold_anchors(self, victims: set[str] | None = None) -> None:
-        # a logged trigger anchors its pair unless an earlier one did; with
-        # victims, the other senders' triggers are dropped
-        for ev in self.anchor_log:
-            if victims is None or ev.from_addr in victims:
-                self.anchors.setdefault(ev.from_addr, {}).setdefault(ev.to_addr, ev)
-        self.anchor_log.clear()
-
     def detail(self, ev: TransferEvent, label: str) -> EventDetail:
         """``ev`` as the report keeps it: $0 if a zero-value poisoning, no USD if counterfeit."""
         if label == Label.ZERO:
@@ -406,7 +400,8 @@ class _Scan:
         )
 
     def run(self, events: Iterable[TransferEvent]) -> None:
-        """The pass over ``events``, whose loop keeps its state in locals."""
+        """The pass over ``events``, already checked for order, whose loop
+        keeps its state in locals."""
         config = self.config
         chain = config.chain_id
         m = config.window_blocks
@@ -415,9 +410,10 @@ class _Scan:
         d_min = a_min + b_min
         stable_set, auth_set = self.stable, self.authentic
 
-        active = self.active = {}
-        # (block, [active dict, recipient, ...]) for each block's trigger updates
+        active = {}
+        # (block, [sender, recipient, ...]) for each block's trigger updates
         recent: deque[tuple[int, list]] = deque()
+        anchors = self.anchors = {}
 
         labels = self.labels = {}
         detail_ev = self.detail_ev = {}
@@ -488,41 +484,28 @@ class _Scan:
         def expand_tx(tx_events: list[TransferEvent]) -> None:
             # pair_ev is not needed here: a payment in the transaction to a
             # lookalike whose evidence this walk collects is scored against the
-            # ref that evidence matched, which makes it a candidate
-            if self.anchor_log:
-                self.fold_anchors()
+            # ref that evidence matched, which makes it a candidate. A pair is
+            # anchored before the transaction's block when its first trigger
+            # came before the block's first event.
             for ev in tx_events:
                 sides = [(ev.from_addr, ev.to_addr, False)]
                 if ev.token in stable_set and ev.value > 0:
                     sides.append((ev.to_addr, ev.from_addr, True))
                 for victim, look, incoming in sides:
-                    full = self.anchors.get(victim)
+                    full = anchors.get(victim)
                     if full:
                         l2, l41 = look[2], look[41]
-                        for ref, anchor in full.items():
-                            if (
-                                (ref[2] == l2 or ref[41] == l41)
-                                and ref != look
-                                and anchor.block_number < ev.block_number
-                            ):
+                        for ref, position in full.items():
+                            if (ref[2] == l2 or ref[41] == l41) and ref != look and position < blk_pos:
                                 consider(ev, victim, look, ref, incoming, sibling=True)
 
         def promote_victims() -> None:
-            # each promoted victim moves from active to keyed, and its expiry
-            # entries to its keyed form; the emptied plain dict makes its old
-            # entries no-ops
-            entries_of = {b: entries for b, entries in recent}
+            # each promoted victim moves from active to keyed; its expiry
+            # entries name it, so they follow it there
             for victim in promote:
                 plain = active.pop(victim, None)
-                if plain is None:
-                    continue
-                refs = keyed[victim] = _KeyedRefs(plain, a_min, b_min, dirty)
-                plain.clear()
-                for ref, lbs in refs.items():
-                    for b in lbs:
-                        entries = entries_of.get(b)
-                        if entries is not None:
-                            entries += (refs, ref)
+                if plain is not None:
+                    keyed[victim] = _KeyedRefs(plain, a_min, b_min, dirty)
             promote.clear()
 
         # the open transaction is tx_head plus tx_more; it is re-walked by
@@ -533,14 +516,15 @@ class _Scan:
         tx_more: list[TransferEvent] = []
         tx_direct = False
 
-        # the first event starts a block, which sets blk, bound0, bucket and first_lbs
+        # the first event starts a block, which sets blk, blk_pos, bound0,
+        # bucket and first_lbs
         last_block = -1
         cur_tx: str | None = None
         # a victim's refs live in active, or in keyed once a walk over it met
         # ix_min or more; the check runs only on refs that pass the walk's
         # one-digit test, and a victim not in active is looked up in keyed only
         # when keyed is not empty, so small victims pay for neither
-        keyed = self.keyed = {}
+        keyed = {}
         ix_min = IX_MIN
         # victims to key at the next block start, and keyed victims with refs
         # pending there
@@ -551,9 +535,9 @@ class _Scan:
         recent_append = recent.append
         recent_pop = recent.popleft
         spenders_add = spenders.add
-        anchor_log_append = self.anchor_log.append
+        anchors_get = anchors.get
 
-        for ev in ordered(enumerate(events, start=1), "<stream>"):
+        for pos, ev in enumerate(events):
             txh = ev.tx_hash
             if txh != cur_tx:
                 if tx_more:
@@ -572,15 +556,21 @@ class _Scan:
                         dirty.clear()
                     while recent and recent[0][0] < bound:
                         nb, expired = recent_pop()
-                        for av, r in zip(expired[::2], expired[1::2]):
-                            cur = av.get(r)
-                            if cur is not None:
-                                if cur[0] == nb:
-                                    del av[r]
-                                elif cur[1] == nb:
-                                    av[r] = (cur[0], -1)
+                        for victim, r in zip(expired[::2], expired[1::2]):
+                            # the victim holds r until r's last trigger block
+                            # expires; a plain dict goes with its last ref,
+                            # a keyed form stays with its index
+                            av = active_get(victim) or keyed[victim]
+                            cur = av[r]
+                            if cur[0] == nb:
+                                del av[r]
+                                if not av and victim in active:
+                                    del active[victim]
+                            elif cur[1] == nb:
+                                av[r] = (cur[0], -1)
                     bound0 = bound if bound > 0 else 0
                     last_block = blk
+                    blk_pos = pos
                     bucket = []
                     recent_append((blk, bucket))
                     first_lbs = (blk, -1)  # shared by the block's new pairs
@@ -640,14 +630,19 @@ class _Scan:
                     n_triggers += 1
                     if av_frm is None:
                         active[frm] = av_frm = {}
+                        spenders_add(frm)
                     if to not in av_frm:
-                        anchor_log_append(ev)
                         av_frm[to] = first_lbs
+                        anc = anchors_get(frm)
+                        if anc is None:
+                            anchors[frm] = {to: pos}
+                        elif to not in anc:
+                            anc[to] = pos
                     elif (lb1 := av_frm[to][0]) != blk:
                         av_frm[to] = (blk, lb1)
                     else:
                         continue
-                    bucket.append(av_frm)
+                    bucket.append(frm)
                     bucket.append(to)
                 else:
                     spenders_add(frm)
@@ -663,11 +658,12 @@ class _Scan:
             "collected_sibling": n_sibling,
         }
 
-    def finalize(self) -> None:
-        """The payoff rows, contexts, recipient counts and event details."""
+    def finalize(self, fetch: Callable[[Iterable[int]], dict[int, TransferEvent]]) -> None:
+        """The payoff rows, contexts, recipient counts and event details;
+        ``fetch`` gives the events at stream positions, and is called once,
+        for the anchors that the rows and contexts cite."""
         anchors, labels, detail_ev = self.anchors, self.labels, self.detail_ev
         ctx_map, pair_ev, cands = self.ctx_map, self.pair_ev, self.cands
-        self.fold_anchors({victim for victim, _, _ in ctx_map} | {detail_ev[k].from_addr for k in cands})
 
         def label_anchor(anchor: TransferEvent) -> TransferEvent:
             detail_ev.setdefault(anchor.key, anchor)
@@ -678,19 +674,28 @@ class _Scan:
         for (victim, ref, look) in ctx_map:
             pair_refs.setdefault((victim, look), set()).add(ref)
 
-        rows = self.rows = []
+        # each row's event, evidence, refs and anchor position, in stream order
+        picks = []
         for key in sorted(cands, key=lambda k: detail_ev[k].order):
             ev = detail_ev[key]
+            evidence = pair_ev.get(ev.from_addr, {}).get(ev.to_addr, {})
+            if not cands[key] and not any(o < ev.order for o in evidence.values()):
+                continue
+            refs = cands[key] | pair_refs.get((ev.from_addr, ev.to_addr), set())
+            victim_anchors = anchors.get(ev.from_addr, {})
+            positions = [victim_anchors[r] for r in refs if r in victim_anchors]
+            picks.append((ev, evidence, refs, min(positions) if positions else None))
+        fetched = fetch(
+            {pos for *_, pos in picks if pos is not None} | {anchors[v][r] for v, r, _ in ctx_map}
+        )
+
+        rows = self.rows = []
+        for ev, evidence, refs, pos in picks:
+            key = ev.key
             victim = ev.from_addr
             look = ev.to_addr
             ev_order = ev.order
-            evidence = pair_ev.get(victim, {}).get(look, {})
-            if not cands[key] and not any(o < ev_order for o in evidence.values()):
-                continue
-            refs = cands[key] | pair_refs.get((victim, look), set())
-            victim_anchors = anchors.get(victim, {})
-            anchor_events = [victim_anchors[r] for r in refs if r in victim_anchors]
-            anchor = label_anchor(min(anchor_events, key=lambda t: t.order)) if anchor_events else None
+            anchor = label_anchor(fetched[pos]) if pos is not None else None
             a_order = anchor.order if anchor is not None else ev_order  # no anchor, no evidence
             picked = sorted((k for k, o in evidence.items() if a_order < o < ev_order), key=evidence.get)
             confirmed = bool(picked)
@@ -722,7 +727,7 @@ class _Scan:
         contexts = self.contexts = []
         for (victim, ref, look) in sorted(ctx_map):
             ctx = ctx_map[(victim, ref, look)]
-            anchor = label_anchor(anchors[victim][ref])
+            anchor = label_anchor(fetched[anchors[victim][ref]])
             evidence = sorted(ctx["evidence"], key=ctx["evidence"].get)
             contexts.append(
                 AttackContext(
@@ -794,8 +799,6 @@ class _Scan:
                     continue
             if (
                 row.intended is not None
-                and look not in self.active
-                and look not in self.keyed
                 and look not in self.spenders
                 and positional_matches(look, row.intended) > self.config.typo_match_bound
             ):
@@ -852,7 +855,16 @@ def scan(
 
     ``events`` pass through ``ingest.ordered`` as they are consumed, so a
     stream out of order raises the OrderingError that ``validate_stream``
-    gives for it, ``<stream>:N: ...`` with N counted from 1.
+    gives for it, ``<stream>:N: ...`` with N counted from 1. A reader from
+    ``iter_events`` that has not yielded an event yet has run that check
+    itself, and raises it as ``path:line: ...``.
+
+    The pass holds no event but those it labels and the payoff candidates;
+    each pair's first trigger is kept as its stream position, and the
+    anchors that the report cites are read back after the pass: from a
+    sequence by index, and from such a reader by reading its file again,
+    which must not have changed since the pass. Any other iterable, a
+    one-shot iterator included, is first made into a list.
 
     With ``history``, each unconfirmed payoff is re-checked against the
     victim's entire history: any authentic-token tiny transfer (not just
@@ -871,11 +883,22 @@ def scan(
     """
     if history is events and iter(events) is events:
         raise ValueError("history must not be the iterator given as events, which the pass uses up")
+    if isinstance(events, EventReader) and events.stamp is None:
+        stream, fetch = events, events.fetch
+    else:
+        if not isinstance(events, Sequence):
+            events = list(events)
+        stream = ordered(enumerate(events, start=1), "<stream>")
+        fetch = partial(_at, events)
     state = _Scan(config, registry, prices)
-    state.run(events)
-    state.finalize()
+    state.run(stream)
+    state.finalize(fetch)
     state.upgrade(history)
     return state.report()
+
+
+def _at(events: Sequence[TransferEvent], positions: Iterable[int]) -> dict[int, TransferEvent]:
+    return {pos: events[pos] for pos in positions}
 
 
 def birthday_filter(report: DetectionReport, config: ChainConfig) -> DetectionReport:

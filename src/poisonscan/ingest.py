@@ -7,7 +7,9 @@ one uninterrupted run, so a bad line surfaces with its ``path:line``.
 ``ordered`` is the one implementation of that ordering contract:
 ``iter_events`` runs it over a file's lines, ``validate_stream`` and
 ``scan`` over an in-memory stream, and ``increasing``, its order rule
-alone, serves ``scan``'s history walk.
+alone, serves ``scan``'s history walk. ``scan`` does not run it again over
+a reader that ``iter_events`` returned, and after its pass it reads the
+few events it reports back through that reader's ``fetch``.
 
 ``iter_events`` checks every line on one path, built for speed because
 it runs once per event:
@@ -33,7 +35,9 @@ from __future__ import annotations
 
 import csv
 import json
-from collections.abc import Iterable, Iterator
+import os
+from collections.abc import Callable, Iterable, Iterator
+from itertools import islice
 from json.scanner import make_scanner
 from pathlib import Path
 
@@ -137,7 +141,9 @@ def _parse_tx(raw, intern: dict[str, str], path: str, line: int) -> TransactionR
     return TransactionRecord(initiator=initiator, target=target, gas_used=gas_used, gas_price=gas_price)
 
 
-def ordered(numbered: Iterable[tuple[int, TransferEvent]], name: str) -> Iterator[TransferEvent]:
+def ordered(
+    numbered: Iterable[tuple[int, TransferEvent]], name: str, *, compact: bool = False
+) -> Iterator[TransferEvent]:
     """Yield the events of ``(where, event)`` pairs, checking stream order.
 
     Blocks must be non-decreasing, log indices strictly increasing within
@@ -147,12 +153,23 @@ def ordered(numbered: Iterable[tuple[int, TransferEvent]], name: str) -> Iterato
     downstream relies on the last rule, and it also makes every
     ``(tx_hash, log_index)`` pair unique.  The first violation raises
     OrderingError as ``name:where: ...``.
+
+    The closed transactions are the only state that grows with the stream.
+    With ``compact``, for a stream whose events are not kept, a hash of
+    ``0x`` and 64 lowercase hex digits is kept as its int, about half the
+    size of the string, and any other spelling as it is: int(h, 16) alone
+    would also take ``_``, whitespace, upper case and non-ASCII digits, and
+    so merge distinct spellings, while the round trip through bytes admits
+    one spelling of each int. Without it the strings are kept, which the
+    events hold anyway.
     """
     # the state lives in locals: this runs once per event on every path
     prev_block = -1
     prev_log = -1
     current_tx: str | None = None
-    closed_txs: set[str] = set()
+    current_key: int | str | None = None
+    closed_txs: set[int | str] = set()
+    fromhex, from_bytes = bytes.fromhex, int.from_bytes
     for where, event in numbered:
         block = event.block_number
         if block != prev_block:
@@ -160,7 +177,7 @@ def ordered(numbered: Iterable[tuple[int, TransferEvent]], name: str) -> Iterato
                 raise OrderingError(f"{name}:{where}: block {block} after block {prev_block}")
             prev_block = block
             if current_tx is not None:
-                closed_txs.add(current_tx)
+                closed_txs.add(current_key)
                 current_tx = None
         elif event.log_index <= prev_log:
             raise OrderingError(
@@ -169,13 +186,23 @@ def ordered(numbered: Iterable[tuple[int, TransferEvent]], name: str) -> Iterato
         prev_log = event.log_index
         tx_hash = event.tx_hash
         if tx_hash != current_tx:
-            if tx_hash in closed_txs:
+            key = tx_hash
+            if compact and len(tx_hash) == 66 and tx_hash[:2] == "0x":
+                digits = tx_hash[2:]
+                try:
+                    raw = fromhex(digits)
+                    if raw.hex() == digits:
+                        key = from_bytes(raw, "big")
+                except ValueError:
+                    pass
+            if key in closed_txs:
                 raise OrderingError(
                     f"{name}:{where}: transaction {tx_hash} is not contiguous (block {block})"
                 )
             if current_tx is not None:
-                closed_txs.add(current_tx)
+                closed_txs.add(current_key)
             current_tx = tx_hash
+            current_key = key
         yield event
 
 
@@ -194,90 +221,163 @@ def increasing(numbered: Iterable[tuple[int, TransferEvent]], name: str) -> Iter
         yield event
 
 
-def iter_events(path: str | Path) -> Iterator[TransferEvent]:
+def iter_events(path: str | Path, progress: Callable[[int], None] | None = None) -> EventReader:
     """Yield validated events from a JSON Lines file in stream order; the
-    file is opened on the first ``next()``."""
-    path = Path(path)
-    return ordered(_parse(path), str(path))
+    file is opened on the first ``next()``. With ``progress``, the events
+    are read a batch at a time and ``progress`` is called with the size of
+    each batch. The ``EventReader`` returned can also read events again by
+    stream position once they have been read."""
+    return EventReader(Path(path), progress)
 
 
-def _parse(path: Path) -> Iterator[tuple[int, TransferEvent]]:
-    """Yield ``(line number, event)`` for each line of an event file,
-    with every field checked; ``ordered`` checks the order."""
-    name = str(path)
+class EventReader:
+    """The iterator over an event file that ``iter_events`` returns, which
+    can also read some of its events again once they have been read.
+
+    ``fetch`` takes stream positions, counted from 0 over the file's events
+    (its non-blank lines), and parses only those lines, through the same
+    checks. It first checks that the file's size and modification time
+    are still those of the read, and raises ParseError otherwise: the file
+    must not change while it is in use.
+    """
+
+    def __init__(self, path: Path, progress: Callable[[int], None] | None = None) -> None:
+        self.path = path
+        self.progress = progress
+        # (size, mtime) of the open file; None until the first next()
+        self.stamp: tuple[int, int] | None = None
+        self._events = self._read()
+
+    def __iter__(self) -> EventReader:
+        return self
+
+    def __next__(self) -> TransferEvent:
+        return next(self._events)
+
+    def _read(self) -> Iterator[TransferEvent]:
+        name = str(self.path)
+        with self.path.open("r", encoding="utf-8") as handle:
+            self.stamp = _stamp(handle)
+            events = ordered(_parse(name, enumerate(handle, start=1)), name, compact=True)
+            if self.progress is None:
+                yield from events
+            else:
+                # the parser and its consumer each run faster over a batch
+                # than when they alternate on every event
+                while batch := list(islice(events, 4096)):
+                    self.progress(len(batch))
+                    yield from batch
+
+    def fetch(self, positions: Iterable[int]) -> dict[int, TransferEvent]:
+        """The events at ``positions``, by position, read again from the file."""
+        wanted = sorted(set(positions))
+        name = str(self.path)
+        with self.path.open("r", encoding="utf-8") as handle:
+            if self.stamp is None or _stamp(handle) != self.stamp:
+                raise ParseError("the file changed after it was read", path=name)
+            events = _parse(name, _lines_at(handle, wanted))
+            found = {position: event for position, (_, event) in zip(wanted, events)}
+        if len(found) < len(wanted):
+            raise ParseError("the file changed after it was read", path=name)
+        return found
+
+
+def _stamp(handle) -> tuple[int, int]:
+    st = os.fstat(handle.fileno())
+    return st.st_size, st.st_mtime_ns
+
+
+def _lines_at(handle, positions: list[int]) -> Iterator[tuple[int, str]]:
+    """``(line number, line)`` of the non-blank lines at the increasing
+    ``positions``, counted from 0; reading stops after the last."""
+    wanted = iter(positions)
+    want = next(wanted, None)
+    position = 0
+    for line_no, raw in enumerate(handle, start=1):
+        if want is None:
+            return
+        if not raw.isspace():
+            if position == want:
+                yield line_no, raw
+                want = next(wanted, None)
+            position += 1
+
+
+def _parse(name: str, lines: Iterable[tuple[int, str]]) -> Iterator[tuple[int, TransferEvent]]:
+    """Yield ``(line number, event)`` for each of the numbered lines of an
+    event file, with every field checked; ``ordered`` checks the order."""
     scan_once = make_scanner(json.JSONDecoder())
     intern: dict[str, str] = {}
     new = object.__new__
     set_chain, set_block, set_time, set_hash, set_log, set_token, set_from, set_to, set_value, set_tx = _SETTERS
-    with path.open("r", encoding="utf-8") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            # StopIteration: no value at offset 0; JSONDecodeError is a ValueError
-            try:
-                obj, end = scan_once(raw, 0)
-            except (StopIteration, ValueError):
-                end = -1
-            if end != len(raw):
-                # the scanner keeps the last value of a repeated key, and so
-                # must the message of a line it rejects
-                obj = parse_json(raw, name, line_no, distinct_keys=False)
-            if type(obj) is not dict:
-                raise ParseError("each line must be a JSON object", path=name, line=line_no)
-            get = obj.get
-            tx_hash = get("tx_hash")
-            if type(tx_hash) is not str or not tx_hash.startswith("0x"):
-                raise ParseError(
-                    f"field 'tx_hash' must be a 0x-prefixed string, got {tx_hash!r}", path=name, line=line_no
-                )
-            chain_id = get("chain_id")
-            if type(chain_id) is not int or chain_id < 1:
-                raise _int_error(obj, "chain_id", name, line_no)
-            block = get("block_number")
-            if type(block) is not int or block < 0:
-                raise _int_error(obj, "block_number", name, line_no)
-            timestamp = get("timestamp")
-            if type(timestamp) is not int or timestamp < 0:
-                raise _int_error(obj, "timestamp", name, line_no)
-            log_index = get("log_index")
-            if type(log_index) is not int or log_index < 0:
-                raise _int_error(obj, "log_index", name, line_no)
-            # _intern's cache lookup, inlined; a miss repeats it there
-            token = get("token")
-            token = intern.get(token) if type(token) is str else None
-            if token is None:
-                token = _intern(obj, "token", intern, name, line_no)
-            frm = get("from")
-            frm = intern.get(frm) if type(frm) is str else None
-            if frm is None:
-                frm = _intern(obj, "from", intern, name, line_no)
-            to = get("to")
-            to = intern.get(to) if type(to) is str else None
-            if to is None:
-                to = _intern(obj, "to", intern, name, line_no)
-            value = get("value")
-            # isdigit alone admits non-ASCII digits such as "²" or "١"; past
-            # MAX_VALUE's 78 digits only a zero-padded string is in range
-            if type(value) is str and value.isascii() and value.isdigit() and len(value) <= 78:
-                value = int(value)
-            if type(value) is not int or not 0 <= value <= MAX_VALUE:
-                value = _slow_value(get("value"), name, line_no)
-            tx = get("tx")
-            if tx is not None:
-                tx = _parse_tx(tx, intern, name, line_no)
-            event = new(TransferEvent)
-            set_chain(event, chain_id)
-            set_block(event, block)
-            set_time(event, timestamp)
-            set_hash(event, tx_hash.lower())
-            set_log(event, log_index)
-            set_token(event, token)
-            set_from(event, frm)
-            set_to(event, to)
-            set_value(event, value)
-            set_tx(event, tx)
-            yield line_no, event
+    for line_no, raw in lines:
+        raw = raw.strip()
+        if not raw:
+            continue
+        # StopIteration: no value at offset 0; JSONDecodeError is a ValueError
+        try:
+            obj, end = scan_once(raw, 0)
+        except (StopIteration, ValueError):
+            end = -1
+        if end != len(raw):
+            # the scanner keeps the last value of a repeated key, and so
+            # must the message of a line it rejects
+            obj = parse_json(raw, name, line_no, distinct_keys=False)
+        if type(obj) is not dict:
+            raise ParseError("each line must be a JSON object", path=name, line=line_no)
+        get = obj.get
+        tx_hash = get("tx_hash")
+        if type(tx_hash) is not str or not tx_hash.startswith("0x"):
+            raise ParseError(
+                f"field 'tx_hash' must be a 0x-prefixed string, got {tx_hash!r}", path=name, line=line_no
+            )
+        chain_id = get("chain_id")
+        if type(chain_id) is not int or chain_id < 1:
+            raise _int_error(obj, "chain_id", name, line_no)
+        block = get("block_number")
+        if type(block) is not int or block < 0:
+            raise _int_error(obj, "block_number", name, line_no)
+        timestamp = get("timestamp")
+        if type(timestamp) is not int or timestamp < 0:
+            raise _int_error(obj, "timestamp", name, line_no)
+        log_index = get("log_index")
+        if type(log_index) is not int or log_index < 0:
+            raise _int_error(obj, "log_index", name, line_no)
+        # _intern's cache lookup, inlined; a miss repeats it there
+        token = get("token")
+        token = intern.get(token) if type(token) is str else None
+        if token is None:
+            token = _intern(obj, "token", intern, name, line_no)
+        frm = get("from")
+        frm = intern.get(frm) if type(frm) is str else None
+        if frm is None:
+            frm = _intern(obj, "from", intern, name, line_no)
+        to = get("to")
+        to = intern.get(to) if type(to) is str else None
+        if to is None:
+            to = _intern(obj, "to", intern, name, line_no)
+        value = get("value")
+        # isdigit alone admits non-ASCII digits such as "²" or "١"; past
+        # MAX_VALUE's 78 digits only a zero-padded string is in range
+        if type(value) is str and value.isascii() and value.isdigit() and len(value) <= 78:
+            value = int(value)
+        if type(value) is not int or not 0 <= value <= MAX_VALUE:
+            value = _slow_value(get("value"), name, line_no)
+        tx = get("tx")
+        if tx is not None:
+            tx = _parse_tx(tx, intern, name, line_no)
+        event = new(TransferEvent)
+        set_chain(event, chain_id)
+        set_block(event, block)
+        set_time(event, timestamp)
+        set_hash(event, tx_hash.lower())
+        set_log(event, log_index)
+        set_token(event, token)
+        set_from(event, frm)
+        set_to(event, to)
+        set_value(event, value)
+        set_tx(event, tx)
+        yield line_no, event
 
 
 def validate_stream(events: Iterable[TransferEvent], name: str = "<stream>") -> int:

@@ -41,6 +41,13 @@ def lookalike(intended: str, a: int, b: int) -> str:
     return "0x" + digits[:a] + filler * (40 - a - b) + digits[40 - b :]
 
 
+def typo_of(intended: str) -> str:
+    """``intended`` with one digit changed: a typo, not a lookalike."""
+    digits = list(intended[2:])
+    digits[17] = "0" if digits[17] != "0" else "1"
+    return "0x" + "".join(digits)
+
+
 def make_registry() -> TokenRegistry:
     return TokenRegistry(
         [

@@ -369,6 +369,19 @@ SHAPE_INPUTS = {
         "clusters.json", '{"sets": [], "groups": [], "schema": "x", "bot_threshold": 0.5}',
         "field 'schema' must be an integer", HUGE_INPUTS["clusters"][3],
     ),
+    # a file of another format version, or a threshold no run could have
+    # used, was once read as this version's
+    "clusters-schema-other": (
+        "clusters.json", '{"sets": [], "groups": [], "schema": 99, "bot_threshold": 0.5}',
+        "schema 99 is not this version's 1", HUGE_INPUTS["clusters"][3],
+    ),
+    **{
+        f"clusters-threshold-{name}": (
+            "clusters.json", f'{{"sets": [], "groups": [], "schema": 1, "bot_threshold": {value}}}',
+            f"bot_threshold must be in [0, 1], got {shown}", HUGE_INPUTS["clusters"][3],
+        )
+        for name, value, shown in (("nan", "NaN", "nan"), ("infinity", "Infinity", "inf"), ("above-one", "1.5", "1.5"))
+    },
     # a bad address in a small input file names the file and its line
     "verified-address": (
         "verified.txt", f"{EVENT['to']}\n\n0xzz", "verified.txt:3",

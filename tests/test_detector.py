@@ -55,6 +55,7 @@ from helpers import (
     REPORT_JSON_SHA256,
     report_bytes,
     rich_spec,
+    typo_of,
 )
 
 
@@ -742,14 +743,37 @@ def test_history_read_lazily_is_not_retained(tmp_path):
     assert scan_peak - read_peak < held / 4, (scan_peak, read_peak, list_peak)
 
 
+def test_file_scan_keeps_pairs_not_events(tmp_path):
+    # a stream four windows long: scan keeps each pair's first trigger as a
+    # stream position and reads the few anchors it reports back from the
+    # file, so what it holds above a bare read is well under the events'
+    # own size. Keeping every first trigger as an event held 1.46 times
+    # that size here; this asks for under half of it.
+    events, registry, prices, config = benign_stream(4000, n_users=1000, seed=1, events_per_block=10)
+    path = tmp_path / "events.jsonl"
+    write_events(path, events)
+    want = scan(events, config, registry, prices)
+    del events
+
+    def traced_peak(work):
+        tracemalloc.start()
+        try:
+            result = work()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    _, read_peak = traced_peak(lambda: sum(1 for _ in iter_events(path)))
+    _, list_peak = traced_peak(lambda: list(iter_events(path)))
+    got, scan_peak = traced_peak(lambda: scan(iter_events(path), config, registry, prices))
+    assert report_bytes(got) == report_bytes(want)
+    assert got.labels
+    held = list_peak - read_peak
+    assert scan_peak - read_peak < 0.7 * held, (scan_peak, read_peak, list_peak)
+
+
 # ---------------------------------------------------------------------------
 # accidental transfers
-
-
-def typo_of(intended: str) -> str:
-    digits = list(intended[2:])
-    digits[17] = "0" if digits[17] != "0" else "1"
-    return "0x" + "".join(digits)
 
 
 def test_typo_payment_flagged_accidental():
@@ -778,6 +802,22 @@ def test_spender_is_not_accidental():
         flagged = scan(events, ChainConfig(chain_id=1), make_registry(), make_prices())
         assert flagged.accidental == frozenset()
         assert flagged.labels[events[1].key] == Label.PAYOFF_UNCONFIRMED
+
+
+def test_spender_whose_refs_expired_is_not_accidental():
+    # the typo address paid in stablecoin long before, so its window entry
+    # is gone by the payment; it is still a spender
+    typo = typo_of(R1)
+    sb = StreamBuilder()
+    sb.add(10, typo, V2, STABLE, 100_000_000)
+    sb.add(100, V1, R1, STABLE, 50_000_000)
+    sb.add(103, V1, typo, STABLE, 300_000_000)
+    events = sb.events()
+    config = ChainConfig(chain_id=1, window_blocks=5)
+    flagged = scan(events, config, make_registry(), make_prices())
+    assert flagged.accidental == frozenset()
+    assert flagged.labels[events[2].key] == Label.PAYOFF_UNCONFIRMED
+    assert reference_detect(events, config, make_registry(), make_prices()).accidental == frozenset()
 
 
 def test_attack_range_similarity_is_not_accidental():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import json
+import os
 import re
 from pathlib import Path
 
@@ -244,6 +245,57 @@ def test_empty_lines_are_skipped(tmp_path):
     path = tmp_path / "events.jsonl"
     path.write_text(json.dumps(row(1, 0)) + "\n\n" + json.dumps(row(2, 0, "01")) + "\n")
     assert len(list(iter_events(path))) == 2
+
+
+def test_fetch_reads_events_again_by_stream_position(tmp_path):
+    # positions count the events, so blank lines do not shift them
+    path = tmp_path / "events.jsonl"
+    lines = ["", json.dumps(row(1, 0)), " \t", json.dumps(row(1, 1, "01")), json.dumps(row(2, 0, "02")), ""]
+    path.write_text("\n".join(lines + [json.dumps(row(3, 0, "03"))]) + "\n")
+    reader = iter_events(path)
+    events = list(reader)
+    assert len(events) == 4
+    fetched = reader.fetch([3, 0, 2, 0])
+    assert fetched == {0: events[0], 2: events[2], 3: events[3]}
+    assert all(type(e) is TransferEvent for e in fetched.values())
+    assert reader.fetch([]) == {}
+
+
+def grow(path: Path) -> None:
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write("\n")
+
+
+def touch(path: Path) -> None:
+    # the same bytes, written again a second later
+    st = path.stat()
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+
+
+@pytest.mark.parametrize("change", [grow, touch])
+def test_fetch_refuses_a_file_changed_after_the_read(tmp_path, change):
+    path = tmp_path / "events.jsonl"
+    write_events(path, [make_event(1, 0), make_event(2, 0, tx_suffix="01")])
+    reader = iter_events(path)
+    assert len(list(reader)) == 2
+    change(path)
+    with pytest.raises(ParseError, match="changed after it was read") as exc:
+        reader.fetch([1])
+    assert exc.value.path == str(path)
+
+
+def test_closed_transactions_keep_distinct_spellings_apart(tmp_path):
+    # "0x" and 64 hex digits is kept as its int; 0x1 and a hash with an
+    # underscore have the same int but are other transactions
+    one = "0x" + "0" * 63 + "1"
+    hashes = [one, "0x1", "0x" + "0" * 62 + "_1", "0x" + "0" * 62 + " 1"]
+    rows = [{**row(block, 0), "tx_hash": h} for block, h in enumerate(hashes, 1)]
+    path = tmp_path / "events.jsonl"
+    write_raw(path, rows)
+    assert [e.tx_hash for e in iter_events(path)] == hashes
+    write_raw(path, rows + [{**row(9, 0), "tx_hash": one}])
+    with pytest.raises(OrderingError, match=f":5: transaction {one} is not contiguous"):
+        list(iter_events(path))
 
 
 # ---------------------------------------------------------------------------
