@@ -266,8 +266,8 @@ def _scan_pipeline(args):
     prices = _load_prices(args.prices, config, registry)
     events = iter_events(args.events, progress=_Progress("scan").update)
     if args.history == args.events:
-        # a history that is the events file itself is parsed once
-        events = history = list(events)
+        # the events file as its own history: one reader, which scan lists
+        history = events
     else:
         # scan reads a separate history lazily, after its pass
         history = iter_events(args.history) if args.history else None

@@ -15,8 +15,8 @@ pair's first trigger anchors confirmation and the shared-transaction path;
 the pass keeps it as a stream position, written when the pair enters the
 window, so that the events themselves are not held. Finalize fetches the
 few anchor events it reports in one read, then builds the payoff rows,
-contexts and event details. The history walk, in strictly increasing
-(block, log index), upgrades unconfirmed rows; the typo rule flags payments
+contexts and event details. The history walk, over a history in stream
+order, upgrades unconfirmed rows; the typo rule flags payments
 to addresses that never spent an authentic token in the stream.
 birthday_filter() then runs on the finished report.
 
@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 from decimal import Decimal
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     ChainConfig,
@@ -65,7 +65,7 @@ from .core import (
     usd_amount,
     write_record,
 )
-from .ingest import EventReader, increasing, ordered
+from .ingest import EventReader, ordered
 from .similarity import (
     birthday_collision_prob,
     osa_distance,
@@ -658,10 +658,10 @@ class _Scan:
             "collected_sibling": n_sibling,
         }
 
-    def finalize(self, fetch: Callable[[Iterable[int]], dict[int, TransferEvent]]) -> None:
-        """The payoff rows, contexts, recipient counts and event details;
-        ``fetch`` gives the events at stream positions, and is called once,
-        for the anchors that the rows and contexts cite."""
+    def finalize(self, events: Sequence[TransferEvent] | EventReader) -> None:
+        """The payoff rows, contexts, recipient counts and event details.
+        ``events`` are those of the pass, a sequence or a reader, from which
+        the anchors that the rows and contexts cite are read in one call."""
         anchors, labels, detail_ev = self.anchors, self.labels, self.detail_ev
         ctx_map, pair_ev, cands = self.ctx_map, self.pair_ev, self.cands
 
@@ -685,9 +685,15 @@ class _Scan:
             victim_anchors = anchors.get(ev.from_addr, {})
             positions = [victim_anchors[r] for r in refs if r in victim_anchors]
             picks.append((ev, evidence, refs, min(positions) if positions else None))
-        fetched = fetch(
-            {pos for *_, pos in picks if pos is not None} | {anchors[v][r] for v, r, _ in ctx_map}
-        )
+        wanted = {pos for *_, pos in picks if pos is not None} | {anchors[v][r] for v, r, _ in ctx_map}
+        if isinstance(events, EventReader):
+            fetched = events.fetch(wanted)
+            # a file edited in place may keep its size and mtime: each event
+            # read again must be of the pair whose anchor named its position
+            if any(anchors.get(ev.from_addr, {}).get(ev.to_addr) != pos for pos, ev in fetched.items()):
+                raise ParseError("the file changed after it was read", path=events.path)
+        else:
+            fetched = {pos: events[pos] for pos in wanted}
 
         rows = self.rows = []
         for ev, evidence, refs, pos in picks:
@@ -751,7 +757,8 @@ class _Scan:
         self.details = {key: self.detail(detail_ev[key], label) for key, label in labels.items()}
 
     def upgrade(self, history: Iterable[TransferEvent] | None) -> None:
-        """The history walk, then the typo rule, over the unconfirmed rows."""
+        """The history walk, then the typo rule, over the unconfirmed rows;
+        ``history`` is checked for order already, or as it is consumed."""
         chain = self.config.chain_id
         rows, labels, details = self.rows, self.labels, self.details
         # the history events that touch a lookalike of an unconfirmed anchored
@@ -760,7 +767,7 @@ class _Scan:
         involving: dict[str, list[TransferEvent]] = {}
         if history is not None:
             need = {r.lookalike for r in rows if not r.confirmed and r.anchor_key is not None}
-            for h in increasing(enumerate(history, start=1), "<history>"):
+            for h in history:
                 if h.chain_id != chain:
                     raise ConfigError(
                         f"history event chain_id {h.chain_id} does not match configured chain {chain}"
@@ -853,11 +860,12 @@ def scan(
     three phases over one ``_Scan``: the pass over ``events``, finalize, and
     the history walk with the typo rule.
 
-    ``events`` pass through ``ingest.ordered`` as they are consumed, so a
-    stream out of order raises the OrderingError that ``validate_stream``
-    gives for it, ``<stream>:N: ...`` with N counted from 1. A reader from
-    ``iter_events`` that has not yielded an event yet has run that check
-    itself, and raises it as ``path:line: ...``.
+    Both inputs are checked for order by one rule, once. A reader from
+    ``iter_events`` that has not yielded an event yet checks its file
+    itself, as ``path:line: ...``. Any other input passes through
+    ``ingest.ordered`` as it is consumed, and so raises the OrderingError
+    that ``validate_stream`` gives for it, as ``<stream>:N: ...`` or
+    ``<history>:N: ...`` with N counted from 1.
 
     The pass holds no event but those it labels and the payoff candidates;
     each pair's first trigger is kept as its stream position, and the
@@ -871,34 +879,30 @@ def scan(
     stablecoins), zero-value transfer, or counterfeit transfer binding
     (victim, lookalike) strictly between the intended transfer and the
     payoff confirms it. ``history`` is any iterable of events in stream
-    order, a one-shot iterator included (the one given as ``events``, which
-    the pass uses up, raises ValueError); it is walked once, in full,
+    order, a one-shot iterator included; it is walked once, in full,
     after the pass, and only the events that touch a lookalike of an
-    unconfirmed row are kept. Its ``(block_number, log_index)`` must
-    strictly increase, or the walk raises OrderingError as
-    ``<history>:N: ...``. A payoff still unconfirmed is flagged accidental
-    when its destination shares more than the configured positional bound
-    with the intended address and never sent an authentic positive-value
-    transfer in ``events``.
+    unconfirmed row are kept. ``history`` that is ``events``, the same
+    object, means that the events are the history: they are held once, as
+    a sequence (any other iterable made into a list, which a reader checks
+    as it lists it), and the walk does not check them again. A payoff
+    still unconfirmed is flagged accidental when its destination shares
+    more than the configured positional bound with the intended address
+    and never sent an authentic positive-value transfer in ``events``.
     """
-    if history is events and iter(events) is events:
-        raise ValueError("history must not be the iterator given as events, which the pass uses up")
-    if isinstance(events, EventReader) and events.stamp is None:
-        stream, fetch = events, events.fetch
-    else:
-        if not isinstance(events, Sequence):
-            events = list(events)
-        stream = ordered(enumerate(events, start=1), "<stream>")
-        fetch = partial(_at, events)
+    same = history is events
+    # a reader that has not started checks its whole file as it is read
+    trusted = isinstance(events, EventReader) and events.stamp is None
+    if not isinstance(events, Sequence) and (same or not trusted):
+        events = list(events)
     state = _Scan(config, registry, prices)
-    state.run(stream)
-    state.finalize(fetch)
+    state.run(events if trusted else ordered(enumerate(events, start=1), "<stream>"))
+    state.finalize(events)
+    if same:
+        history = events
+    elif history is not None and not (isinstance(history, EventReader) and history.stamp is None):
+        history = ordered(enumerate(history, start=1), "<history>")
     state.upgrade(history)
     return state.report()
-
-
-def _at(events: Sequence[TransferEvent], positions: Iterable[int]) -> dict[int, TransferEvent]:
-    return {pos: events[pos] for pos in positions}
 
 
 def birthday_filter(report: DetectionReport, config: ChainConfig) -> DetectionReport:

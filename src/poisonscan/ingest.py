@@ -4,12 +4,13 @@ Events live in JSON Lines files, one transfer per line, ordered by
 ``(block_number, log_index)``.  Reading validates each line as it is
 consumed: its fields, that order, and that each transaction's logs form
 one uninterrupted run, so a bad line surfaces with its ``path:line``.
-``ordered`` is the one implementation of that ordering contract:
-``iter_events`` runs it over a file's lines, ``validate_stream`` and
-``scan`` over an in-memory stream, and ``increasing``, its order rule
-alone, serves ``scan``'s history walk. ``scan`` does not run it again over
-a reader that ``iter_events`` returned, and after its pass it reads the
-few events it reports back through that reader's ``fetch``.
+``ordered`` is the one implementation of that ordering contract, and each
+event passes through it once: ``iter_events`` runs it over a file's lines,
+and ``validate_stream`` and ``scan`` over any other stream, ``scan``'s
+history included. ``scan`` does not run it again over a reader that
+``iter_events`` returned, and after its pass it reads the few events it
+reports back through that reader's ``fetch``; so a reader takes only a
+regular file, which can be read twice.
 
 ``iter_events`` checks every line on one path, built for speed because
 it runs once per event:
@@ -36,6 +37,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import stat
 from collections.abc import Callable, Iterable, Iterator
 from itertools import islice
 from json.scanner import make_scanner
@@ -206,21 +208,6 @@ def ordered(
         yield event
 
 
-def increasing(numbered: Iterable[tuple[int, TransferEvent]], name: str) -> Iterator[TransferEvent]:
-    """``ordered`` without its transaction rules, and so without the set of
-    closed transactions they keep: ``(block_number, log_index)`` must
-    strictly increase, and a violation raises ``ordered``'s message."""
-    prev_block = prev_log = -1
-    for where, event in numbered:
-        block, log = event.block_number, event.log_index
-        if block < prev_block:
-            raise OrderingError(f"{name}:{where}: block {block} after block {prev_block}")
-        if block == prev_block and log <= prev_log:
-            raise OrderingError(f"{name}:{where}: log index {log} after {prev_log} in block {block}")
-        prev_block, prev_log = block, log
-        yield event
-
-
 def iter_events(path: str | Path, progress: Callable[[int], None] | None = None) -> EventReader:
     """Yield validated events from a JSON Lines file in stream order; the
     file is opened on the first ``next()``. With ``progress``, the events
@@ -238,7 +225,9 @@ class EventReader:
     (its non-blank lines), and parses only those lines, through the same
     checks. It first checks that the file's size and modification time
     are still those of the read, and raises ParseError otherwise: the file
-    must not change while it is in use.
+    must not change while it is in use. A file that is not a regular file,
+    such as a pipe, cannot be read again, and the first ``next()`` refuses
+    it with ParseError.
     """
 
     def __init__(self, path: Path, progress: Callable[[int], None] | None = None) -> None:
@@ -257,6 +246,8 @@ class EventReader:
     def _read(self) -> Iterator[TransferEvent]:
         name = str(self.path)
         with self.path.open("r", encoding="utf-8") as handle:
+            if not stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                raise ParseError("not a regular file, so its events could not be read again", path=name)
             self.stamp = _stamp(handle)
             events = ordered(_parse(name, enumerate(handle, start=1)), name, compact=True)
             if self.progress is None:

@@ -895,6 +895,22 @@ def test_report_with_history_bytes_pinned(tmp_path, history):
     )
 
 
+@pytest.mark.parametrize("option", ["--events", "--history"])
+def test_piped_input_refused_when_opened(tmp_path, sim_dir, option):
+    # scan reads the events file again after its pass, and a pipe cannot be
+    # read twice: it is refused on opening, with its path and the reason
+    events = sim_dir / "events.jsonl"
+    inputs = {"--events": str(events), "--history": str(events), option: "/dev/stdin"}
+    argv = [sys.executable, "-m", "poisonscan.cli", "scan", "--config", str(sim_dir / "config.json")]
+    argv += [arg for item in inputs.items() for arg in item] + ["--out", str(tmp_path / "out")]
+    env = {**os.environ, "PYTHONPATH": str(Path(poisonscan.__file__).parents[1])}
+    proc = subprocess.run(
+        argv, input=events.read_bytes(), env=env, capture_output=True, timeout=120, check=False
+    )
+    assert proc.returncode == 1
+    assert "not a regular file, so its events could not be read again (/dev/stdin)" in proc.stderr.decode()
+
+
 def test_report_history_from_another_chain_exits_one(tmp_path, capsys):
     sim = tmp_path / "sim"
     generate(rich_spec(7)).write(sim)

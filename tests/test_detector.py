@@ -6,14 +6,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from datetime import date, timedelta
 from decimal import Decimal
 
 import pytest
 
+from poisonscan import detector, ingest
+from poisonscan.cli import run
 from poisonscan.core import (
     ChainConfig,
     ConfigError,
@@ -34,7 +38,7 @@ from poisonscan.detector import (
     scan,
     sensitivity_run,
 )
-from poisonscan.ingest import iter_events, validate_stream, write_events
+from poisonscan.ingest import EventReader, iter_events, validate_stream, write_events
 from poisonscan.scenario import benign_stream, generate, score_labels
 from poisonscan.similarity import positional_matches, score
 
@@ -611,12 +615,49 @@ def test_history_iterator_equals_list():
         assert hashlib.sha256(data).hexdigest() == REPORT_JSON_SHA256
 
 
-def test_one_iterator_as_events_and_history_rejected():
-    # the pass would use it up and leave the history walk nothing to read
+def test_one_iterator_as_events_and_history():
+    # the events are the history: scan lists the iterator once, and the
+    # history walk reads that list rather than the iterator the pass used up
     bundle = generate(rich_spec(7))
-    events = iter(bundle.events())
-    with pytest.raises(ValueError, match="history must not be the iterator given as events"):
-        scan(events, bundle.configs[1], bundle.registry, bundle.prices, history=events)
+    events = list(bundle.events())
+    config = bundle.configs[1]
+    want = scan(events, config, bundle.registry, bundle.prices, history=events)
+    assert any(p.via_history for p in want.payoffs)
+    one_shot = iter(events)
+    assert scan(one_shot, config, bundle.registry, bundle.prices, history=one_shot) == want
+
+
+def test_each_event_is_checked_for_order_once(tmp_path, monkeypatch):
+    # whether the events come as a list, a one-shot iterator, a reader or
+    # the CLI's --history naming --events, each passes through ordered once
+    bundle = generate(rich_spec(7))
+    bundle.write(tmp_path / "sim")
+    path = tmp_path / "sim" / "events.jsonl"
+    events = list(iter_events(path))
+    config = bundle.configs[1]
+    want = scan(events, config, bundle.registry, bundle.prices, history=events)
+    real = ingest.ordered
+    checked = Counter()
+
+    def counting(numbered, name, **kwargs):
+        for event in real(numbered, name, **kwargs):
+            checked[event.key] += 1
+            yield event
+
+    monkeypatch.setattr(ingest, "ordered", counting)
+    monkeypatch.setattr(detector, "ordered", counting)
+    one_shot = iter(events)
+    reader = iter_events(path)
+    for source in (events, one_shot, reader):
+        checked.clear()
+        assert scan(source, config, bundle.registry, bundle.prices, history=source) == want
+        assert checked == Counter(e.key for e in events)
+    checked.clear()
+    sim = tmp_path / "sim"
+    argv = ["scan", "--events", str(path), "--history", str(path), "--config", str(sim / "config.json")]
+    argv += ["--registry", str(sim / "registry.jsonl"), "--prices", str(sim / "prices.csv")]
+    assert run([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert checked == Counter(e.key for e in events)
 
 
 def test_history_from_another_chain_rejected():
@@ -636,6 +677,11 @@ def test_history_from_another_chain_rejected():
             lambda ev: [ev[0], replace(ev[0], tx_hash="0x" + "e" * 64)],
             "<history>:2: log index 0 after 0 in block 100",
             id="log-index",
+        ),
+        pytest.param(
+            lambda ev: [ev[0], replace(ev[1], block_number=100, log_index=1), replace(ev[0], log_index=2)],
+            f"<history>:3: transaction 0x{0:064x} is not contiguous (block 100)",
+            id="split-transaction",
         ),
     ],
 )
@@ -770,6 +816,39 @@ def test_file_scan_keeps_pairs_not_events(tmp_path):
     assert got.labels
     held = list_peak - read_peak
     assert scan_peak - read_peak < 0.7 * held, (scan_peak, read_peak, list_peak)
+
+
+def test_file_edited_in_place_after_the_pass_rejected(tmp_path, monkeypatch):
+    # two lines of equal length swapped and the mtime put back keep the
+    # file's size and mtime; the anchor read again is then another pair's
+    bundle = generate(rich_spec(7))
+    path = tmp_path / "events.jsonl"
+    write_events(path, bundle.events())
+    fetch = EventReader.fetch
+
+    def edit_then_fetch(reader, positions):
+        positions = sorted(set(positions))
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        first = positions[0]
+
+        def pair(i):
+            raw = json.loads(lines[i])
+            return raw["from"], raw["to"]
+
+        other = next(
+            i for i, line in enumerate(lines) if len(line) == len(lines[first]) and pair(i) != pair(first)
+        )
+        lines[first], lines[other] = lines[other], lines[first]
+        st = path.stat()
+        path.write_text("".join(lines), encoding="utf-8")
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+        assert reader.stamp == (path.stat().st_size, path.stat().st_mtime_ns)
+        return fetch(reader, positions)
+
+    monkeypatch.setattr(EventReader, "fetch", edit_then_fetch)
+    with pytest.raises(ParseError) as raised:
+        scan(iter_events(path), bundle.configs[1], bundle.registry, bundle.prices)
+    assert str(raised.value) == f"the file changed after it was read ({path})"
 
 
 # ---------------------------------------------------------------------------
