@@ -20,6 +20,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -265,8 +266,9 @@ def _scan_pipeline(args):
     registry = _load_registry(args.registry)
     prices = _load_prices(args.prices, config, registry)
     events = iter_events(args.events, progress=_Progress("scan").update)
-    if args.history == args.events:
-        # the events file as its own history: one reader, which scan lists
+    if args.history and os.path.samefile(args.history, args.events):
+        # the events file as its own history, under any spelling or link:
+        # one reader, which scan lists
         history = events
     else:
         # scan reads a separate history lazily, after its pass

@@ -21,12 +21,14 @@ to addresses that never spent an authentic token in the stream.
 birthday_filter() then runs on the finished report.
 
 Each event probes its victim's active refs (its recent recipients) for a
-lookalike. A victim with fewer than IX_MIN active refs is walked: every ref
-that shares the lookalike's first or last digit is scored. From the block
-start after a walk finds a victim with IX_MIN or more, its refs live in a
-keyed form instead, indexed by their first max(a_min, 1) digits and by
-their last max(b_min, 1) digits, and an event scores only the union of the
-two buckets it keys to.
+lookalike, by one rule whether the victim sends or receives. The pass maps
+each victim to its refs in one of two forms. A plain dict is walked: every
+ref that shares the lookalike's first or last digit is scored. From the
+block start after a probe, on either side, finds a victim with IX_MIN or
+more refs, the same map holds them in a keyed form instead, indexed by
+their first max(a_min, 1) digits and by their last max(b_min, 1) digits,
+and an event scores only the union of the two buckets it keys to. A
+victim whose refs have all left the window leaves the map in either form.
 That is exact. A hit has a >= a_min and b >= b_min, and a >= 1 or b >= 1
 to be probed at all, so it shares one key. A near miss has a + b >= a_min +
 b_min with a < a_min or b < b_min; with a < a_min it has b > b_min, so it
@@ -332,9 +334,11 @@ class _Scan:
     matched; none when only ``pair_ev`` made it one) and ``counts``.
     ``spenders`` holds the senders of authentic positive-value transfers,
     which the typo rule reads. The window state stays in the pass: its
-    ``active`` (victim -> recipient -> last two trigger blocks) drops a
-    victim once its last recipient leaves the window, so that it follows
-    the window, not the stream.
+    ``active`` (victim -> recipient -> last two trigger blocks, as a plain
+    dict or, once a probe from either side met IX_MIN refs, a
+    ``_KeyedRefs``) drops a victim, in either form, once its last
+    recipient leaves the window, so that it follows the window, not the
+    stream.
     """
 
     def __init__(self, config: ChainConfig, registry: TokenRegistry, prices: PriceTable) -> None:
@@ -499,14 +503,28 @@ class _Scan:
                             if (ref[2] == l2 or ref[41] == l41) and ref != look and position < blk_pos:
                                 consider(ev, victim, look, ref, incoming, sibling=True)
 
-        def promote_victims() -> None:
-            # each promoted victim moves from active to keyed; its expiry
-            # entries name it, so they follow it there
-            for victim in promote:
-                plain = active.pop(victim, None)
-                if plain is not None:
-                    keyed[victim] = _KeyedRefs(plain, a_min, b_min, dirty)
-            promote.clear()
+        def probe(ev, refs, victim, look, incoming) -> None:
+            """Score ``look`` against the victim's eligible refs: a plain
+            dict is walked, and asks for the keyed form at the next block
+            start once it holds ix_min refs; a keyed form is probed
+            through its index."""
+            nonlocal n_probes
+            if refs.__class__ is dict:
+                if len(refs) >= ix_min:
+                    promote.append(victim)
+                l2, l41 = look[2], look[41]
+                for ref, lbs in refs.items():
+                    if (ref[2] == l2 or ref[41] == l41) and ref != look:
+                        # pruning keeps lb1 inside the window, so only the
+                        # same-block case needs the second trigger block
+                        lb1 = lbs[0]
+                        if lb1 < blk or (lb1 == blk and lbs[1] >= bound0):
+                            consider(ev, victim, look, ref, incoming, False)
+            else:
+                found, n = refs.probe(look)
+                n_probes += n - len(found)
+                for ref in found:
+                    consider(ev, victim, look, ref, incoming, False)
 
         # the open transaction is tx_head plus tx_more; it is re-walked by
         # expand_tx only when it has a direct poisoning and more than one log.
@@ -520,18 +538,12 @@ class _Scan:
         # bucket and first_lbs
         last_block = -1
         cur_tx: str | None = None
-        # a victim's refs live in active, or in keyed once a walk over it met
-        # ix_min or more; the check runs only on refs that pass the walk's
-        # one-digit test, and a victim not in active is looked up in keyed only
-        # when keyed is not empty, so small victims pay for neither
-        keyed = {}
         ix_min = IX_MIN
         # victims to key at the next block start, and keyed victims with refs
         # pending there
         promote: list[str] = []
         dirty: list[_KeyedRefs] = []
         active_get = active.get
-        keyed_get = keyed.get
         recent_append = recent.append
         recent_pop = recent.popleft
         spenders_add = spenders.add
@@ -558,13 +570,12 @@ class _Scan:
                         nb, expired = recent_pop()
                         for victim, r in zip(expired[::2], expired[1::2]):
                             # the victim holds r until r's last trigger block
-                            # expires; a plain dict goes with its last ref,
-                            # a keyed form stays with its index
-                            av = active_get(victim) or keyed[victim]
+                            # expires, and leaves active with its last ref
+                            av = active[victim]
                             cur = av[r]
                             if cur[0] == nb:
                                 del av[r]
-                                if not av and victim in active:
+                                if not av:
                                     del active[victim]
                             elif cur[1] == nb:
                                 av[r] = (cur[0], -1)
@@ -575,7 +586,12 @@ class _Scan:
                     recent_append((blk, bucket))
                     first_lbs = (blk, -1)  # shared by the block's new pairs
                     if promote:
-                        promote_victims()
+                        for victim in promote:
+                            refs = active_get(victim)
+                            # None once its refs expired, keyed if asked twice
+                            if refs.__class__ is dict:
+                                active[victim] = _KeyedRefs(refs, a_min, b_min, dirty)
+                        promote.clear()
             else:
                 tx_more.append(ev)
             if ev.chain_id != chain:
@@ -590,23 +606,7 @@ class _Scan:
 
             av_frm = active_get(frm)
             if av_frm:
-                l2, l41 = to[2], to[41]
-                for ref, lbs in av_frm.items():
-                    if (ref[2] == l2 or ref[41] == l41) and ref != to:
-                        if len(av_frm) >= ix_min:
-                            promote.append(frm)
-                        # pruning keeps lb1 inside the window, so only the
-                        # same-block case needs the second trigger block
-                        lb1 = lbs[0]
-                        if lb1 < blk or (lb1 == blk and lbs[1] >= bound0):
-                            consider(ev, frm, to, ref, incoming=False, sibling=False)
-            elif keyed:
-                av_frm = keyed_get(frm, av_frm)
-                if av_frm:
-                    refs, n = av_frm.probe(to)
-                    n_probes += n - len(refs)
-                    for ref in refs:
-                        consider(ev, frm, to, ref, incoming=False, sibling=False)
+                probe(ev, av_frm, frm, to, False)
 
             if ev.value > 0 and tok in auth_set:
                 if frm in pair_ev and to in pair_ev[frm]:
@@ -614,19 +614,7 @@ class _Scan:
                 if tok in stable_set:
                     av = active_get(to)
                     if av:
-                        l2, l41 = frm[2], frm[41]
-                        for ref, lbs in av.items():
-                            if (ref[2] == l2 or ref[41] == l41) and ref != frm:
-                                lb1 = lbs[0]
-                                if lb1 < blk or (lb1 == blk and lbs[1] >= bound0):
-                                    consider(ev, to, frm, ref, incoming=True, sibling=False)
-                    elif keyed:
-                        av = keyed_get(to)
-                        if av:
-                            refs, n = av.probe(frm)
-                            n_probes += n - len(refs)
-                            for ref in refs:
-                                consider(ev, to, frm, ref, incoming=True, sibling=False)
+                        probe(ev, av, to, frm, True)
                     n_triggers += 1
                     if av_frm is None:
                         active[frm] = av_frm = {}
@@ -907,7 +895,11 @@ def scan(
 
 def birthday_filter(report: DetectionReport, config: ChainConfig) -> DetectionReport:
     """Exclude victims whose counterparty count makes a coincidental
-    lookalike collision likelier than the configured threshold."""
+    lookalike collision likelier than the configured threshold.
+
+    Exclusion removes their findings only from ``headline_counts`` (through
+    ``quarantined_keys``); the report keeps them, and the finding layers,
+    from ``build_transfer_sets`` on, still see them."""
     digits = config.a_min + config.b_min
     excluded: dict[str, float] = {}
     for victim in sorted(report.victim_recipients):

@@ -18,6 +18,7 @@ import pytest
 
 from poisonscan import detector, ingest
 from poisonscan.cli import run
+from poisonscan.clustering import build_transfer_sets
 from poisonscan.core import (
     ChainConfig,
     ConfigError,
@@ -629,7 +630,8 @@ def test_one_iterator_as_events_and_history():
 
 def test_each_event_is_checked_for_order_once(tmp_path, monkeypatch):
     # whether the events come as a list, a one-shot iterator, a reader or
-    # the CLI's --history naming --events, each passes through ordered once
+    # the CLI's --history naming the --events file under any spelling or
+    # through a symlink, each passes through ordered once
     bundle = generate(rich_spec(7))
     bundle.write(tmp_path / "sim")
     path = tmp_path / "sim" / "events.jsonl"
@@ -652,12 +654,14 @@ def test_each_event_is_checked_for_order_once(tmp_path, monkeypatch):
         checked.clear()
         assert scan(source, config, bundle.registry, bundle.prices, history=source) == want
         assert checked == Counter(e.key for e in events)
-    checked.clear()
-    sim = tmp_path / "sim"
-    argv = ["scan", "--events", str(path), "--history", str(path), "--config", str(sim / "config.json")]
-    argv += ["--registry", str(sim / "registry.jsonl"), "--prices", str(sim / "prices.csv")]
-    assert run([*argv, "--out", str(tmp_path / "out")]) == 0
-    assert checked == Counter(e.key for e in events)
+    (tmp_path / "link.jsonl").symlink_to(path)
+    monkeypatch.chdir(tmp_path)
+    argv = ["scan", "--events", "sim/events.jsonl", "--config", "sim/config.json"]
+    argv += ["--registry", "sim/registry.jsonl", "--prices", "sim/prices.csv"]
+    for i, history in enumerate(["sim/events.jsonl", "./sim/events.jsonl", "link.jsonl"]):
+        checked.clear()
+        assert run([*argv, "--history", history, "--out", f"out{i}"]) == 0
+        assert checked == Counter(e.key for e in events), history
 
 
 def test_history_from_another_chain_rejected():
@@ -945,6 +949,20 @@ def test_birthday_filter_excludes_heavy_victims():
     assert report.headline_counts()[Label.ZERO] == 2
     strict = birthday_filter(report, config.with_overrides(birthday_alpha=0.01))
     assert set(strict.excluded_victims) == {V1, V2}
+
+
+def test_exclusion_drops_findings_from_headline_counts_only():
+    # with every victim excluded, the headline counts are empty, yet the
+    # finding layers still see every finding
+    bundle = generate(rich_spec(7))
+    config = bundle.configs[1].with_overrides(birthday_alpha=1e-12)
+    report = scan(list(bundle.events()), config, bundle.registry, bundle.prices)
+    filtered = birthday_filter(report, config)
+    assert set(filtered.excluded_victims) == set(report.victim_recipients)
+    assert filtered.headline_counts() == {}
+    assert filtered.labels == report.labels
+    sets = build_transfer_sets(filtered)
+    assert sets and sets == build_transfer_sets(report)
 
 
 # ---------------------------------------------------------------------------

@@ -70,9 +70,10 @@ def run(monkeypatch):
 
 
 def both_ways(run, events, config, ix_min, **kwargs):
-    """The keyed report, after checking it against the walk's byte for byte."""
-    keyed, made, probed = run(events, config, ix_min, **kwargs)
+    """The keyed report, after checking it against the walk's byte for byte;
+    CountingRefs keeps the keyed run's counts, which runs last."""
     walked, _, _ = run(events, config, WALK, **kwargs)
+    keyed, made, probed = run(events, config, ix_min, **kwargs)
     assert made > 0 and probed > 0
     assert report_bytes(keyed) == report_bytes(walked)
     return keyed
@@ -246,6 +247,43 @@ def test_block_gap_expires_every_ref(run):
     report = both_ways(run, events, ChainConfig(chain_id=1, window_blocks=5), 2)
     tiny = {k for k, v in report.labels.items() if v == Label.TINY}
     assert tiny == {events[4].key, events[-1].key}
+
+
+def test_incoming_probe_keys_a_victim(run):
+    # V1 only receives after paying two accounts: the incoming probe at
+    # block 101 finds IX_MIN refs, so V1 is keyed from block 102
+    x1, x2 = accounts(2, 7, first="c")
+    sb = StreamBuilder()
+    sb.add(100, V1, x1, STABLE, 20_000_000)
+    sb.add(100, V1, x2, STABLE, 20_000_000)
+    sb.add(101, lookalike(x1, 3, 4), V1, STABLE, 5_000_000)
+    sb.add(102, lookalike(x2, 3, 4), V1, STABLE, 5_000_000)
+    events = sb.events()
+    report = both_ways(run, events, ChainConfig(chain_id=1), 2)
+    assert (CountingRefs.made, CountingRefs.probed) == (1, 1)
+    tiny = {k for k, v in report.labels.items() if v == Label.TINY}
+    assert tiny == {events[2].key, events[3].key}
+
+
+def test_emptied_keyed_victim_leaves_and_is_keyed_again(run):
+    # V1 is keyed from block 102; the gap to block 200 expires all its
+    # refs, so it leaves the window state, and the refs it gains there
+    # are walked at block 201 and keyed again from block 202
+    x1, x2, x3, x4 = accounts(4, 8, first="c")
+    sb = StreamBuilder()
+    sb.add(100, V1, x1, STABLE, 20_000_000)
+    sb.add(100, V1, x2, STABLE, 20_000_000)
+    sb.add(101, V1, lookalike(x1, 3, 4), STABLE, 0)
+    sb.add(102, V1, lookalike(x2, 3, 4), STABLE, 0)
+    sb.add(200, V1, x3, STABLE, 20_000_000)
+    sb.add(200, V1, x4, STABLE, 20_000_000)
+    sb.add(201, V1, lookalike(x3, 3, 4), STABLE, 0)
+    sb.add(202, V1, lookalike(x4, 3, 4), STABLE, 0)
+    events = sb.events()
+    report = both_ways(run, events, ChainConfig(chain_id=1, window_blocks=5), 2)
+    assert (CountingRefs.made, CountingRefs.probed) == (2, 2)
+    zero = {k for k, v in report.labels.items() if v == Label.ZERO}
+    assert zero == {events[i].key for i in (2, 3, 6, 7)}
 
 
 def test_lookalike_that_is_an_eligible_ref(run):
