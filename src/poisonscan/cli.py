@@ -2,8 +2,13 @@
 
 Subcommands cover the whole workflow: simulate a labeled scenario, scan a
 transfer stream for poisoning, cluster the findings into attack groups,
-compute group economics, score predictions against planted truth, search
-for lookalike addresses, and run the full report pipeline in one shot.
+compute group economics, score predictions against planted truth, and
+search for lookalike addresses. The scan, cluster and econ stages are each
+defined once, and ``report`` runs all three: its report.json, groups.csv,
+clusters.json, economics.csv and win_loss.csv are the bytes that scan,
+cluster (without --verified-contracts or --bytecode) and econ write on the
+same inputs. It adds success_ranks.json, similarity_cells.csv,
+most_imitated.csv and summary.json.
 
 Every output bundle carries a manifest.json recording the tool version,
 the subcommand, its options, and content hashes of the input files, so a
@@ -167,15 +172,17 @@ def _sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(outdir: Path, subcommand: str, inputs: dict, options: dict, seed=None) -> None:
-    paths = {name: str(path) for name, path in sorted(inputs.items()) if path is not None}
+def _write_manifest(outdir: Path, args, inputs: tuple[str, ...], options: dict, seed=None) -> None:
+    """manifest.json of the subcommand ``args`` ran, with the path and hash
+    of each input file given by the options named in ``inputs``."""
+    paths = {name: str(path) for name in sorted(inputs) if (path := getattr(args, name)) is not None}
     # one file named by two inputs, such as --history naming the events, is hashed once
     digests = {path: _sha256_file(path) for path in set(paths.values())}
     manifest = {
         "tool": "poisonscan",
         "version": __version__,
         "schema": SCHEMA_VERSION,
-        "subcommand": subcommand,
+        "subcommand": args.command,
         "seed": seed,
         "inputs": {name: {"path": path, "sha256": digests[path]} for name, path in paths.items()},
         "options": options,
@@ -232,7 +239,7 @@ def _emit(payload, out) -> None:
 
 
 # ---------------------------------------------------------------------------
-# shared input loading
+# shared input loading and the scan, cluster and econ stages
 
 
 def _load_config(args) -> ChainConfig:
@@ -259,9 +266,13 @@ def _load_prices(path, config: ChainConfig, registry: TokenRegistry) -> PriceTab
     return PriceTable.from_csv(path, parity_assets=parity)
 
 
-def _scan_pipeline(args):
-    """events file -> fully post-processed detection report, and the prices
-    it was scanned with."""
+# the scan options that name input files
+_SCAN_INPUTS = ("events", "config", "registry", "prices", "history")
+
+
+def _scan_stage(args):
+    """events file -> the fully post-processed detection report, the prices
+    it was scanned with, and the options its manifest records."""
     config = _load_config(args)
     registry = _load_registry(args.registry)
     prices = _load_prices(args.prices, config, registry)
@@ -274,18 +285,31 @@ def _scan_pipeline(args):
         # scan reads a separate history lazily, after its pass
         history = iter_events(args.history) if args.history else None
     report = scan(events, config, registry, prices, history=history)
-    return birthday_filter(report, config), prices
-
-
-def _scan_options(args) -> dict:
     tiny = args.tiny_threshold_usd
-    return {
+    options = {
         "window_blocks": args.window_blocks,
         "a_min": args.a_min,
         "b_min": args.b_min,
         "tiny_threshold_usd": None if tiny is None else str(tiny),
         "workers": args.workers,
     }
+    return birthday_filter(report, config), prices, options
+
+
+def _cluster_stage(report: DetectionReport, args, **known):
+    """The report's transfer sets and the groups they form at
+    --bot-threshold, with bots filtered by --accounts when given; ``known``
+    holds the verified contracts and bytecode ids that clustering uses."""
+    sets = build_transfer_sets(report)
+    history = load_account_history(args.accounts) if args.accounts else None
+    return sets, cluster(sets, args.bot_threshold, ratios=attack_ratio(sets, history), **known)
+
+
+def _econ_stage(report: DetectionReport, sets, groups, prices: PriceTable):
+    """Per-group economics, the competition records and their win-loss matrix."""
+    econ_rows = group_economics(groups, sets, report, prices)
+    records = build_competitions(report, sets, groups)
+    return econ_rows, records, win_loss_matrix(records)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +337,11 @@ def _read_clusters(path) -> Clusters:
     if not 0 <= clusters.bot_threshold <= 1:  # NaN fails this too
         raise ParseError(f"bot_threshold must be in [0, 1], got {clusters.bot_threshold}", path=path)
     return clusters
+
+
+def _write_clusters(outdir: Path, sets, groups, bot_threshold: float) -> None:
+    groups_to_csv(groups, outdir / "groups.csv")
+    write_record(outdir / "clusters.json", Clusters(sets, groups, SCHEMA_VERSION, bot_threshold), indented=True)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +372,11 @@ def _write_economics_csv(path: Path, econ_rows) -> None:
 def _write_win_loss_csv(path: Path, matrix) -> None:
     rows = [[a, b, repr(ratio)] for (a, b), ratio in sorted(matrix.items())]
     _write_csv(path, ["group_id", "other_group_id", "win_ratio"], rows)
+
+
+def _write_econ(outdir: Path, econ_rows, matrix) -> None:
+    _write_economics_csv(outdir / "economics.csv", econ_rows)
+    _write_win_loss_csv(outdir / "win_loss.csv", matrix)
 
 
 def _write_similarity_csv(path: Path, distribution) -> None:
@@ -378,28 +412,17 @@ def _cmd_simulate(args) -> int:
     bundle = generate(spec)
     outdir = _ensure_outdir(args.out)
     bundle.write(outdir)
-    _write_manifest(outdir, "simulate", inputs={"spec": args.spec}, options={}, seed=spec.seed)
+    _write_manifest(outdir, args, ("spec",), {}, seed=spec.seed)
     total = sum(len(chain) for chain in bundle.chains.values())
     _info(f"simulate: {total} events across {len(bundle.chains)} chain(s)")
     return 0
 
 
 def _cmd_scan(args) -> int:
-    report, _ = _scan_pipeline(args)
+    report, _, options = _scan_stage(args)
     outdir = _ensure_outdir(args.out)
     report.write_json(outdir / "report.json")
-    _write_manifest(
-        outdir,
-        "scan",
-        inputs={
-            "events": args.events,
-            "config": args.config,
-            "registry": args.registry,
-            "prices": args.prices,
-            "history": args.history,
-        },
-        options=_scan_options(args),
-    )
+    _write_manifest(outdir, args, _SCAN_INPUTS, options)
     counts = report.headline_counts()
     poisonings = sum(counts.get(label, 0) for label in Label.POISONS)
     _info(
@@ -411,33 +434,13 @@ def _cmd_scan(args) -> int:
 
 def _cmd_cluster(args) -> int:
     report = DetectionReport.read_json(args.report)
-    sets = build_transfer_sets(report)
-    history = load_account_history(args.accounts) if args.accounts else None
-    ratios = attack_ratio(sets, history)
     verified = tuple(_read_addresses(args.verified_contracts, "contract")) if args.verified_contracts else ()
     bytecode = _read_bytecode(args.bytecode) if args.bytecode else None
-    groups = cluster(
-        sets,
-        args.bot_threshold,
-        ratios=ratios,
-        verified_contracts=verified,
-        bytecode=bytecode,
-    )
+    sets, groups = _cluster_stage(report, args, verified_contracts=verified, bytecode=bytecode)
     outdir = _ensure_outdir(args.out)
-    groups_to_csv(groups, outdir / "groups.csv")
-    clusters = Clusters(sets, groups, SCHEMA_VERSION, args.bot_threshold)
-    write_record(outdir / "clusters.json", clusters, indented=True)
-    _write_manifest(
-        outdir,
-        "cluster",
-        inputs={
-            "report": args.report,
-            "accounts": args.accounts,
-            "verified_contracts": args.verified_contracts,
-            "bytecode": args.bytecode,
-        },
-        options={"bot_threshold": args.bot_threshold},
-    )
+    _write_clusters(outdir, sets, groups, args.bot_threshold)
+    inputs = ("report", "accounts", "verified_contracts", "bytecode")
+    _write_manifest(outdir, args, inputs, {"bot_threshold": args.bot_threshold})
     _info(f"cluster: {len(sets)} transfer sets -> {len(groups)} groups")
     return 0
 
@@ -446,18 +449,10 @@ def _cmd_econ(args) -> int:
     report = DetectionReport.read_json(args.report)
     clusters = _read_clusters(args.clusters)
     prices = PriceTable.from_csv(args.prices)
-    econ_rows = group_economics(clusters.groups, clusters.sets, report, prices)
-    records = build_competitions(report, clusters.sets, clusters.groups)
-    matrix = win_loss_matrix(records)
+    econ_rows, _, matrix = _econ_stage(report, clusters.sets, clusters.groups, prices)
     outdir = _ensure_outdir(args.out)
-    _write_economics_csv(outdir / "economics.csv", econ_rows)
-    _write_win_loss_csv(outdir / "win_loss.csv", matrix)
-    _write_manifest(
-        outdir,
-        "econ",
-        inputs={"report": args.report, "clusters": args.clusters, "prices": args.prices},
-        options={},
-    )
+    _write_econ(outdir, econ_rows, matrix)
+    _write_manifest(outdir, args, ("report", "clusters", "prices"), {})
     profit = sum((row.profit_usd for row in econ_rows), Decimal(0))
     _info(f"econ: {len(econ_rows)} groups, net profit {profit} USD")
     return 0
@@ -540,21 +535,14 @@ def _cmd_report(args) -> int:
     labels_map = _read_labels(args.labels) if args.labels else None
     # parity assets are token addresses, never the native asset that
     # group_economics prices gas in, so the scan's prices serve it too
-    report, prices = _scan_pipeline(args)
-    sets = build_transfer_sets(report)
-    history = load_account_history(args.accounts) if args.accounts else None
-    ratios = attack_ratio(sets, history)
-    groups = cluster(sets, args.bot_threshold, ratios=ratios)
-    econ_rows = group_economics(groups, sets, report, prices)
-    records = build_competitions(report, sets, groups)
+    report, prices, options = _scan_stage(args)
+    sets, groups = _cluster_stage(report, args)
+    econ_rows, records, matrix = _econ_stage(report, sets, groups, prices)
 
     outdir = _ensure_outdir(args.out)
     report.write_json(outdir / "report.json")
-    groups_to_csv(groups, outdir / "groups.csv")
-    clusters = Clusters(sets, groups, SCHEMA_VERSION, args.bot_threshold)
-    write_record(outdir / "clusters.json", clusters, indented=True)
-    _write_economics_csv(outdir / "economics.csv", econ_rows)
-    _write_win_loss_csv(outdir / "win_loss.csv", win_loss_matrix(records))
+    _write_clusters(outdir, sets, groups, args.bot_threshold)
+    _write_econ(outdir, econ_rows, matrix)
     write_json(outdir / "success_ranks.json", _ranks_payload(records))
     _write_similarity_csv(
         outdir / "similarity_cells.csv", similarity_distribution(groups, sets, report)
@@ -574,22 +562,8 @@ def _cmd_report(args) -> int:
         "quarantined": sum(row.quarantined for row in econ_rows),
     }
     write_json(outdir / "summary.json", summary)
-    options = _scan_options(args)
-    options["bot_threshold"] = args.bot_threshold
-    _write_manifest(
-        outdir,
-        "report",
-        inputs={
-            "events": args.events,
-            "config": args.config,
-            "registry": args.registry,
-            "prices": args.prices,
-            "accounts": args.accounts,
-            "labels": args.labels,
-            "history": args.history,
-        },
-        options=options,
-    )
+    inputs = (*_SCAN_INPUTS, "accounts", "labels")
+    _write_manifest(outdir, args, inputs, {**options, "bot_threshold": args.bot_threshold})
     _info(f"report: {len(groups)} groups, {summary['n_success']} successful payoffs")
     return 0
 

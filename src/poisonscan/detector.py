@@ -667,8 +667,6 @@ class _Scan:
         for key in sorted(cands, key=lambda k: detail_ev[k].order):
             ev = detail_ev[key]
             evidence = pair_ev.get(ev.from_addr, {}).get(ev.to_addr, {})
-            if not cands[key] and not any(o < ev.order for o in evidence.values()):
-                continue
             refs = cands[key] | pair_refs.get((ev.from_addr, ev.to_addr), set())
             victim_anchors = anchors.get(ev.from_addr, {})
             positions = [victim_anchors[r] for r in refs if r in victim_anchors]

@@ -210,6 +210,27 @@ def test_economics_quarantines_missing_native_price():
     assert econ.cost_usd == Decimal("0")
 
 
+def test_economics_quarantines_unpriced_payoff():
+    # the payoff's token has no price on its day, so its USD value is not
+    # known: the scan lists it as unpriced and the group quarantines it
+    look = lookalike(R1, 4, 4)
+    sb = StreamBuilder()
+    sb.add(100, V1, R1, STABLE, 50_000_000)
+    sb.add(102, V1, look, STABLE, 0, tx=tx("0xatk", STABLE, gas_price=10**13))
+    sb.add(700, V1, look, AUTH, 3 * 10**18)
+    report, sets, groups = run_pipeline(sb, native_prices())
+    pay_key = sb.events()[2].key
+    (payoff,) = report.payoffs
+    assert payoff.key == pay_key and payoff.confirmed
+    assert payoff.usd is None
+    assert report.unpriced == (pay_key,)
+    (econ,) = group_economics(groups, sets, report, native_prices())
+    assert econ.n_success == 1
+    assert econ.quarantined == 1
+    assert econ.revenue_usd == Decimal("0")
+    assert econ.cost_usd == Decimal("2")
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 def test_economics_revenue_matches_payoff_scan(seed):
     # every group's revenue equals a plain walk over all payoffs in report order

@@ -20,9 +20,10 @@ import poisonscan.cli as cli_mod
 from poisonscan.cli import run
 from poisonscan.core import Label, write_record
 from poisonscan.detector import DetectionReport
+from poisonscan.ingest import write_events
 from poisonscan.scenario import BotSpec, GroupSpec, ScenarioSpec, generate
 
-from helpers import REPORT_JSON_SHA256, rich_spec
+from helpers import R1, REPORT_JSON_SHA256, STABLE, V1, StreamBuilder, lookalike, rich_spec
 
 
 def read_json(path: Path):
@@ -119,6 +120,21 @@ def econ_dir(workdir, sim_dir, scan_dir, cluster_dir):
         ]
     )
     assert code == 0
+    return out
+
+
+def report_argv(src: Path, out: Path) -> list[str]:
+    """report over the simulate bundle ``src``, with its accounts."""
+    argv = ["report", "--out", str(out)]
+    for name in ("events.jsonl", "config.json", "registry.jsonl", "prices.csv", "accounts.csv"):
+        argv += ["--" + name.split(".")[0], str(src / name)]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def report_dir(workdir, sim_dir):
+    out = workdir / "report"
+    assert run(report_argv(sim_dir, out)) == 0
     return out
 
 
@@ -253,14 +269,17 @@ HUGE_INPUTS = {
 
 def assert_input_error(case, dirs, tmp_path, capsys):
     """``dirs`` maps {sim}, {scan} and the like to bundle directories; a
-    callable text is made from them."""
+    callable text is made from them. ``where`` is one text the error must
+    hold, or a tuple of them."""
     name, text, where, args = case
     bad = tmp_path / name
     bad.write_text((text(dirs) if callable(text) else text) + "\n", encoding="utf-8")
     code = run([arg.format(bad=bad, out=tmp_path / "out", **dirs) for arg in args])
     err = capsys.readouterr().err
     assert code == 1, err[:300]
-    assert err.startswith("error:") and where in err, err[:300]
+    assert err.startswith("error:"), err[:300]
+    for part in (where,) if isinstance(where, str) else where:
+        assert part in err, err[:300]
 
 
 @pytest.mark.parametrize("loader", list(HUGE_INPUTS))
@@ -309,6 +328,12 @@ ECON = [
     "--out", "{out}",
 ]
 SCORE = ["score", "--report", REPORT, "--truth", "{sim}/ground_truth.jsonl"]
+# the labels are read before the scan, whose events file is missing
+LABELS = ["report", "--labels", "{bad}", "--events", "{out}/none.jsonl", "--config", "{sim}/config.json", "--out", "{out}"]
+SCAN_PRICES = [
+    "scan", "--prices", "{bad}", "--events", "{sim}/events.jsonl", "--config", "{sim}/config.json", "--out", "{out}",
+]
+GEN = ["gen", "--targets", "{bad}", "--budget", "10", "--out", "{out}"]
 SHAPE_INPUTS = {
     "report-empty": ("report.json", "{}", "report.json", HUGE_INPUTS["report"][3]),
     "clusters-set-keys": (
@@ -387,18 +412,8 @@ SHAPE_INPUTS = {
         "verified.txt", f"{EVENT['to']}\n\n0xzz", "verified.txt:3",
         ["cluster", "--verified-contracts", "{bad}", "--report", REPORT, "--out", "{out}"],
     ),
-    "targets-address": (
-        "targets.txt", f"{EVENT['to']}\n0xzz", "targets.txt:2",
-        ["gen", "--targets", "{bad}", "--budget", "10", "--out", "{out}"],
-    ),
-    # the labels are read before the scan, whose events file is missing
-    "labels-address": (
-        "labels.csv", "address,label\n0xzz,exchange", "labels.csv:2",
-        [
-            "report", "--labels", "{bad}", "--events", "{out}/none.jsonl",
-            "--config", "{sim}/config.json", "--out", "{out}",
-        ],
-    ),
+    "targets-address": ("targets.txt", f"{EVENT['to']}\n0xzz", "targets.txt:2", GEN),
+    "labels-address": ("labels.csv", "address,label\n0xzz,exchange", "labels.csv:2", LABELS),
     "bytecode-address": (
         "bytecode.json", '{"0xzz": "c1"}', "'0xzz' (", HUGE_INPUTS["bytecode"][3],
     ),
@@ -415,8 +430,7 @@ SHAPE_INPUTS = {
         f"duplicate address '{UPPER_TO}' (", HUGE_INPUTS["bytecode"][3],
     ),
     "targets-duplicate": (
-        "targets.txt", f"{EVENT['to']}\n{UPPER_TO}", f"target {EVENT['to']} is given more than once",
-        ["gen", "--targets", "{bad}", "--budget", "10", "--out", "{out}"],
+        "targets.txt", f"{EVENT['to']}\n{UPPER_TO}", f"target {EVENT['to']} is given more than once", GEN,
     ),
     # a code id is a string: two nulls once shared the id "None"
     "bytecode-null": (
@@ -428,12 +442,7 @@ SHAPE_INPUTS = {
         HUGE_INPUTS["bytecode"][3],
     ),
     # a field past csv's size limit was once an internal error
-    "labels-huge-field": (
-        "labels.csv", f"address,label\n{EVENT['to']},{'x' * 200_000}", "labels.csv:2", [
-            "report", "--labels", "{bad}", "--events", "{out}/none.jsonl",
-            "--config", "{sim}/config.json", "--out", "{out}",
-        ],
-    ),
+    "labels-huge-field": ("labels.csv", f"address,label\n{EVENT['to']},{'x' * 200_000}", "labels.csv:2", LABELS),
     # a repeated JSON key once kept its last value without a message
     "config-repeated-key": (
         "config.json", '{"chain_id": 1, "window_blocks": 100, "window_blocks": 1}',
@@ -452,26 +461,49 @@ SHAPE_INPUTS = {
     # a price asset that is an address is compared in canonical form
     "prices-case-duplicate": (
         "prices.csv", f"asset,date,usd_price\n0x{'AB' * 20},2023-11-14,1\n0x{'ab' * 20},2023-11-14,2",
-        "prices.csv:3", [
-            "scan", "--prices", "{bad}", "--events", "{sim}/events.jsonl",
-            "--config", "{sim}/config.json", "--out", "{out}",
-        ],
+        "prices.csv:3", SCAN_PRICES,
     ),
     # a price in a spelling str(Decimal) never writes, once read as 10, 3 and 5
     **{
         f"prices-{name}": (
-            "prices.csv", f"asset,date,usd_price\nETH,2023-11-14,1\nETH,2023-11-15,{price}", "prices.csv:3", [
-                "scan", "--prices", "{bad}", "--events", "{sim}/events.jsonl",
-                "--config", "{sim}/config.json", "--out", "{out}",
-            ],
+            "prices.csv", f"asset,date,usd_price\nETH,2023-11-14,1\nETH,2023-11-15,{price}", "prices.csv:3", SCAN_PRICES,
         )
         for name, price in (("underscore", "1_0"), ("arabic-indic-digit", "\u0663"), ("plus", "+5"))
     },
     # a repeated target, once an error naming no file
-    "targets-duplicate-line": (
-        "targets.txt", f"{EVENT['to']}\n\n{UPPER_TO}", "targets.txt:3",
-        ["gen", "--targets", "{bad}", "--budget", "10", "--out", "{out}"],
+    "targets-duplicate-line": ("targets.txt", f"{EVENT['to']}\n\n{UPPER_TO}", "targets.txt:3", GEN),
+    # every CSV input: a header names each column it needs, each once, and
+    # a row has a value for each column of the header
+    **{
+        f"labels-header-{name}": (
+            "labels.csv", f"{header}\n{EVENT['to']},exchange",
+            ("the header must name address, label, each column once", "labels.csv:1)"), LABELS,
+        )
+        for name, header in (("lacks-column", "address,name"), ("repeats-column", "address,label,address"))
+    },
+    "labels-row-narrow": (
+        "labels.csv", f"address,label,note\n{EVENT['to']},exchange", ("expected 3 values, got 2", "labels.csv:2)"),
+        LABELS,
     ),
+    "prices-bad-date": (
+        "prices.csv", "asset,date,usd_price\nETH,2023-11-14,1\nETH,2023-11-31,1",
+        ("bad price row: ", "prices.csv:3)"), SCAN_PRICES,
+    ),
+    "prices-empty-asset": (
+        "prices.csv", "asset,date,usd_price\n,2023-11-14,1", ("empty asset id", "prices.csv:2)"), SCAN_PRICES,
+    ),
+    "accounts-duplicate": (
+        "accounts.csv", f"account,total_txs\n{EVENT['to']},1\n{UPPER_TO},2",
+        (f"duplicate account {EVENT['to']}", "accounts.csv:3)"),
+        ["cluster", "--accounts", "{bad}", "--report", REPORT, "--out", "{out}"],
+    ),
+    "bytecode-array": (
+        "bytecode.json", '["c1"]', "expected a JSON object mapping address to code id (",
+        HUGE_INPUTS["bytecode"][3],
+    ),
+    "targets-empty": ("targets.txt", "", ("no target addresses", "targets.txt"), GEN),
+    "gen-matches-negative": ("targets.txt", EVENT["to"], "error: --matches must be >= 0", [*GEN, "--matches", "-1"]),
+    "gen-a-min-past-40": ("targets.txt", EVENT["to"], "error: a_min must be in [0, 40], got 41", [*GEN, "--a-min", "41"]),
 }
 
 
@@ -515,6 +547,43 @@ def test_upper_case_price_assets_scan_as_canonical(sim_dir, scan_dir, tmp_path):
     assert (tmp_path / "scan" / "report.json").read_bytes() == canonical
     # the prices decide labels: tiny poisonings are priced in USD
     assert DetectionReport.read_json(scan_dir / "report.json").headline_counts()[Label.TINY] > 0
+
+
+def test_stablecoin_parity_prices_registry_and_config_stablecoins(tmp_path):
+    # with no price rows, parity prices the config's stablecoin (the trigger
+    # and tiny poisoning token) and the registry's (the payoff token) at 1.00
+    config_coin = "0x" + "8" * 40
+    look = lookalike(R1, 4, 4)
+    sb = StreamBuilder()
+    sb.add(100, V1, R1, config_coin, 50_000_000)
+    sb.add(102, look, V1, config_coin, 500_000)
+    sb.add(700, V1, look, STABLE, 200_000_000)
+    _, poison_key, pay_key = (ev.key for ev in sb.events())
+    write_events(tmp_path / "events.jsonl", sb.events())
+    tokens = [{**TOKEN, "address": STABLE, "stablecoin": True}, {**TOKEN, "address": config_coin}]
+    (tmp_path / "registry.jsonl").write_text("".join(json.dumps(t) + "\n" for t in tokens), encoding="utf-8")
+    (tmp_path / "prices.csv").write_text("asset,date,usd_price\n", encoding="utf-8")
+    argv = ["scan"] + [
+        arg for name in ("events.jsonl", "registry.jsonl", "prices.csv", "config.json")
+        for arg in ("--" + name.split(".")[0], str(tmp_path / name))
+    ]
+    reports = {}
+    for parity in (True, False):
+        config = {"chain_id": 1, "stablecoins": [config_coin], "stablecoin_parity": parity}
+        (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+        assert run([*argv, "--out", str(tmp_path / str(parity))]) == 0
+        reports[parity] = DetectionReport.read_json(tmp_path / str(parity) / "report.json")
+    report = reports[True]
+    assert report.labels[poison_key] == Label.TINY
+    assert report.events[poison_key].usd == Decimal("0.5")
+    (payoff,) = report.payoffs
+    assert payoff.key == pay_key and payoff.confirmed
+    assert payoff.usd == Decimal("200")
+    assert report.unpriced == ()
+    # without parity neither token has a price: the poisoning is unpriced,
+    # so no evidence makes the payment a payoff
+    assert reports[False].unpriced == (poison_key,)
+    assert reports[False].labels == {} and reports[False].payoffs == ()
 
 
 def test_simulate_writes_bundle_and_manifest(sim_dir):
@@ -757,30 +826,25 @@ def test_econ_outputs_satisfy_profit_identity(econ_dir):
     assert win_loss[0] == "group_id,other_group_id,win_ratio"
 
 
-def test_end_to_end_rerun_is_byte_identical(workdir, spec_path, sim_dir):
+def test_report_writes_the_stage_files_byte_for_byte(report_dir, scan_dir, cluster_dir, econ_dir):
+    # report runs the scan, cluster and econ stages on the inputs the three
+    # fixtures read, so each file it shares with them has their bytes
+    stages = {
+        "report.json": scan_dir, "groups.csv": cluster_dir, "clusters.json": cluster_dir,
+        "economics.csv": econ_dir, "win_loss.csv": econ_dir,
+    }
+    for name, stage in stages.items():
+        assert (report_dir / name).read_bytes() == (stage / name).read_bytes(), name
+    assert len(read_json(report_dir / "clusters.json")["groups"]) == 2
+
+
+def test_end_to_end_rerun_is_byte_identical(workdir, spec_path, sim_dir, report_dir):
     sim2 = workdir / "sim2"
     assert run(["simulate", "--spec", str(spec_path), "--out", str(sim2)]) == 0
     assert tree_digest(sim2) == tree_digest(sim_dir)
-
-    def full_report(out: Path, src: Path) -> None:
-        code = run(
-            [
-                "report",
-                "--events", str(src / "events.jsonl"),
-                "--config", str(src / "config.json"),
-                "--registry", str(src / "registry.jsonl"),
-                "--prices", str(src / "prices.csv"),
-                "--accounts", str(src / "accounts.csv"),
-                "--out", str(out),
-            ]
-        )
-        assert code == 0
-
-    rep1 = workdir / "rep1"
     rep2 = workdir / "rep2"
-    full_report(rep1, sim_dir)
-    full_report(rep2, sim_dir)
-    digests = tree_digest(rep1)
+    assert run(report_argv(sim_dir, rep2)) == 0
+    digests = tree_digest(report_dir)
     assert digests == tree_digest(rep2)
     for name in (
         "report.json",
@@ -805,15 +869,7 @@ def test_report_bundle_does_not_depend_on_hash_seed(sim_dir, tmp_path):
     digests = []
     for seed in ("0", "1"):
         out = tmp_path / f"seed{seed}"
-        argv = [
-            sys.executable, "-m", "poisonscan.cli", "report",
-            "--events", str(sim_dir / "events.jsonl"),
-            "--config", str(sim_dir / "config.json"),
-            "--registry", str(sim_dir / "registry.jsonl"),
-            "--prices", str(sim_dir / "prices.csv"),
-            "--accounts", str(sim_dir / "accounts.csv"),
-            "--out", str(out),
-        ]
+        argv = [sys.executable, "-m", "poisonscan.cli", *report_argv(sim_dir, out)]
         env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path}
         proc = subprocess.run(argv, env=env, capture_output=True, text=True, check=False)
         assert proc.returncode == 0, proc.stderr
@@ -1040,12 +1096,11 @@ def test_removed_surfaces_are_usage_errors(capsys, argv, message):
     assert "usage" in err.lower() and message in err
 
 
-def test_report_summary_consistent_with_parts(workdir, sim_dir):
-    rep = workdir / "rep1"
-    summary = read_json(rep / "summary.json")
+def test_report_summary_consistent_with_parts(report_dir):
+    summary = read_json(report_dir / "summary.json")
     assert summary["chain_id"] == 1
     assert summary["groups"] == 2
-    lines = (rep / "economics.csv").read_text(encoding="utf-8").splitlines()[1:]
+    lines = (report_dir / "economics.csv").read_text(encoding="utf-8").splitlines()[1:]
     revenue = sum(Decimal(line.split(",")[3]) for line in lines)
     assert Decimal(summary["revenue_usd"]) == revenue
     profit = sum(Decimal(line.split(",")[5]) for line in lines)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -84,6 +85,60 @@ def test_cross_chain_needs_two_chains():
 def test_spec_of_the_wrong_shape_rejected(raw):
     with pytest.raises(ScenarioError):
         ScenarioSpec.from_dict(raw)
+
+
+G = GroupSpec()
+
+
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"chain_ids": ()}, "chain_ids must list 1 or 2 chains, got ()"),
+        ({"chain_ids": (1, 56, 137)}, "chain_ids must list 1 or 2 chains, got (1, 56, 137)"),
+        ({"chain_ids": (1, 1)}, "chain_ids must be distinct"),
+        ({"n_blocks": 0}, "n_blocks must be positive and start_block non-negative"),
+        ({"start_block": -1}, "n_blocks must be positive and start_block non-negative"),
+        ({"n_benign_users": 1}, "need at least 2 benign users for background traffic"),
+        ({"n_stablecoins": 0}, "need at least one stablecoin"),
+        ({"groups": (replace(G, n_attacks=0),)}, "group 0: n_attacks must be >= 1"),
+        ({"groups": (replace(G, strategies=()),)}, "group 0: strategies must come from"),
+        ({"groups": (G, replace(G, strategies=("tiny", "dust")))}, "group 1: strategies must come from"),
+        ({"groups": (replace(G, scores=()),)}, "group 0: scores must name at least one score"),
+        ({"groups": (replace(G, scores=((-1, 4),)),)}, "group 0: infeasible score (-1, 4)"),
+        ({"groups": (replace(G, scores=((20, 21),)),)}, "group 0: infeasible score (20, 21)"),
+        ({"groups": (replace(G, payoff_rate=1.5),)}, "group 0: payoff_rate must be in [0, 1]"),
+        ({"groups": (replace(G, bundle_size=0),)}, "group 0: bundle_size and n_attackers must be >= 1"),
+        ({"groups": (replace(G, n_attackers=0),)}, "group 0: bundle_size and n_attackers must be >= 1"),
+        ({"groups": (replace(G, payoff_delay=(0, 5)),)}, "group 0: bad payoff_delay (0, 5)"),
+        ({"groups": (replace(G, payoff_delay=(5, 4)),)}, "group 0: bad payoff_delay (5, 4)"),
+        ({"groups": (replace(G, sibling_bundles=5),)}, "group 0: more special attacks than n_attacks"),
+        ({"groups": (replace(G, history_upgrades=5),)}, "group 0: more special attacks than n_attacks"),
+        ({"groups": (replace(G, sibling_bundles=2, history_upgrades=3),)}, "group 0: sibling and upgrade attacks overlap"),
+        ({"groups": (replace(G, offsets=(5, 0)),)}, "group 0: offsets must be >= 1"),
+        (
+            {"groups": (replace(G, history_upgrades=1),), "n_other_tokens": 0},
+            "history_upgrades need at least one non-stablecoin token",
+        ),
+        ({"groups": (G,), "bots": (BotSpec(copies=()),)}, "bot 0: copies must name at least one group"),
+        ({"groups": (G,), "bots": (BotSpec(copies=(-1,)),)}, "bot 0: copies reference unknown group"),
+        ({"groups": (G,), "bots": (BotSpec(copies=(0,), delay_blocks=-1),)}, "bot 0: bad delay or copy count"),
+        ({"groups": (G,), "bots": (BotSpec(copies=(0,), n_copies=0),)}, "bot 0: bad delay or copy count"),
+        ({"contested_winners": (0, 2)}, "contested_winners entries must be 0 or 1"),
+        ({"typos": -1}, "event counts must be non-negative"),
+        ({"decoy_payoffs": -1}, "event counts must be non-negative"),
+        ({"contested_payoffs": -1}, "event counts must be non-negative"),
+        ({"cross_chain_reuse": -1}, "event counts must be non-negative"),
+        ({"gas_used": -1}, "gas values must be non-negative"),
+        ({"gas_price": -1}, "gas values must be non-negative"),
+    ],
+)
+def test_each_validate_rule_has_its_message(fields, message):
+    # the default spec is valid, and one bad field makes validate say which rule it breaks;
+    # the rules that other tests raise are left out
+    ScenarioSpec().validate()
+    with pytest.raises(ScenarioError) as raised:
+        ScenarioSpec(**fields).validate()
+    assert str(raised.value).startswith(message)
 
 
 def test_too_few_blocks_rejected():
