@@ -186,9 +186,11 @@ def build_competitions(
     """Build one competition record per confirmed payoff.
 
     The pool holds every lookalike with poisoning evidence against the
-    payoff's victim no later than the payoff block. Each lookalike
-    enters with its best similarity score and its earliest poisoning
-    position.
+    payoff's victim no later than the payoff block. The cut is by block
+    alone: a lookalike first seen in the payoff's block competes even when
+    that poisoning comes after the payoff. Each lookalike enters with its
+    best similarity score and its earliest poisoning position, over every
+    context that binds it to the victim.
     """
     by_id = {s.transfer_id: s for s in sets}
     group_of_look: dict[str, str] = {}

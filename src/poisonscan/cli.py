@@ -132,10 +132,18 @@ def _int_arg(text: str) -> int:
         raise argparse.ArgumentTypeError(f"out of range: {len(text.removeprefix('-'))} digits") from None
 
 
-def _positive_int(text: str) -> int:
-    if (value := _int_arg(text)) < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_in(low: int, high: int | None = None):
+    """The type of an integer option that must be at least ``low`` and, if
+    ``high`` is given, at most ``high``."""
+
+    def read(text: str) -> int:
+        value = _int_arg(text)
+        if value < low or high is not None and value > high:
+            span = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"must be {span}, got {value}")
+        return value
+
+    return read
 
 
 def _ratio(text: str) -> float:
@@ -480,23 +488,19 @@ def _cmd_gen(args) -> int:
     targets = _read_addresses(args.targets, "target")
     if not targets:
         raise ParseError("no target addresses", path=str(args.targets))
-    if args.matches < 0:
-        raise _UsageError("error: --matches must be >= 0")
     max_matches = None if args.matches == 0 else args.matches
     if max_matches is None and args.budget is None:
         raise _UsageError(
             "error: an unbounded search never stops; set --matches >= 1 or give a --budget"
         )
-    try:
-        spec = SearchSpec(
-            targets=tuple(targets),
-            a_min=args.a_min,
-            b_min=args.b_min,
-            max_matches=max_matches,
-            max_trials=args.budget,
-        )
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    # argparse and _read_addresses have checked every field SearchSpec checks
+    spec = SearchSpec(
+        targets=tuple(targets),
+        a_min=args.a_min,
+        b_min=args.b_min,
+        max_matches=max_matches,
+        max_trials=args.budget,
+    )
     reporter = _Progress("gen", unit="keys")
     stats = search(
         spec,
@@ -639,12 +643,12 @@ def _build_parser() -> _Parser:
 
     sub = commands.add_parser("gen", help="search for lookalike addresses")
     sub.add_argument("--targets", required=True, help="file with one target address per line")
-    sub.add_argument("--a-min", type=_int_arg, default=3, help="required prefix digits")
-    sub.add_argument("--b-min", type=_int_arg, default=4, help="required suffix digits")
-    sub.add_argument("--matches", type=_int_arg, default=1, help="stop after this many matches (0: no limit)")
-    sub.add_argument("--budget", type=_int_arg, help="stop after this many candidate keys")
+    sub.add_argument("--a-min", type=_int_in(0, 40), default=3, help="required prefix digits")
+    sub.add_argument("--b-min", type=_int_in(0, 40), default=4, help="required suffix digits")
+    sub.add_argument("--matches", type=_int_in(0), default=1, help="stop after this many matches (0: no limit)")
+    sub.add_argument("--budget", type=_int_in(1), help="stop after this many candidate keys")
     sub.add_argument("--seed", type=_int_arg, default=0, help="deterministic stream seed")
-    sub.add_argument("--workers", type=_positive_int, default=1, help="worker processes (default: 1)")
+    sub.add_argument("--workers", type=_int_in(1), default=1, help="worker processes (default: 1)")
     sub.add_argument("--out", help="stats JSON file (default: stdout)")
     sub.set_defaults(func=_cmd_gen)
 

@@ -20,7 +20,7 @@ import reprlib
 from binascii import unhexlify
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from datetime import date, datetime, timezone
-from decimal import ROUND_HALF_EVEN, Context, Decimal, InvalidOperation
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from functools import cache, partial
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
@@ -240,11 +240,9 @@ def _read_amount(value) -> int:
 
 
 def _read_decimal(value) -> Decimal:
+    """A decimal string, spelled as ``decimal_at`` reads one."""
     if type(value) is str:
-        try:
-            return Decimal(value)
-        except InvalidOperation:
-            pass
+        return decimal_at(value, lambda _: _wrong("a decimal string", value))
     raise _wrong("a decimal string", value)
 
 
@@ -584,8 +582,6 @@ class TokenRegistry:
 
     def __init__(self, entries: Iterable[RegistryEntry]):
         self._table: dict[tuple[int, Address], RegistryEntry] = {}
-        self._stable: dict[int, frozenset[Address]] = {}
-        self._authentic: dict[int, frozenset[Address]] = {}
         for entry in entries:
             self._add(entry, RegistryError)
 
@@ -624,22 +620,10 @@ class TokenRegistry:
         return entry.token if entry is not None else None
 
     def stablecoins(self, chain_id: int) -> frozenset[Address]:
-        cached = self._stable.get(chain_id)
-        if cached is None:
-            cached = frozenset(
-                addr for (cid, addr), e in self._table.items() if cid == chain_id and e.stablecoin
-            )
-            self._stable[chain_id] = cached
-        return cached
+        return frozenset(addr for (cid, addr), e in self._table.items() if cid == chain_id and e.stablecoin)
 
     def authentic_tokens(self, chain_id: int) -> frozenset[Address]:
-        cached = self._authentic.get(chain_id)
-        if cached is None:
-            cached = frozenset(
-                addr for (cid, addr), e in self._table.items() if cid == chain_id and e.authentic
-            )
-            self._authentic[chain_id] = cached
-        return cached
+        return frozenset(addr for (cid, addr), e in self._table.items() if cid == chain_id and e.authentic)
 
     def __len__(self) -> int:
         return len(self._table)

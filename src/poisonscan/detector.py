@@ -9,16 +9,16 @@ transfers re-evaluated against the full trigger history; payoffs confirm
 when a poisoning binding the same victim and lookalike sits strictly
 between the intended transfer and the payoff.
 
-scan() is the whole stream layer, three phases over one state record. The
+scan() is the whole stream layer, two phases over one state record. The
 pass walks the stream once, its candidate state pruned to the window. Each
 pair's first trigger anchors confirmation and the shared-transaction path;
 the pass keeps it as a stream position, written when the pair enters the
 window, so that the events themselves are not held. Finalize fetches the
-few anchor events it reports in one read, then builds the payoff rows,
-contexts and event details. The history walk, over a history in stream
-order, upgrades unconfirmed rows; the typo rule flags payments
-to addresses that never spent an authentic token in the stream.
-birthday_filter() then runs on the finished report.
+few anchor events it reports in one read, confirms each payoff from its
+window or else from a history in stream order, flags as typos the payments
+to addresses that never spent an authentic token in the stream, and
+returns the report, each payoff row built once. birthday_filter() then
+runs on the finished report.
 
 Each event probes its victim's active refs (its recent recipients) for a
 lookalike, by one rule whether the victim sends or receives. The pass maps
@@ -322,13 +322,13 @@ class _KeyedRefs(dict):
 
 
 class _Scan:
-    """One scan's state, which each phase leaves for the next: ``run`` (the
-    pass), ``finalize``, and ``upgrade`` (the history walk and typo rule).
-    ``priced`` and ``poison_label`` serve every phase. The pass hands over,
-    by their roles in finalize: ``anchors`` (victim -> recipient -> stream
-    position of the pair's first trigger), ``labels`` (the poison labels,
-    to which finalize and upgrade add), ``detail_ev`` (the event of each
-    labelled key and payoff candidate), ``ctx_map`` (the contexts),
+    """One scan's state, in two phases: ``run`` (the pass) and ``finalize``
+    (the anchors, the payoff rows, the history walk and the typo rule,
+    which returns the report). ``priced`` and ``poison_label`` serve both.
+    The pass hands over, by their roles in finalize: ``anchors`` (victim ->
+    recipient -> stream position of the pair's first trigger), ``labels``
+    (the poison labels, to which finalize adds), ``detail_ev`` (the event
+    of each labelled key and payoff candidate), ``ctx_map`` (the contexts),
     ``pair_ev`` (victim -> lookalike -> {poison key: order}, what a payoff
     can cite), ``cands`` (payoff candidate key -> the refs its lookalike
     matched; none when only ``pair_ev`` made it one) and ``counts``.
@@ -646,10 +646,13 @@ class _Scan:
             "collected_sibling": n_sibling,
         }
 
-    def finalize(self, events: Sequence[TransferEvent] | EventReader) -> None:
-        """The payoff rows, contexts, recipient counts and event details.
-        ``events`` are those of the pass, a sequence or a reader, from which
-        the anchors that the rows and contexts cite are read in one call."""
+    def finalize(
+        self, events: Sequence[TransferEvent] | EventReader, history: Iterable[TransferEvent] | None
+    ) -> DetectionReport:
+        """The report. ``events`` are the pass's, a sequence or a reader, from
+        which the anchors that rows and contexts cite are read in one call;
+        ``history`` is checked for order already, or as it is consumed."""
+        config = self.config
         anchors, labels, detail_ev = self.anchors, self.labels, self.detail_ev
         ctx_map, pair_ev, cands = self.ctx_map, self.pair_ev, self.cands
 
@@ -681,42 +684,22 @@ class _Scan:
         else:
             fetched = {pos: events[pos] for pos in wanted}
 
-        rows = self.rows = []
+        # (event, anchor, in-window evidence, intended, usd) per row; every
+        # payoff is priced here, so unpriced lists the rows before the history
+        rows = []
         for ev, evidence, refs, pos in picks:
-            key = ev.key
-            victim = ev.from_addr
-            look = ev.to_addr
             ev_order = ev.order
             anchor = label_anchor(fetched[pos]) if pos is not None else None
             a_order = anchor.order if anchor is not None else ev_order  # no anchor, no evidence
             picked = sorted((k for k, o in evidence.items() if a_order < o < ev_order), key=evidence.get)
-            confirmed = bool(picked)
-            intended = max(sorted(refs), key=lambda r: positional_matches(look, r)) if refs else None
+            intended = max(sorted(refs), key=lambda r: positional_matches(ev.to_addr, r)) if refs else None
             usd = self.priced(ev)
             if usd is None:
-                self.unpriced[key] = None
-            labels[key] = Label.PAYOFF_CONFIRMED if confirmed else Label.PAYOFF_UNCONFIRMED
-            rows.append(
-                PayoffRecord(
-                    key=key,
-                    victim=victim,
-                    lookalike=look,
-                    intended=intended,
-                    anchor_key=anchor.key if anchor is not None else None,
-                    anchor_block=anchor.block_number if anchor is not None else None,
-                    anchor_log_index=anchor.log_index if anchor is not None else None,
-                    block_number=ev.block_number,
-                    log_index=ev.log_index,
-                    token=ev.token,
-                    value=ev.value,
-                    usd=usd,
-                    confirmed=confirmed,
-                    via_history=False,
-                    evidence=tuple(picked),
-                )
-            )
+                self.unpriced[ev.key] = None
+            labels[ev.key] = Label.PAYOFF_CONFIRMED if picked else Label.PAYOFF_UNCONFIRMED
+            rows.append((ev, anchor, picked, intended, usd))
 
-        contexts = self.contexts = []
+        contexts = []
         for (victim, ref, look) in sorted(ctx_map):
             ctx = ctx_map[(victim, ref, look)]
             anchor = label_anchor(fetched[anchors[victim][ref]])
@@ -736,98 +719,106 @@ class _Scan:
                 )
             )
 
-        self.victim_recipients = {
+        victim_recipients = {
             victim: len(anchors.get(victim, ()))
-            for victim in [*(v for v, _, _ in ctx_map), *(row.victim for row in rows)]
+            for victim in [*(v for v, _, _ in ctx_map), *(ev.from_addr for ev, *_ in rows)]
         }
-        self.details = {key: self.detail(detail_ev[key], label) for key, label in labels.items()}
+        details = {key: self.detail(detail_ev[key], label) for key, label in labels.items()}
+        # only the rows needed these; free them before the history walk raises the peak
+        del picks, fetched, pair_refs
 
-    def upgrade(self, history: Iterable[TransferEvent] | None) -> None:
-        """The history walk, then the typo rule, over the unconfirmed rows;
-        ``history`` is checked for order already, or as it is consumed."""
-        chain = self.config.chain_id
-        rows, labels, details = self.rows, self.labels, self.details
         # the history events that touch a lookalike of an unconfirmed anchored
         # row, per lookalike in stream order; the walk runs to the end even when
         # nothing is needed, so that a lazily validated history is checked in full
         involving: dict[str, list[TransferEvent]] = {}
         if history is not None:
-            need = {r.lookalike for r in rows if not r.confirmed and r.anchor_key is not None}
+            chain = config.chain_id
+            need = {ev.to_addr for ev, anchor, picked, *_ in rows if not picked and anchor is not None}
             for h in history:
                 if h.chain_id != chain:
                     raise ConfigError(
                         f"history event chain_id {h.chain_id} does not match configured chain {chain}"
                     )
-                frm = h.from_addr
-                to = h.to_addr
+                frm, to = h.from_addr, h.to_addr
                 if frm in need:
                     involving.setdefault(frm, []).append(h)
                 if to != frm and to in need:
                     involving.setdefault(to, []).append(h)
 
-        # one walk in row order keeps unpriced in the order history meets them
-        accidental = self.accidental = set()
-        for i, row in enumerate(rows):
-            if row.confirmed:
-                continue
-            victim, look = row.victim, row.lookalike
-            if row.anchor_key is not None:
-                lo = (row.anchor_block, row.anchor_log_index)
-                hi = (row.block_number, row.log_index)
-                hits: list[TransferEvent] = []
+        # in row order, so that unpriced lists history events as the rows meet them
+        payoffs = []
+        for ev, anchor, evidence, intended, usd in rows:
+            key, victim, look = ev.key, ev.from_addr, ev.to_addr
+            confirmed, via_history, edit_distance = bool(evidence), False, None
+            if not confirmed and anchor is not None:
+                hits, lo, hi = [], anchor.order, ev.order
                 for h in involving.get(look, ()):
                     # a transfer between the victim and the lookalike, either way
                     if not lo < h.order < hi or {h.from_addr, h.to_addr} != {look, victim}:
                         continue
                     label = self.poison_label(h, incoming=h.from_addr == look)
                     if label is not None:
-                        hits.append(h)
+                        hits.append(h.key)  # in history order, which the walk checked
                         details.setdefault(h.key, self.detail(h, label))
-                # in history order, which the walk checked
                 if hits:
-                    rows[i] = replace(
-                        row, confirmed=True, via_history=True, evidence=tuple(e.key for e in hits)
-                    )
-                    labels[row.key] = Label.PAYOFF_CONFIRMED
-                    continue
+                    confirmed, via_history, evidence = True, True, hits
+                    labels[key] = Label.PAYOFF_CONFIRMED
             if (
-                row.intended is not None
+                not confirmed
+                and intended is not None
                 and look not in self.spenders
-                and positional_matches(look, row.intended) > self.config.typo_match_bound
+                and positional_matches(look, intended) > config.typo_match_bound
             ):
-                rows[i] = replace(row, edit_distance=osa_distance(look, row.intended))
-                accidental.add(row.key)
-                labels[row.key] = Label.ACCIDENTAL
+                edit_distance = osa_distance(look, intended)
+                labels[key] = Label.ACCIDENTAL
+            payoffs.append(
+                PayoffRecord(
+                    key=key,
+                    victim=victim,
+                    lookalike=look,
+                    intended=intended,
+                    anchor_key=anchor.key if anchor is not None else None,
+                    anchor_block=anchor.block_number if anchor is not None else None,
+                    anchor_log_index=anchor.log_index if anchor is not None else None,
+                    block_number=ev.block_number,
+                    log_index=ev.log_index,
+                    token=ev.token,
+                    value=ev.value,
+                    usd=usd,
+                    confirmed=confirmed,
+                    via_history=via_history,
+                    evidence=tuple(evidence),
+                    edit_distance=edit_distance,
+                )
+            )
 
-    def report(self) -> DetectionReport:
-        label_counts = Counter(self.labels.values())
+        accidental = frozenset(p.key for p in payoffs if p.edit_distance is not None)
+        label_counts = Counter(labels.values())
         counters = {
             **self.counts,
-            "contexts": len(self.contexts),
-            "victims": len(self.victim_recipients),
-            "lookalikes": len(
-                {c.lookalike for c in self.contexts} | {r.lookalike for r in self.rows}
-            ),
+            "contexts": len(contexts),
+            "victims": len(victim_recipients),
+            "lookalikes": len({c.lookalike for c in contexts} | {r.lookalike for r in payoffs}),
             "tiny": label_counts.get(Label.TINY, 0),
             "zero_value": label_counts.get(Label.ZERO, 0),
             "counterfeit": label_counts.get(Label.COUNTERFEIT, 0),
             "intended": label_counts.get(Label.INTENDED, 0),
             "payoffs_confirmed": label_counts.get(Label.PAYOFF_CONFIRMED, 0),
             "payoffs_unconfirmed": label_counts.get(Label.PAYOFF_UNCONFIRMED, 0),
-            "accidental": len(self.accidental),
+            "accidental": len(accidental),
             "unpriced": len(self.unpriced),
             "excluded_victims": 0,
         }
         return DetectionReport(
-            chain_id=self.config.chain_id,
-            config=self.config,
-            labels=self.labels,
-            events=self.details,
-            contexts=tuple(self.contexts),
-            payoffs=tuple(self.rows),
-            victim_recipients=self.victim_recipients,
+            chain_id=config.chain_id,
+            config=config,
+            labels=labels,
+            events=details,
+            contexts=tuple(contexts),
+            payoffs=tuple(payoffs),
+            victim_recipients=victim_recipients,
             excluded_victims={},
-            accidental=frozenset(self.accidental),
+            accidental=accidental,
             unpriced=tuple(self.unpriced),
             authentic_tokens=self.authentic,
             counters=counters,
@@ -843,8 +834,9 @@ def scan(
     history: Iterable[TransferEvent] | None = None,
 ) -> DetectionReport:
     """Single-pass detection over one chain's ordered transfer stream, in
-    three phases over one ``_Scan``: the pass over ``events``, finalize, and
-    the history walk with the typo rule.
+    two phases over one ``_Scan``: the pass over ``events``, then finalize,
+    which confirms payoffs, walks ``history``, applies the typo rule and
+    builds the report.
 
     Both inputs are checked for order by one rule, once. A reader from
     ``iter_events`` that has not yielded an event yet checks its file
@@ -882,13 +874,11 @@ def scan(
         events = list(events)
     state = _Scan(config, registry, prices)
     state.run(events if trusted else ordered(enumerate(events, start=1), "<stream>"))
-    state.finalize(events)
     if same:
         history = events
     elif history is not None and not (isinstance(history, EventReader) and history.stamp is None):
         history = ordered(enumerate(history, start=1), "<history>")
-    state.upgrade(history)
-    return state.report()
+    return state.finalize(events, history)
 
 
 def birthday_filter(report: DetectionReport, config: ChainConfig) -> DetectionReport:

@@ -1,9 +1,11 @@
-"""Brute-force reference detector used as a test oracle.
+"""Brute-force reference detector, clustering and competition layer, used
+as test oracles.
 
 Independent of the streaming implementation on purpose: it materializes the
 stream, enumerates (trigger, candidate) pairs per victim with direct block
-arithmetic, and resolves payoffs and typos in separate passes. Slow but
-simple; never imported by library code.
+arithmetic, and resolves payoffs and typos in separate passes. The
+competition oracles rescan every context and record for each payoff and
+each pair of groups. Slow but simple; never imported by library code.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from decimal import Decimal
 
+from poisonscan.analytics import CompetitionRecord, Competitor
 from poisonscan.core import (
     ChainConfig,
     Label,
@@ -270,3 +273,65 @@ def reference_components(key_sets):
                 changed = True
         groups = merged
     return frozenset(ids for ids, _ in groups)
+
+
+def reference_competitions(report, sets, groups) -> tuple[CompetitionRecord, ...]:
+    """``build_competitions`` by brute force, one confirmed payoff at a time.
+
+    A lookalike competes for a payoff when some context binds it to the
+    payoff's victim and the block of its earliest evidence, over all such
+    contexts, is no later than the payoff's block. It enters with the best
+    (a + b, a, b) of those contexts and its group, the one whose transfer
+    sets hold it. The record is kept only when the winner competes.
+    """
+    records = []
+    for payoff in report.payoffs:
+        if not payoff.confirmed:
+            continue
+        entries = []
+        for look in sorted({c.lookalike for c in report.contexts if c.victim == payoff.victim}):
+            bound = [c for c in report.contexts if c.victim == payoff.victim and c.lookalike == look]
+            best = max(bound, key=lambda c: (c.a + c.b, c.a, c.b))
+            block, log_index = min(report.events[k].order for c in bound for k in c.evidence)
+            if block > payoff.block_number:
+                continue
+            owners = [g.group_id for g in groups for s in sets if s.transfer_id in g.members and s.lookalike == look]
+            assert len(set(owners)) <= 1, (look, owners)
+            entries.append(Competitor(look, owners[0] if owners else None, best.a, best.b, block, log_index))
+        won = [c for c in entries if c.lookalike == payoff.lookalike]
+        if not won:
+            continue
+        (winner,) = won
+        records.append(
+            CompetitionRecord(
+                payoff_key=payoff.key,
+                victim=payoff.victim,
+                winner=payoff.lookalike,
+                similarity_rank=1 + len([c for c in entries if c.a + c.b > winner.a + winner.b]),
+                timing_rank=1 + len(
+                    [c for c in entries if (c.first_block, c.first_log_index) < (winner.first_block, winner.first_log_index)]
+                ),
+                competitors=tuple(entries),
+            )
+        )
+    return tuple(records)
+
+
+def reference_win_loss(records) -> dict[tuple[str, str], float]:
+    """``win_loss_matrix`` by brute force: for every ordered pair (i, j) of
+    distinct groups, i's wins over the contests in which both fielded a
+    lookalike and one of the two won, where there is such a contest."""
+    ids = sorted({c.group_id for r in records for c in r.competitors if c.group_id is not None})
+    matrix = {}
+    for i in ids:
+        for j in ids:
+            contests = wins = 0
+            for r in records:
+                fielded = {c.group_id for c in r.competitors}
+                (winner,) = [c.group_id for c in r.competitors if c.lookalike == r.winner]
+                if i != j and i in fielded and j in fielded and winner in (i, j):
+                    contests += 1
+                    wins += winner == i
+            if contests:
+                matrix[(i, j)] = wins / contests
+    return matrix

@@ -35,6 +35,7 @@ from poisonscan.core import (
 )
 from poisonscan.detector import scan
 from poisonscan.scenario import GroupSpec, ScenarioSpec, generate
+from poisonscan.similarity import score
 
 from helpers import (
     AUTH,
@@ -49,6 +50,7 @@ from helpers import (
     make_registry,
     rich_spec,
 )
+from reference import reference_competitions, reference_win_loss
 
 R3 = "0x7c6d5e4f30219384756647382910aabbccddeeff"
 R4 = "0x3d2c1b0a9988776655443322110fedcba9876543"
@@ -337,6 +339,58 @@ def test_win_loss_matrix_hand_counts():
     for (i, j), ratio in matrix.items():
         assert matrix[(j, i)] + ratio == pytest.approx(1.0)
         assert i != j
+
+
+def two_context_stream():
+    """V1 pays R1 and R1b at 100. lA resembles both, so two contexts bind
+    it to V1: (R1, 5 + 4 digits), then, as R1b sorts after R1, (R1b, 3 + 4).
+    lA poisons V1 at 150 and wins V1's payoff at 170, the block in which
+    its rival lB first poisons V1, after the payoff; lC first poisons V1
+    at 180, too late to compete."""
+    look, rival, late = lookalike(R1, 5, 4), lookalike(R1, 3, 4), lookalike(R1, 4, 4)
+    r1b = "0x" + R1[2:5] + "f" * 33 + R1[-4:]
+    assert r1b > R1 and (score(look, r1b).a, score(look, r1b).b) == (3, 4)
+    sb = StreamBuilder()
+    sb.add(100, V1, R1, STABLE, 50_000_000)
+    sb.add(100, V1, r1b, STABLE, 50_000_000)
+    sb.add(150, V1, look, STABLE, 0, tx=tx("0xaaa1", STABLE, gas_price=10**13))
+    sb.add(170, V1, look, STABLE, 100_000_000)
+    sb.add(170, V1, rival, STABLE, 0, tx=tx("0xbbb1", STABLE, gas_price=10**13))
+    sb.add(180, V1, late, STABLE, 0, tx=tx("0xccc1", STABLE, gas_price=10**13))
+    return sb
+
+
+def competition_cases():
+    """(report, sets, groups) of the rich scenario, which has contested
+    payoffs and bundled victims, on a fixed seed list, then of
+    ``two_context_stream``."""
+    for seed in (0, 3, 7):
+        bundle = generate(rich_spec(seed))
+        events = list(bundle.events())
+        report = scan(events, bundle.configs[1], bundle.registry, bundle.prices, history=events)
+        sets = build_transfer_sets(report)
+        yield report, sets, cluster(sets, 0.5, ratios=attack_ratio(sets, bundle.accounts[1]))
+    yield run_pipeline(two_context_stream(), native_prices())
+
+
+def test_competitions_match_the_reference():
+    contested = contests = 0
+    for report, sets, groups in competition_cases():
+        records = build_competitions(report, sets, groups)
+        assert list(records) == list(reference_competitions(report, sets, groups))
+        matrix = win_loss_matrix(records)
+        assert matrix == reference_win_loss(records)
+        contested += sum(len(r.competitors) > 1 for r in records)
+        contests += len(matrix)
+    assert contested and contests
+    # the stream's one record: both contexts of lA merge into its best score;
+    # lB, first seen in the payoff's block, competes, and lC does not
+    (record,) = records
+    look, rival = lookalike(R1, 5, 4), lookalike(R1, 3, 4)
+    assert record.winner == look
+    assert {c.lookalike: (c.a, c.b, c.first_block) for c in record.competitors} == {
+        look: (5, 4, 150), rival: (3, 4, 170),
+    }
 
 
 def test_success_rank_histograms():

@@ -502,8 +502,17 @@ SHAPE_INPUTS = {
         HUGE_INPUTS["bytecode"][3],
     ),
     "targets-empty": ("targets.txt", "", ("no target addresses", "targets.txt"), GEN),
-    "gen-matches-negative": ("targets.txt", EVENT["to"], "error: --matches must be >= 0", [*GEN, "--matches", "-1"]),
-    "gen-a-min-past-40": ("targets.txt", EVENT["to"], "error: a_min must be in [0, 40], got 41", [*GEN, "--a-min", "41"]),
+    # a decimal in a spelling str(Decimal) never writes, once read as 10, 3, 5, 7 and 1000
+    **{
+        f"config-tiny-{name}": (
+            "config.json", json.dumps({"chain_id": 1, "tiny_threshold_usd": value}),
+            "field 'tiny_threshold_usd' must be a decimal string", SCAN_CONFIG,
+        )
+        for name, value in (
+            ("underscore", "1_0"), ("arabic-indic-digit", "\u0663"), ("plus", "+5"), ("spaces", " 7 "),
+            ("lowercase-exponent", "1e3"),
+        )
+    },
 }
 
 
@@ -1030,6 +1039,24 @@ def test_non_positive_counts_are_usage_errors(capsys, argv):
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert "usage" in err.lower() and "must be >= 1" in err
+
+
+@pytest.mark.parametrize(
+    "option,value,message",
+    [
+        ("--matches", "-1", "must be >= 0, got -1"),
+        ("--a-min", "41", "must be in [0, 40], got 41"),
+        ("--b-min", "-1", "must be in [0, 40], got -1"),
+        ("--budget", "0", "must be >= 1, got 0"),
+    ],
+    ids=["matches-negative", "a-min-past-40", "b-min-negative", "budget-zero"],
+)
+def test_gen_number_options_out_of_range_are_usage_errors(capsys, option, value, message):
+    # once an error without the usage line, or naming the SearchSpec field,
+    # raised only after the --targets file was read; this one does not exist
+    assert run(["gen", "--targets", "missing.txt", "--budget", "10", option, value]) == 1
+    err = capsys.readouterr().err
+    assert "usage" in err.lower() and f"error: argument {option}: {message}" in err
 
 
 @pytest.mark.parametrize("value,message", [

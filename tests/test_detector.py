@@ -761,6 +761,28 @@ def test_history_is_walked_to_the_end():
             scan(stream, ChainConfig(chain_id=1), make_registry(), make_prices(), history=history())
 
 
+def test_unpriced_lists_every_payoff_before_the_history_walk():
+    # two unconfirmed anchored rows; only the stablecoin has a price. The
+    # second row's payoff is unpriced, and the walk over the first row's
+    # window meets an unpriced authentic transfer from its lookalike, which
+    # the pass never probes: only stablecoin transfers are probed as incoming
+    look1, look2 = lookalike(R1, 3, 4), lookalike(R2, 3, 4)
+    sb = StreamBuilder()
+    sb.add(100, V1, R1, STABLE, 50_000_000)
+    sb.add(100, V2, R2, STABLE, 50_000_000)
+    sb.add(105, look1, V1, AUTH, 10**18)
+    sb.add(110, V1, look1, STABLE, 200_000_000)
+    sb.add(120, V2, look2, AUTH, 10**18)
+    events = sb.events()
+    prices = PriceTable({(STABLE, date(2024, 1, 1)): Decimal("1")})
+    report = scan(events, ChainConfig(chain_id=1), make_registry(), prices, history=events)
+    assert [(p.key, p.confirmed, p.anchor_key) for p in report.payoffs] == [
+        (events[3].key, False, events[0].key),
+        (events[4].key, False, events[1].key),
+    ]
+    assert report.unpriced == (events[4].key, events[2].key)
+
+
 def test_history_read_lazily_is_not_retained(tmp_path):
     # the rich scenario, then unrelated traffic in later blocks: scan keeps
     # the few history events its payoffs need, not the file
